@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -190,6 +190,13 @@ class TowerDocument:
     blocks: list[BlockDecl]
 
 
+def _parse_name_list(s: _Stream) -> tuple[str, ...]:
+    names = [s.expect("name").value]
+    while s.accept("punct", ","):
+        names.append(s.expect("name").value)
+    return tuple(names)
+
+
 def _parse_surface_spec(s: _Stream) -> SummandDecl:
     s.expect("punct", "(")
     s.expect("name", "genus")
@@ -200,48 +207,33 @@ def _parse_surface_spec(s: _Stream) -> SummandDecl:
         s.expect("name", "punctures")
         s.expect("punct", "=")
         punctures = int(s.expect("int").value)
-    gens: list[str] = []
-    if s.accept("punct", ":"):
-        gens.append(s.expect("name").value)
-        while s.accept("punct", ","):
-            gens.append(s.expect("name").value)
+    gens = _parse_name_list(s) if s.accept("punct", ":") else ()
     s.expect("punct", ")")
-    return SummandDecl("surface", tuple(gens), genus=genus, punctures=punctures)
+    return SummandDecl("surface", gens, genus=genus, punctures=punctures)
 
 
 def _parse_summand(s: _Stream) -> SummandDecl:
     t = s.expect("name")
     if t.value == "free":
         s.expect("punct", "(")
-        gens = [s.expect("name").value]
-        while s.accept("punct", ","):
-            gens.append(s.expect("name").value)
+        gens = _parse_name_list(s)
         s.expect("punct", ")")
-        return SummandDecl("free", tuple(gens))
+        return SummandDecl("free", gens)
     if t.value == "abelian":
         s.expect("punct", "(")
         s.expect("name", "rank")
         s.expect("punct", "=")
         rank = int(s.expect("int").value)
         s.expect("punct", ":")
-        gens = [s.expect("name").value]
-        while s.accept("punct", ","):
-            gens.append(s.expect("name").value)
+        gens = _parse_name_list(s)
         s.expect("punct", ")")
         if len(gens) != rank:
             raise DslError(f"abelian rank {rank} with {len(gens)} generators",
                            t.line, t.col)
-        return SummandDecl("abelian", tuple(gens), rank=rank)
+        return SummandDecl("abelian", gens, rank=rank)
     if t.value == "surface":
         return _parse_surface_spec(s)
     raise DslError(f"unknown summand kind {t.value!r}", t.line, t.col)
-
-
-def _parse_name_list(s: _Stream) -> tuple[str, ...]:
-    names = [s.expect("name").value]
-    while s.accept("punct", ","):
-        names.append(s.expect("name").value)
-    return tuple(names)
 
 
 def _parse_arrow_map(s: _Stream) -> tuple[tuple[str, str], ...]:
@@ -319,6 +311,15 @@ def parse_tower_dsl(text: str) -> TowerDocument:
     return TowerDocument(name, summands, blocks)
 
 
+def _surface_spec(sm: SummandDecl) -> str:
+    spec = f"genus={sm.genus}"
+    if sm.punctures:
+        spec += f", punctures={sm.punctures}"
+    if sm.generators:
+        spec += f": {', '.join(sm.generators)}"
+    return spec
+
+
 def print_tower_dsl(doc: TowerDocument) -> str:
     """Canonical printer; parse(print(doc)) == doc."""
     out = [f"tower {doc.name} {{"]
@@ -329,12 +330,7 @@ def print_tower_dsl(doc: TowerDocument) -> str:
         elif sm.kind == "abelian":
             parts.append(f"abelian(rank={sm.rank}: {', '.join(sm.generators)})")
         else:
-            spec = f"genus={sm.genus}"
-            if sm.punctures:
-                spec += f", punctures={sm.punctures}"
-            if sm.generators:
-                spec += f": {', '.join(sm.generators)}"
-            parts.append(f"surface({spec})")
+            parts.append(f"surface({_surface_spec(sm)})")
     out.append("  base { " + "; ".join(parts) + " }")
     for b in doc.blocks:
         lines = [f"  block {b.kind} {{"]
@@ -347,13 +343,7 @@ def print_tower_dsl(doc: TowerDocument) -> str:
             lines.append(f"    rank={b.rank};")
             lines.append(f"    letters={', '.join(b.letters)};")
         else:
-            sm = b.surface
-            spec = f"genus={sm.genus}"
-            if sm.punctures:
-                spec += f", punctures={sm.punctures}"
-            if sm.generators:
-                spec += f": {', '.join(sm.generators)}"
-            lines.append(f"    surface=({spec});")
+            lines.append(f"    surface=({_surface_spec(b.surface)});")
             bnd = ", ".join(f'{k} -> "{v}"' for k, v in b.boundary)
             lines.append(f"    boundary={{ {bnd} }};")
             ret = ", ".join(f'{k} -> "{v}"' for k, v in b.retract)

@@ -12,56 +12,18 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import graphgroups as gg
-from .graphgroups import GraphOfGroups, NONTRIVIAL, TRIVIAL, UNKNOWN
+from .folding import Delta, Edge, fold, petal
+from .graphgroups import GraphOfGroups, TRIVIAL, UNKNOWN
 from .tower import Tower
 from .words import Alphabet, Word, concat, format_word, invert, reduce_word
 
 
 class CoreError(ValueError):
     """Cover not expanded far enough, or an undecidable input word."""
-
-
-Edge = tuple[int, str, int]  # (tail, sym, head), positive orientation
-
-
-def _fold(edges: set[Edge], count: int):
-    """Fold to a partial deterministic automaton; returns (edges, find)."""
-    parent = list(range(count))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a: int, b: int):
-        a, b = find(a), find(b)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    while True:
-        edges = {(find(v), sym, find(u)) for v, sym, u in edges}
-        out: dict[tuple[int, str], int] = {}
-        inc: dict[tuple[int, str], int] = {}
-        merged = False
-        for v, sym, u in edges:
-            if (v, sym) in out and out[(v, sym)] != u:
-                union(out[(v, sym)], u)
-                merged = True
-                break
-            out[(v, sym)] = u
-            if (u, sym) in inc and inc[(u, sym)] != v:
-                union(inc[(u, sym)], v)
-                merged = True
-                break
-            inc[(u, sym)] = v
-        if not merged:
-            break
-    return edges, find
 
 
 class CoverGraph:
@@ -95,20 +57,7 @@ class CoverGraph:
         self.subgens = kept
 
         # petal graph, one loop per generator, then free folding
-        count = 1
-        edges: set[Edge] = set()
-        for w in kept:
-            cur = 0
-            for i, (sym, sign) in enumerate(w):
-                nxt = 0 if i == len(w) - 1 else count
-                if nxt == count:
-                    count += 1
-                if sign == 1:
-                    edges.add((cur, sym, nxt))
-                else:
-                    edges.add((nxt, sym, cur))
-                cur = nxt
-        self._set_edges(*_fold(edges, count))
+        self._set_edges(*fold(*petal(kept)))
         self.rounds_log: list[int] = []
         if not self.exact:
             for _ in range(max(depth_budget, 0)):
@@ -119,14 +68,11 @@ class CoverGraph:
 
     # -- structure ---------------------------------------------------------
 
-    def _set_edges(self, edges: set[Edge], find):
-        self.base = find(0)
-        self.edges: set[Edge] = edges
-        self.delta: dict[int, dict[tuple[str, int], int]] = {self.base: {}}
-        for v, sym, u in edges:
-            self.delta.setdefault(v, {})[(sym, 1)] = u
-            self.delta.setdefault(u, {})[(sym, -1)] = v
-        self.vertices = sorted(self.delta)
+    def _set_edges(self, edges: set[Edge], base: int, delta: Delta):
+        self.base = base
+        self.edges = edges
+        self.delta = delta
+        self.vertices = sorted(delta)
         self.path_words = self._bfs_paths()
 
     def _bfs_paths(self) -> dict[int, Word]:
@@ -186,9 +132,9 @@ class CoverGraph:
 
     def _identify_round(self) -> int:
         """One round: merge vertex pairs whose connecting word provably
-        lies in the subgroup; returns the number of merges."""
+        lies in the subgroup, then fold; returns the number of vertices
+        the round removed (0 when no pair merged)."""
         cands = self._membership_candidates()
-        merges = 0
         merged_pairs: list[tuple[int, int]] = []
         verts = sorted(self.path_words)
         for i, u in enumerate(verts):
@@ -198,42 +144,16 @@ class CoverGraph:
                     merged_pairs.append((u, v))
         if not merged_pairs:
             return 0
-        count = max(self.vertices) + 1
-        edges = set(self.edges)
-        parent = list(range(count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in merged_pairs:
-            a, b = find(u), find(v)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-                merges += 1
-        edges = {(find(a), sym, find(b)) for a, sym, b in edges}
-        self._set_edges(*_fold(edges, count))
-        return merges
+        before = len(self.vertices)
+        self._set_edges(*fold(self.edges, max(self.vertices) + 1, merged_pairs))
+        return before - len(self.vertices)
 
     # -- canonical form ----------------------------------------------------
 
     def canonical_form(self) -> tuple:
         """Shortlex-minimal adjacency encoding after BFS renumbering; two
         covers are graph-isomorphic iff the forms are equal."""
-        order = {self.base: 0}
-        frontier = [self.base]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for (sym, sign) in sorted(self.delta[v],
-                                          key=lambda k: (self.alphabet.index(k[0]), -k[1])):
-                    u = self.delta[v][(sym, sign)]
-                    if u not in order:
-                        order[u] = len(order)
-                        nxt.append(u)
-            frontier = nxt
+        order = {v: i for i, v in enumerate(self.path_words)}
         return tuple(sorted(
             (order[a], sym, order[b]) for a, sym, b in self.edges))
 

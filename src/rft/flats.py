@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .core import CoreReport
-from .graphgroups import NONTRIVIAL, TRIVIAL, UNKNOWN
+from .graphgroups import NONTRIVIAL, TRIVIAL
 from .tower import Block, BlockA, BlockQ, BlockT, Tower
 from .words import (
     Word,
@@ -336,9 +336,6 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
             continue
         # an edge lift joins an M-type entry to an N-type entry; at least
         # one of the two sides must be colored G under the current rule
-        side_colors = set()
-        for v, t in types.items():
-            side_colors.add(C.colors[v])
         g_types = {t for v, t in types.items() if C.colors[v] == G_COLOR}
         if isinstance(C.top_block, BlockQ):
             ok = N_TYPE in g_types or not types
@@ -389,8 +386,7 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
     # (2) attaching-element maximality for abelian/torus top blocks
     top = C.top_block
     if isinstance(top, (BlockA, BlockT)):
-        attach = (reduce_word(top.attach) if isinstance(top, BlockA)
-                  else reduce_word(top.attach[0]))
+        attach = reduce_word(top.attaching[0])
         core, _ = cyclic_reduce(attach)
         pp = is_proper_power(core)
         if pp is not None:

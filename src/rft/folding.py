@@ -1,10 +1,89 @@
-"""Stallings folding: subgroup graphs of free groups and exact membership."""
+"""Stallings folding: subgroup graphs of free groups and exact membership.
+
+`petal` and `fold` are the one folding engine; `rft.core` builds its
+cover graphs with them as well.
+"""
 
 from __future__ import annotations
 
-from collections import defaultdict
+from typing import Iterable
 
 from .words import Alphabet, Word, EMPTY, concat, invert, reduce_word
+
+
+Edge = tuple[int, str, int]  # (tail, sym, head), positive orientation
+Delta = dict[int, dict[tuple[str, int], int]]
+
+
+def petal(words: list[Word]) -> tuple[set[Edge], int]:
+    """One closed loop at vertex 0 per reduced word; returns (edges, vertex count)."""
+    count = 1
+    edges: set[Edge] = set()
+    for w in words:
+        cur = 0
+        for i, (sym, sign) in enumerate(w):
+            nxt = 0 if i == len(w) - 1 else count
+            if nxt == count:
+                count += 1
+            if sign == 1:
+                edges.add((cur, sym, nxt))
+            else:
+                edges.add((nxt, sym, cur))
+            cur = nxt
+    return edges, count
+
+
+def fold(edges: set[Edge], count: int,
+         identify: Iterable[tuple[int, int]] = ()) -> tuple[set[Edge], int, Delta]:
+    """Identify the given vertex pairs, then fold to a partial
+    deterministic automaton.
+
+    Every class is named by its least vertex, so the result does not
+    depend on the merge order.  Returns (edges, base, delta) with base
+    the class of vertex 0 and delta[v][(sym, sign)] = u.
+    """
+    parent = list(range(count))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(a: int, b: int):
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+
+    for a, b in identify:
+        union(a, b)
+    # fixpoint folding: merge heads of equal-labelled edges with equal
+    # tails, and tails of equal-labelled edges with equal heads
+    while True:
+        edges = {(find(v), sym, find(u)) for v, sym, u in edges}
+        out: dict[tuple[int, str], int] = {}
+        inc: dict[tuple[int, str], int] = {}
+        merged = False
+        for v, sym, u in edges:
+            if (v, sym) in out and out[(v, sym)] != u:
+                union(out[(v, sym)], u)
+                merged = True
+                break
+            out[(v, sym)] = u
+            if (u, sym) in inc and inc[(u, sym)] != v:
+                union(inc[(u, sym)], v)
+                merged = True
+                break
+            inc[(u, sym)] = v
+        if not merged:
+            break
+
+    base = find(0)
+    delta: Delta = {base: {}}
+    for v, sym, u in edges:
+        delta.setdefault(v, {})[(sym, 1)] = u
+        delta.setdefault(u, {})[(sym, -1)] = v
+    return edges, base, delta
 
 
 class SubgroupGraph:
@@ -17,61 +96,7 @@ class SubgroupGraph:
     def __init__(self, alphabet: Alphabet, subgens: list[Word]):
         self.alphabet = alphabet
         self.subgens = [reduce_word(w, alphabet) for w in subgens]
-        count = 1
-        edges: set[tuple[int, str, int]] = set()  # (tail, sym, head), positive orientation
-        base = 0
-        for w in self.subgens:
-            cur = base
-            for i, (sym, sign) in enumerate(w):
-                nxt = base if i == len(w) - 1 else count
-                if nxt == count:
-                    count += 1
-                if sign == 1:
-                    edges.add((cur, sym, nxt))
-                else:
-                    edges.add((nxt, sym, cur))
-                cur = nxt
-        parent = list(range(count))
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        def union(a: int, b: int):
-            a, b = find(a), find(b)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-
-        # fixpoint folding: merge heads of equal-labelled edges with equal
-        # tails, and tails of equal-labelled edges with equal heads
-        while True:
-            edges = {(find(v), sym, find(u)) for v, sym, u in edges}
-            out: dict[tuple[int, str], int] = {}
-            inc: dict[tuple[int, str], int] = {}
-            merged = False
-            for v, sym, u in edges:
-                if (v, sym) in out and out[(v, sym)] != u:
-                    union(out[(v, sym)], u)
-                    merged = True
-                    break
-                out[(v, sym)] = u
-                if (u, sym) in inc and inc[(u, sym)] != v:
-                    union(inc[(u, sym)], v)
-                    merged = True
-                    break
-                inc[(u, sym)] = v
-            if not merged:
-                break
-
-        self.base = find(base)
-        self.delta: dict[int, dict[tuple[str, int], int]] = defaultdict(dict)
-        self.delta[self.base] = {}
-        for v, sym, u in edges:
-            self.delta[v][(sym, 1)] = u
-            self.delta[u][(sym, -1)] = v
-        self.delta = dict(self.delta)
+        edges, self.base, self.delta = fold(*petal(self.subgens))
         self.vertices = sorted(self.delta)
         self.edges = sorted(edges)
 

@@ -19,7 +19,6 @@ from .words import (
     AlphabetError,
     SurfacePresentation,
     Word,
-    WordError,
     abelianize,
     commutator,
     concat,
@@ -161,9 +160,6 @@ class Presentation:
     def relator_columns(self) -> list[tuple[int, ...]]:
         return [abelianize(r, self.alphabet) for r in self.relators]
 
-    def abelianized_rank(self) -> int:
-        return len(self.alphabet) - lattice_rank(self.relator_columns())
-
 
 @dataclass(frozen=True)
 class MembershipResult:
@@ -172,7 +168,11 @@ class MembershipResult:
 
     @property
     def definite(self) -> bool:
-        return self.status in (MEMBER, NONMEMBER)
+        """Nonmember, or member with an expression: a member without one
+        cannot be moved across its edge, so a reduction stopping there
+        proves nothing."""
+        return self.status == NONMEMBER or (
+            self.status == MEMBER and self.expression is not None)
 
 
 @dataclass
@@ -181,9 +181,6 @@ class NormalForm:
 
     items: list  # ("syl", vertex label, Word) | ("stable", letter, sign)
     verdict: str
-
-    def stable_count(self) -> int:
-        return sum(1 for it in self.items if it[0] == "stable")
 
 
 class GraphOfGroups:

@@ -11,25 +11,15 @@ from typing import Optional, Sequence
 Vector = tuple[int, ...]
 
 
-def solve_int_linear(columns: Sequence[Vector], target: Vector) -> Optional[tuple[int, ...]]:
-    """Solve sum_j x_j * columns[j] == target over the integers.
+def _column_hermite(cols: list[list[int]], m: int) -> list[tuple[int, int]]:
+    """Column-style Hermite reduction of rows 0..m-1, in place.
 
-    Returns one solution vector x, or None when target is outside the
-    lattice spanned by the columns.  Column-style Hermite reduction with
-    a tracked transformation matrix.
+    Column operations act on whole columns, so rows stacked below row m
+    (an identity block) record each work column as an integer
+    combination of the input columns.  Returns the pivots as
+    (row, column index).
     """
-    n = len(columns)
-    m = len(target)
-    for c in columns:
-        if len(c) != m:
-            raise ValueError("column/target dimension mismatch")
-    # work columns paired with coefficient columns (A*C laid out per column)
-    cols = [list(c) for c in columns]
-    coeffs = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    t = list(target)
-    x = [0] * n
-
-    pivots: list[tuple[int, int]] = []  # (row, column index in cols)
+    pivots: list[tuple[int, int]] = []
     used: set[int] = set()
     for row in range(m):
         # zero out row entries across unused columns until one pivot remains
@@ -38,25 +28,39 @@ def solve_int_linear(columns: Sequence[Vector], target: Vector) -> Optional[tupl
             if len(nz) <= 1:
                 break
             nz.sort(key=lambda j: abs(cols[j][row]))
-            p, q = nz[0], nz[1]
-            f = cols[q][row] // cols[p][row]
-            for r in range(m):
-                cols[q][r] -= f * cols[p][r]
-            for r in range(n):
-                coeffs[q][r] -= f * coeffs[p][r]
-        nz = [j for j in range(len(cols)) if j not in used and cols[j][row] != 0]
+            p, q = cols[nz[0]], cols[nz[1]]
+            f = q[row] // p[row]
+            for r in range(len(q)):
+                q[r] -= f * p[r]
         if nz:
             used.add(nz[0])
             pivots.append((row, nz[0]))
+    return pivots
 
-    for row, j in pivots:
+
+def solve_int_linear(columns: Sequence[Vector], target: Vector) -> Optional[tuple[int, ...]]:
+    """Solve sum_j x_j * columns[j] == target over the integers.
+
+    Returns one solution vector x, or None when target is outside the
+    lattice spanned by the columns.  Column-style Hermite reduction with
+    the transformation matrix tracked below the columns.
+    """
+    n = len(columns)
+    m = len(target)
+    for c in columns:
+        if len(c) != m:
+            raise ValueError("column/target dimension mismatch")
+    cols = [list(c) + [1 if i == j else 0 for i in range(n)] for j, c in enumerate(columns)]
+    t = list(target)
+    x = [0] * n
+    for row, j in _column_hermite(cols, m):
         if t[row] % cols[j][row] != 0:
             return None
         f = t[row] // cols[j][row]
         for r in range(m):
             t[r] -= f * cols[j][r]
         for r in range(n):
-            x[r] += f * coeffs[j][r]
+            x[r] += f * cols[j][m + r]
     if any(t):
         return None
     return tuple(x)
@@ -66,25 +70,7 @@ def lattice_rank(columns: Sequence[Vector]) -> int:
     """Rank of the integer lattice spanned by the columns."""
     if not columns:
         return 0
-    m = len(columns[0])
-    cols = [list(c) for c in columns]
-    rank = 0
-    used: set[int] = set()
-    for row in range(m):
-        while True:
-            nz = [j for j in range(len(cols)) if j not in used and cols[j][row] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda j: abs(cols[j][row]))
-            p, q = nz[0], nz[1]
-            f = cols[q][row] // cols[p][row]
-            for r in range(m):
-                cols[q][r] -= f * cols[p][r]
-        nz = [j for j in range(len(cols)) if j not in used and cols[j][row] != 0]
-        if nz:
-            used.add(nz[0])
-            rank += 1
-    return rank
+    return len(_column_hermite([list(c) for c in columns], len(columns[0])))
 
 
 def unimodular_with_first_row_image(v: Vector) -> list[list[int]]:

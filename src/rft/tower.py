@@ -15,18 +15,15 @@ from typing import Optional
 
 from . import graphgroups as gg
 from .graphgroups import (
-    GraphError,
     GraphOfGroups,
     EdgeGroup,
     NONTRIVIAL,
     Presentation,
     TRIVIAL,
-    UNKNOWN,
     VertexGroup,
     abelian_vertex,
     composite_vertex,
     free_vertex,
-    subgroup_membership,
     surface_vertex,
 )
 from .intlinalg import solve_int_linear
@@ -35,12 +32,9 @@ from .words import (
     GroupHom,
     SurfacePresentation,
     Word,
-    WordError,
     abelianize,
     commutator,
     concat,
-    cyclic_reduce,
-    enumerate_ball,
     format_word,
     invert,
     is_proper_power,
@@ -67,6 +61,11 @@ class BlockA:
             raise BlockError("block A needs torus rank >= 2")
         if len(self.letters) != self.rank - 1:
             raise BlockError("block A needs rank-1 new letters")
+
+    @property
+    def attaching(self) -> tuple[Word, ...]:
+        """The attaching tuple: an A block is the k = 1 torus extension."""
+        return (self.attach,)
 
 
 @dataclass(frozen=True)
@@ -105,6 +104,10 @@ class BlockT:
         if len(self.letters) != self.rank - k:
             raise BlockError("block T needs rank-k new letters")
 
+    @property
+    def attaching(self) -> tuple[Word, ...]:
+        return self.attach
+
 
 Block = BlockA | BlockQ | BlockT
 
@@ -139,6 +142,7 @@ class Stage:
 class WitnessCertificate:
     target: Alphabet
     hom: Optional[GroupHom]
+    relators: tuple[Word, ...]  # the tower's relators; hom must kill each one
     words: list[Word]
     images: list[Word]
     verdict: str  # "valid" | "failed"
@@ -148,9 +152,13 @@ class WitnessCertificate:
     budget: int
 
     def recheck(self) -> bool:
-        """Re-verify validity by pure word operations: pairwise distinct
-        reduced images unless the words are literally equal."""
+        """Re-verify validity by pure word operations: every relator maps
+        to the empty word, so hom is a homomorphism to the free group, and
+        the images are pairwise distinct unless the words are literally
+        equal."""
         if self.hom is None:
+            return False
+        if any(self.hom.apply(r) for r in self.relators):
             return False
         seen: dict[Word, Word] = {}
         for w, img in zip(self.words, self.images):
@@ -195,24 +203,16 @@ class Tower:
                         )
                 continue
             b = s.block
-            if isinstance(b, BlockA):
-                gens = (reduce_word(b.attach),) + tuple(letter(t) for t in b.letters)
-                records.append(LatticeRecord(i, gens, "A"))
-            elif isinstance(b, BlockT):
-                gens = tuple(reduce_word(w) for w in b.attach) + tuple(
+            if isinstance(b, (BlockA, BlockT)):
+                gens = tuple(reduce_word(w) for w in b.attaching) + tuple(
                     letter(t) for t in b.letters
                 )
-                if self.rank_of(b) >= 2:
-                    records.append(LatticeRecord(i, gens, "T"))
-                # a T block extending an earlier lattice supersedes it
+                records.append(LatticeRecord(i, gens, "A" if isinstance(b, BlockA) else "T"))
+                # a block extending an earlier lattice supersedes it
                 for r in records[:-1]:
-                    if not r.superseded and set(r.generators) <= set(b.attach):
+                    if not r.superseded and set(r.generators) <= set(b.attaching):
                         r.superseded = True
         return records
-
-    @staticmethod
-    def rank_of(b: BlockT) -> int:
-        return b.rank
 
     # -- word problem ------------------------------------------------------
 
@@ -365,11 +365,9 @@ def attach_block(tower: Tower, block: Block, budget: int = 8, assume: bool = Fal
     A failed obligation rejects the block naming the check; an Unknown
     obligation is accepted only with assume=True and recorded.
     """
-    if isinstance(block, BlockA):
-        return _attach_a(tower, block, budget, assume)
     if isinstance(block, BlockQ):
         return _attach_q(tower, block, budget, assume)
-    if isinstance(block, BlockT):
+    if isinstance(block, (BlockA, BlockT)):
         return _attach_t(tower, block, budget, assume)
     raise BlockError(f"unknown block type {type(block).__name__}")
 
@@ -384,49 +382,6 @@ def _require(obligations: list[Obligation], ob: Obligation, assume: bool):
             )
         ob.status = "assumed"
     obligations.append(ob)
-
-
-def _attach_a(tower: Tower, block: BlockA, budget: int, assume: bool) -> Tower:
-    n = len(tower.stages)
-    pres = tower.presentation()
-    w = reduce_word(block.attach, pres.alphabet)
-    obligations: list[Obligation] = []
-
-    verdict = tower.word_problem(w, budget)
-    if verdict == TRIVIAL:
-        raise BlockError("attach-nontrivial: attaching word is trivial")
-    ob = Obligation("attach-nontrivial",
-                    "verified" if verdict == NONTRIVIAL else "budget-limited",
-                    f"word problem verdict {verdict}")
-    _require(obligations, ob, assume)
-    _require(obligations, _check_maximal_cyclic(tower, w, budget), assume)
-
-    used = set(pres.alphabet.generators)
-    for t in block.letters:
-        if t in used:
-            raise BlockError(f"new letter {t!r} collides with an existing generator")
-        used.add(t)
-    u = _fresh(f"_u{n}", used)
-
-    v1 = _prev_vertex(tower, f"st{n - 1}")
-    v2 = abelian_vertex(f"blk{n}", Alphabet((u,) + block.letters))
-    edge = EdgeGroup(f"e{n}", 1, (v2.label, (letter(u),)), (v1.label, (w,)))
-    graph = GraphOfGroups([v1, v2], [edge], v1.label)
-
-    new_alph = Alphabet(pres.alphabet.generators + block.letters)
-    relators = list(pres.relators)
-    ts = [letter(t) for t in block.letters]
-    for t in ts:
-        relators.append(reduce_word(commutator(w, t)))
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            relators.append(reduce_word(commutator(ts[i], ts[j])))
-    retraction = GroupHom(
-        new_alph, pres.alphabet,
-        {g: letter(g) for g in pres.alphabet.generators} | {t: () for t in block.letters},
-    )
-    stage = Stage(Presentation(new_alph, tuple(relators)), graph, retraction, block, obligations)
-    return Tower(tower.summands, tower.stages + [stage])
 
 
 def _attach_q(tower: Tower, block: BlockQ, budget: int, assume: bool) -> Tower:
@@ -512,10 +467,11 @@ def _attach_q(tower: Tower, block: BlockQ, budget: int, assume: bool) -> Tower:
     return Tower(tower.summands, tower.stages + [stage])
 
 
-def _attach_t(tower: Tower, block: BlockT, budget: int, assume: bool) -> Tower:
+def _attach_t(tower: Tower, block: BlockA | BlockT, budget: int, assume: bool) -> Tower:
+    """Torus extension along the attaching tuple; an A block is the k = 1 case."""
     n = len(tower.stages)
     pres = tower.presentation()
-    attach = tuple(reduce_word(w, pres.alphabet) for w in block.attach)
+    attach = tuple(reduce_word(w, pres.alphabet) for w in block.attaching)
     obligations: list[Obligation] = []
     k = len(attach)
 
@@ -601,17 +557,11 @@ class _WitnessFamily:
 
     def _build(self):
         t = self.tower
-        self.block_params: list[tuple[int, str, Word]] = []  # (#slot base via order)
         for i, s in enumerate(t.stages[1:], start=1):
             b = s.block
-            if isinstance(b, BlockA):
+            if isinstance(b, (BlockA, BlockT)):
                 for lt in b.letters:
-                    self.slots.append(f"stage {i}: {lt} -> ({format_word(b.attach)})^N")
-                    self.block_params.append((i, lt, reduce_word(b.attach)))
-            elif isinstance(b, BlockT):
-                for lt in b.letters:
-                    self.slots.append(f"stage {i}: {lt} -> ({format_word(b.attach[0])})^N")
-                    self.block_params.append((i, lt, reduce_word(b.attach[0])))
+                    self.slots.append(f"stage {i}: {lt} -> ({format_word(b.attaching[0])})^N")
             elif isinstance(b, BlockQ):
                 for h in range(b.surface.genus):
                     a = b.surface.generators[2 * h]
@@ -663,8 +613,7 @@ class _WitnessFamily:
             stage_alph = t.alphabet(i)
             stage_images = {g: letter(g) for g in stage_alph.generators}
             if isinstance(b, (BlockA, BlockT)):
-                attach = reduce_word(b.attach) if isinstance(b, BlockA) else reduce_word(
-                    b.attach[0])
+                attach = reduce_word(b.attaching[0])
                 ns = [next(it) for _ in b.letters]
                 stage_map = {g: letter(g) for g in prev_alph.generators}
                 for lt, N in zip(b.letters, ns):
@@ -738,6 +687,7 @@ def find_rf_witness(
     """Search the parametrized family for a homomorphism to a free group
     that is injective on the given finite word set."""
     alph = tower.alphabet()
+    relators = tower.presentation().relators
     W = [reduce_word(w, alph) for w in words]
     family = _WitnessFamily(tower)
     trace: list = []
@@ -759,7 +709,7 @@ def find_rf_witness(
 
     if not W:
         ident = GroupHom.identity(alph)
-        return WitnessCertificate(alph, ident, [], [], "valid",
+        return WitnessCertificate(alph, ident, relators, [], [], "valid",
                                   "; ".join(family.slots), [], seed, budget)
 
     attempts = 0
@@ -783,17 +733,9 @@ def find_rf_witness(
             seen.setdefault(img, i)
         if collision is None:
             trace.append((params, "valid"))
-            return WitnessCertificate(family.target, hom, W, images, "valid",
+            return WitnessCertificate(family.target, hom, relators, W, images, "valid",
                                       "; ".join(family.slots), trace, seed, budget)
         trace.append((params, f"collision {format_word(W[collision[0]])} ~ "
                               f"{format_word(W[collision[1]])}"))
-    return WitnessCertificate(family.target, None, W, [], "failed",
+    return WitnessCertificate(family.target, None, relators, W, [], "failed",
                               "; ".join(family.slots), trace, seed, budget)
-
-
-def tower_word_problem(tower: Tower, w: Word, budget: int = 8) -> str:
-    return tower.word_problem(w, budget)
-
-
-def retraction_to_base(tower: Tower) -> GroupHom:
-    return tower.retraction_to_base()

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rft import tower as tw
 from rft.graphgroups import NONTRIVIAL, TRIVIAL, UNKNOWN
 from rft.words import (
+    GroupHom,
     SurfacePresentation,
     concat,
     enumerate_ball,
@@ -110,6 +113,14 @@ def test_gamma_word_problems(gamma):
         assert gamma.word_problem(parse_word(text, al)) == want, text
 
 
+def test_express_cap_is_not_certified(gamma):
+    # membership expressions stop at 64 factors; past the cap the verdict
+    # may be Unknown but never a wrong Nontrivial
+    al = gamma.alphabet()
+    assert gamma.word_problem(parse_word("[[a,b]^64,t]", al)) == TRIVIAL
+    assert gamma.word_problem(parse_word("[[a,b]^65,t]", al)) != NONTRIVIAL
+
+
 def test_retraction_to_base(gamma):
     r = gamma.retraction_to_base()
     al = gamma.alphabet()
@@ -169,6 +180,18 @@ def test_witness_on_gamma_ball1(gamma):
                (reduce_word(concat(*([base] * n))),
                 reduce_word(invert(concat(*([base] * n)))))
                for n in range(1, 9))
+
+
+def test_recheck_rejects_non_homomorphism(gamma):
+    al = gamma.alphabet()
+    W = [parse_word(s, al) for s in ("a", "b", "t")]
+    cert = tw.find_rf_witness(gamma, W, budget=8)
+    assert cert.recheck()
+    # t -> a a b is injective on W but does not kill the relator [[a,b],t]
+    forged = GroupHom(cert.hom.source, cert.hom.target,
+                      dict(cert.hom.images, t=parse_word("a a b")))
+    cert = dataclasses.replace(cert, hom=forged, images=[forged.apply(w) for w in W])
+    assert not cert.recheck()
 
 
 def test_witness_deterministic(gamma):
