@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from . import graphgroups as gg
-from .folding import Delta, Edge, fold, petal
-from .graphgroups import GraphOfGroups, TRIVIAL, UNKNOWN
+from .folding import Delta, Edge, Labelled, fold, petal, walk
+from .graphgroups import TRIVIAL, UNKNOWN
 from .tower import Tower
 from .words import Alphabet, Word, concat, format_word, invert, reduce_word
 
@@ -30,16 +29,12 @@ class CoverGraph:
     """The portion of the subgroup cover generated by tracing the
     subgroup generators, folded and (over towers) coset-identified."""
 
-    def __init__(self, source: Union[Tower, GraphOfGroups], subgens: list[Word],
+    def __init__(self, source: Tower, subgens: list[Word],
                  depth_budget: int = 2, budget: int = 8):
         self.source = source
         self.budget = budget
-        if isinstance(source, Tower):
-            pres = source.presentation()
-            self._wp = lambda w: source.word_problem(w, budget)
-        else:
-            pres = source.presentation()
-            self._wp = lambda w: gg.word_problem(source, w, budget)
+        pres = source.presentation()
+        self._wp = lambda w: source.word_problem(w, budget)
         self.alphabet: Alphabet = pres.alphabet
         self.exact = not pres.relators
 
@@ -68,7 +63,7 @@ class CoverGraph:
 
     # -- structure ---------------------------------------------------------
 
-    def _set_edges(self, edges: set[Edge], base: int, delta: Delta):
+    def _set_edges(self, edges: Labelled, base: int, delta: Delta):
         self.base = base
         self.edges = edges
         self.delta = delta
@@ -89,29 +84,6 @@ class CoverGraph:
                         nxt.append(u)
             frontier = nxt
         return paths
-
-    @property
-    def frontier(self) -> list[tuple[int, str, int]]:
-        """Missing transitions of the partial automaton."""
-        out = []
-        for v in self.vertices:
-            for sym in self.alphabet.generators:
-                for sign in (1, -1):
-                    if (sym, sign) not in self.delta[v]:
-                        out.append((v, sym, sign))
-        return out
-
-    @property
-    def is_complete(self) -> bool:
-        return not self.frontier
-
-    def trace(self, w: Word, start: Optional[int] = None) -> Optional[int]:
-        v = self.base if start is None else start
-        for step in reduce_word(w):
-            v = self.delta.get(v, {}).get(step)
-            if v is None:
-                return None
-        return v
 
     # -- tower-regime identification --------------------------------------
 
@@ -194,7 +166,7 @@ class CoreReport:
         return self.cover.canonical_form()
 
 
-def expand_cover(source: Union[Tower, GraphOfGroups], subgens: list[Word],
+def expand_cover(source: Tower, subgens: list[Word],
                  depth_budget: int = 2, budget: int = 8) -> CoverGraph:
     return CoverGraph(source, subgens, depth_budget, budget)
 
@@ -277,8 +249,7 @@ def extract_core(C: CoverGraph, required: Optional[set] = None) -> CoreReport:
 def classify_edge_pieces(R: CoreReport) -> list[PieceClass]:
     """Per edge of the base splitting: Strip (rank 0), Annulus (rank 1) or
     TorusTube (rank >= 2), with the number of closed lifts in the core."""
-    source = R.cover.source
-    graph = source.stages[-1].graph if isinstance(source, Tower) else source
+    graph = R.cover.source.stages[-1].graph
 
     def kind_of(rank: int) -> str:
         return "Strip" if rank == 0 else ("Annulus" if rank == 1 else "TorusTube")
@@ -302,7 +273,7 @@ def classify_edge_pieces(R: CoreReport) -> list[PieceClass]:
         lifts = 0
         if attach is not None:
             for v in R.vertices:
-                if R.cover.trace(attach, v) == v:
+                if walk(R.cover.delta, v, attach) == v:
                     lifts += 1
         note = ("rectangle support lies in the incident vertex entries"
                 if e.rank == 0 else "")

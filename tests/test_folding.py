@@ -1,15 +1,20 @@
 import itertools
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rft.folding import SubgroupGraph
 from rft.words import alphabet, concat, enumerate_ball, invert, parse_word, power, reduce_word
 
 AB = alphabet("a", "b")
+ABC = alphabet("a", "b", "c")
 
 
 def _graph(*texts):
     return SubgroupGraph(AB, [parse_word(t, AB) for t in texts])
+
+
+def _rebuild(gens, expr):
+    return reduce_word(concat(*(power(gens[i], s) for i, s in expr)))
 
 
 def test_membership_examples():
@@ -78,5 +83,41 @@ def test_express_reconstructs():
             continue
         expr = H.express(w)
         assert expr is not None
-        rebuilt = reduce_word(concat(*(power(gens[i], s) for i, s in expr)))
-        assert rebuilt == reduce_word(w)
+        assert _rebuild(gens, expr) == reduce_word(w)
+
+
+abc_words = st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))),
+                     min_size=1, max_size=4).map(tuple)
+abc_subgens = st.lists(abc_words, min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(abc_subgens, st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1))),
+                             max_size=40))
+def test_long_products_rebuild_from_express(gens, picks):
+    H = SubgroupGraph(ABC, gens)
+    w = concat(*(power(gens[i % len(gens)], s) for i, s in picks))
+    expr = H.express(w)
+    assert expr is not None
+    assert _rebuild(H.subgens, expr) == reduce_word(w)
+
+
+BALL3 = enumerate_ball(ABC, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(abc_subgens)
+def test_express_exactly_on_members(gens):
+    H = SubgroupGraph(ABC, gens)
+    for w in BALL3:
+        expr = H.express(w)
+        assert (expr is None) == (not H.contains(w)), w
+        if expr is not None:
+            assert _rebuild(H.subgens, expr) == reduce_word(w)
+
+
+def test_sixty_four_factor_product_at_three_generator_vertex():
+    gens = [parse_word(t, ABC) for t in ("a b c", "b^2 a^-1", "c a c^-1")]
+    picks = [(0, 1), (1, 1), (2, -1), (0, 1), (1, -1), (2, 1), (0, -1), (1, 1)]
+    w = concat(*(power(gens[i], s) for i, s in picks)) * 8
+    assert _rebuild(gens, SubgroupGraph(ABC, gens).express(w)) == reduce_word(w)

@@ -1,8 +1,10 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rft import cli
 from rft import tower as tw
 from rft.graphgroups import NONTRIVIAL, TRIVIAL, UNKNOWN
 from rft.words import (
@@ -15,6 +17,12 @@ from rft.words import (
     parse_word,
     reduce_word,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+
+
+def _corpus_tower(name: str) -> tw.Tower:
+    return cli.build_tower(cli.parse_tower_dsl((CORPUS / f"{name}.twr").read_text()))
 
 
 def test_height0_presentations():
@@ -114,11 +122,17 @@ def test_gamma_word_problems(gamma):
 
 
 def test_express_cap_is_not_certified(gamma):
-    # membership expressions stop at 64 factors; past the cap the verdict
-    # may be Unknown but never a wrong Nontrivial
+    # membership expressions are read off the folded graph, so long
+    # products of edge generators cross the edge at any length
     al = gamma.alphabet()
-    assert gamma.word_problem(parse_word("[[a,b]^64,t]", al)) == TRIVIAL
-    assert gamma.word_problem(parse_word("[[a,b]^65,t]", al)) != NONTRIVIAL
+    for n in (64, 65, 200):
+        assert gamma.word_problem(parse_word(f"[[a,b]^{n},t]", al)) == TRIVIAL, n
+
+
+def test_long_boundary_product_on_mixed():
+    T = _corpus_tower("mixed")
+    w = parse_word("[[p,q]^65 [a,b]^-65, a]", T.alphabet())
+    assert T.word_problem(w) == TRIVIAL
 
 
 def test_retraction_to_base(gamma):
@@ -200,6 +214,13 @@ def test_witness_deterministic(gamma):
     b = tw.find_rf_witness(gamma, W, budget=8, seed=11)
     assert a.hom.images == b.hom.images
     assert a.trace == b.trace
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.twr")))
+def test_witness_for_no_words_is_a_homomorphism(name):
+    cert = tw.find_rf_witness(_corpus_tower(name), [], budget=2)
+    assert cert.verdict == "valid"
+    assert cert.recheck()
 
 
 def test_witness_surface_summand():
