@@ -8,6 +8,7 @@ subcall and is never silently upgraded.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -624,15 +625,39 @@ def normal_form(G: GraphOfGroups, w: Word, budget: int = 8) -> NormalForm:
         return NormalForm(items, NONTRIVIAL if definite else UNKNOWN)
 
 
+# Verdicts decided during the current top-level word problem, keyed by
+# (graph, reduced word, budget); graphs hash by identity.  A tower word
+# problem re-enters lower stages through composite vertices and asks the
+# same subproblems many times over.  The memo lives only as long as the
+# outermost call, so no verdict state outlives it.
+_verdicts: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
+    "rft_verdicts", default=None)
+
+
 def word_problem(G: GraphOfGroups, w: Word, budget: int = 8) -> str:
     """Triviality verdict; Trivial verdicts are cross-checked against the
-    presentation's abelianization oracle."""
-    nf = normal_form(G, w, budget)
-    if nf.verdict == TRIVIAL:
+    presentation's abelianization oracle.  Each (G, w, budget) is decided
+    at most once inside one top-level call."""
+    memo = _verdicts.get()
+    token = None
+    if memo is None:
+        memo = {}
+        token = _verdicts.set(memo)
+    try:
         pres = G.presentation()
-        vec = abelianize(reduce_word(w, pres.alphabet), pres.alphabet)
-        if any(vec) and solve_int_linear(pres.relator_columns(), vec) is None:
-            raise InconsistencyError(
-                "internal inconsistency: Trivial verdict contradicts the "
-                "abelianization oracle")
-    return nf.verdict
+        w = reduce_word(w, pres.alphabet)
+        key = (G, w, budget)
+        verdict = memo.get(key)
+        if verdict is None:
+            verdict = normal_form(G, w, budget).verdict
+            if verdict == TRIVIAL:
+                vec = abelianize(w, pres.alphabet)
+                if any(vec) and solve_int_linear(pres.relator_columns(), vec) is None:
+                    raise InconsistencyError(
+                        "internal inconsistency: Trivial verdict contradicts the "
+                        "abelianization oracle")
+            memo[key] = verdict
+        return verdict
+    finally:
+        if token is not None:
+            _verdicts.reset(token)

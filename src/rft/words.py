@@ -8,6 +8,7 @@ and Dehn's algorithm for closed hyperbolic surface groups.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -60,18 +61,21 @@ class Alphabet:
     """Ordered list of distinct generator names."""
 
     generators: tuple[str, ...]
+    # name -> position; derived from `generators`, so equality and hash skip it
+    _position: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        position: dict[str, int] = {}
         for name in self.generators:
             if not NAME_RE.fullmatch(name):
                 raise AlphabetError(f"bad generator name: {name!r}")
-            if name in seen:
+            if name in position:
                 raise AlphabetError(f"duplicate generator name: {name!r}")
-            seen.add(name)
+            position[name] = len(position)
+        object.__setattr__(self, "_position", position)
 
     def __contains__(self, name: str) -> bool:
-        return name in self.generators
+        return name in self._position
 
     def __iter__(self):
         return iter(self.generators)
@@ -81,17 +85,18 @@ class Alphabet:
 
     def index(self, name: str) -> int:
         try:
-            return self.generators.index(name)
-        except ValueError:
+            return self._position[name]
+        except KeyError:
             raise AlphabetError(f"undeclared symbol: {name!r}") from None
 
     def union(self, other: "Alphabet") -> "Alphabet":
-        extra = tuple(g for g in other.generators if g not in self.generators)
+        extra = tuple(g for g in other.generators if g not in self._position)
         return Alphabet(self.generators + extra)
 
     def check(self, w: Word) -> Word:
+        position = self._position
         for sym, _ in w:
-            if sym not in self:
+            if sym not in position:
                 raise AlphabetError(f"undeclared symbol: {sym!r}")
         return w
 
@@ -257,6 +262,12 @@ def commutator(u: Word, v: Word) -> Word:
 # commutator sugar `[u,v]` (nestable, may carry an exponent).
 # ---------------------------------------------------------------------------
 
+# Longest word the grammar expands to.  Powers and nested commutators grow
+# the letter count far faster than the text (200 characters of nested
+# commutators describe about 2^50 letters), so lengths are checked before
+# anything is built.
+MAX_WORD_LENGTH = 100_000
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -265,6 +276,12 @@ class _Parser:
 
     def error(self, msg: str):
         raise WordError(f"word syntax error at position {self.pos}: {msg}")
+
+    def check_length(self, n: int):
+        if n > MAX_WORD_LENGTH:
+            raise WordError(
+                f"word too long at position {self.pos}: {n} letters, "
+                f"the limit is {MAX_WORD_LENGTH}")
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -292,6 +309,7 @@ class _Parser:
             if self.peek() != "]":
                 self.error("expected ']' closing commutator")
             self.pos += 1
+            self.check_length(2 * (len(u) + len(v)))
             base = commutator(u, v)
         else:
             m = NAME_RE.match(self.text, self.pos)
@@ -302,17 +320,21 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             exp = self.parse_int()
+            self.check_length(len(base) * abs(exp))
             return power(base, exp)
         return base
 
     def parse_seq(self, stop: str = "") -> Word:
         parts: list[Word] = []
+        total = 0
         while True:
             self.skip_ws()
             c = self.peek()
             if not c or c in stop:
                 break
             parts.append(self.parse_atom())
+            total += len(parts[-1])
+            self.check_length(total)
         return concat(*parts)
 
 
@@ -430,6 +452,14 @@ class SurfacePresentation:
                 out.append(base[i:] + base[:i])
         return out
 
+    @functools.cached_property
+    def _dehn_table(self) -> dict[Letter, tuple[Word, ...]]:
+        """Cyclic relators grouped by first letter, in `_symmetrized` order."""
+        table: dict[Letter, list[Word]] = {}
+        for rel in self._symmetrized():
+            table.setdefault(rel[0], []).append(rel)
+        return {first: tuple(rels) for first, rels in table.items()}
+
     def max_piece_length(self) -> int:
         """Longest common prefix over distinct elements of the symmetrized set."""
         sym = self._symmetrized()
@@ -451,30 +481,50 @@ def dehn_reduce(surface: SurfacePresentation, w: Word) -> Word:
     half of a cyclic permutation of the relator (or its inverse) is
     replaced by the shorter complement, then freely reduced; repeat.
     Returns the empty word iff w represents the identity.
+
+    Only relators starting with the letter at hand are tried.  After a
+    rewrite the scan resumes `rlen - 1` letters before the lowest position
+    the rewrite and its free reduction touched: every match starting
+    further left lies wholly in letters that were there, unmatched, before.
     """
     if not surface.closed:
         raise WordError("dehn_reduce needs a closed surface; use free reduction instead")
-    alph = surface.alphabet()
-    sym = surface._symmetrized()
-    rlen = len(sym[0])
+    for sym, _ in w:
+        if sym not in surface.generators:
+            raise AlphabetError(f"undeclared symbol: {sym!r}")
+    table = surface._dehn_table
+    rlen = 4 * surface.genus  # |[a1,b1]...[ag,bg]|
     half = rlen // 2
-    w = reduce_word(w, alph)
-    while True:
-        replaced = False
+    w = list(reduce_word(w))
+    i = 0
+    while i < len(w):
         n = len(w)
-        for i in range(n):
-            # leftmost position; find the longest relator prefix match here
-            best = None
-            for rel in sym:
-                k = 0
-                while k < rlen and i + k < n and w[i + k] == rel[k]:
-                    k += 1
-                if k > half and (best is None or k > best[0]):
-                    best = (k, rel)
-            if best is not None:
-                k, rel = best
-                w = reduce_word(w[:i] + invert(rel[k:]) + w[i + k:])
-                replaced = True
-                break
-        if not replaced:
-            return w
+        best, k_best = None, half
+        for rel in table.get(w[i], ()):
+            k = 1
+            while k < rlen and i + k < n and w[i + k] == rel[k]:
+                k += 1
+            if k > k_best:
+                best, k_best = rel, k
+        if best is None:
+            i += 1
+            continue
+        # w[:i] + complement + w[i + k:], freely reduced in one pass that
+        # records the low-water mark of the stack
+        out = w[:i]
+        low = i
+        for sym, sign in invert(best[k_best:]):
+            if out and out[-1] == (sym, -sign):
+                out.pop()
+                low = min(low, len(out))
+            else:
+                out.append((sym, sign))
+        j = i + k_best
+        while j < n and out and out[-1] == (w[j][0], -w[j][1]):
+            out.pop()
+            j += 1
+        low = min(low, len(out))
+        out.extend(w[j:])
+        w = out
+        i = max(0, low - rlen + 1)
+    return tuple(w)

@@ -134,9 +134,17 @@ def test_inconsistent_trivial_verdict_is_an_error(gamma_file, monkeypatch):
         return real(G, w, budget)
 
     monkeypatch.setattr(graphgroups, "normal_form", wrong_for_a)
-    code, text = cli.run_command(["wp", gamma_file, "--word", "a"])
+    # a failed cross-check is never remembered: asking again raises again
+    for _ in range(2):
+        code, text = cli.run_command(["wp", gamma_file, "--word", "a"])
+        assert code == 1
+        assert text.startswith("error: internal inconsistency")
+
+
+def test_oversized_word_is_a_usage_error(gamma_file):
+    code, text = cli.run_command(["wp", gamma_file, "--word", "a^1000000000"])
     assert code == 1
-    assert text.startswith("error: internal inconsistency")
+    assert text.startswith("error: word too long")
 
 
 def test_witness(gamma_file):

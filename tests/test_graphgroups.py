@@ -1,9 +1,15 @@
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rft import graphgroups
+from rft.cli import build_tower, parse_tower_dsl
 from rft.graphgroups import (
     EdgeGroup,
     GraphError,
+    InconsistencyError,
     GraphOfGroups,
     MEMBER,
     NONMEMBER,
@@ -170,3 +176,48 @@ def test_amalgam_verdict_respects_abelianization(w):
         assert v == NONTRIVIAL
     if v == TRIVIAL:
         assert abelianize(w, al) == (0, 0, 0, 0)
+
+
+# -- call-scoped verdict memo -------------------------------------------------
+
+TALL = Path(__file__).resolve().parent.parent / "bench" / "corpus" / "tall.twr"
+
+
+@pytest.mark.parametrize("text, verdict", [("[[b,s]^3,r]", TRIVIAL),
+                                           ("[[a,t]^12,s]", UNKNOWN)])
+def test_each_subproblem_is_normalized_once_per_call(monkeypatch, text, verdict):
+    # [w^n, t] on the height-3 tower re-enters the lower stages through
+    # composite vertices; every (graph, word, budget) is decided once
+    T = build_tower(parse_tower_dsl(TALL.read_text()))
+    w = parse_word(text, T.alphabet())
+    seen: Counter = Counter()
+    real = graphgroups.normal_form
+
+    def counting(G, w, budget=8):
+        seen[(id(G), reduce_word(w), budget)] += 1
+        return real(G, w, budget)
+
+    monkeypatch.setattr(graphgroups, "normal_form", counting)
+    assert T.word_problem(w) == verdict
+    assert seen and max(seen.values()) == 1
+    # a second top-level call starts from an empty memo
+    seen.clear()
+    assert T.word_problem(w) == verdict
+    assert seen and max(seen.values()) == 1
+
+
+def test_memo_is_dropped_after_each_call(monkeypatch):
+    G = _amalgam()
+    al = G.presentation().alphabet
+    assert word_problem(G, parse_word("[a,b] [d,c]", al)) == TRIVIAL
+    assert graphgroups._verdicts.get() is None
+
+    def wrong(G, w, budget=8):
+        return graphgroups.NormalForm([], TRIVIAL)
+
+    monkeypatch.setattr(graphgroups, "normal_form", wrong)
+    with pytest.raises(InconsistencyError):
+        word_problem(G, parse_word("c", al))
+    assert graphgroups._verdicts.get() is None
+    with pytest.raises(InconsistencyError):
+        word_problem(G, parse_word("c", al))

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rft.words import (
+    MAX_WORD_LENGTH,
     Alphabet,
+    AlphabetError,
     GroupHom,
     SurfacePresentation,
     WordError,
@@ -29,6 +33,23 @@ AB = alphabet("a", "b")
 def words_over(alph, max_len=12):
     letters = st.tuples(st.sampled_from(alph.generators), st.sampled_from((1, -1)))
     return st.lists(letters, max_size=max_len).map(tuple)
+
+
+# -- alphabets ---------------------------------------------------------------
+
+def test_alphabet_lookup_and_identity():
+    abt = alphabet("a", "b", "t")
+    assert [abt.index(g) for g in ("a", "b", "t")] == [0, 1, 2]
+    assert "t" in abt and "z" not in abt
+    with pytest.raises(AlphabetError):
+        abt.index("z")
+    with pytest.raises(AlphabetError):
+        abt.check(letter("z"))
+    # equal, hashed and printed by the generator tuple alone
+    assert abt == Alphabet(("a", "b", "t")) and hash(abt) == hash(Alphabet(("a", "b", "t")))
+    assert abt != Alphabet(("b", "a", "t"))
+    assert repr(abt) == "Alphabet(generators=('a', 'b', 't'))"
+    assert AB.union(abt).generators == ("a", "b", "t")
 
 
 # -- reduction ---------------------------------------------------------------
@@ -133,6 +154,38 @@ def test_parse_rejects_undeclared():
         parse_word("z", AB)
 
 
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _rejected(text):
+    with pytest.raises(WordError, match="too long"):
+        parse_word(text, AB)
+
+
+@pytest.mark.parametrize("text", ["a^1000000000", "b [a,b]^-300000000 a"])
+def test_parse_caps_large_powers(text):
+    # refused before a single letter of the power is built
+    assert _peak_bytes(lambda: _rejected(text)) < 1 << 20
+
+
+def test_parse_caps_nested_commutators():
+    # 60 nested commutators describe about 2^61 letters in 241 characters
+    text = "[" * 60 + "a" + ",b]" * 60
+    # a few words at the cap, at most
+    assert _peak_bytes(lambda: _rejected(text)) < 100 * MAX_WORD_LENGTH
+
+
+def test_parse_accepts_words_at_the_cap():
+    assert len(parse_word(f"a^{MAX_WORD_LENGTH}", AB)) == MAX_WORD_LENGTH
+    _rejected(f"a^{MAX_WORD_LENGTH} b")
+
+
 @given(words_over(AB))
 def test_format_parse_roundtrip(w):
     r = reduce_word(w)
@@ -190,3 +243,84 @@ def test_dehn_reduce_nontrivial():
     for g in s.generators:
         assert dehn_reduce(s, letter(g)) != ()
     assert dehn_reduce(s, parse_word("a1 b1", s.alphabet())) != ()
+
+
+def test_dehn_reduce_rejects_undeclared():
+    with pytest.raises(AlphabetError):
+        dehn_reduce(SurfacePresentation(2), letter("z"))
+
+
+def test_dehn_reduce_long_conjugated_power():
+    # each rewrite deletes a whole relator and leaves a long unchanged
+    # prefix behind it; the scan must still revisit the matches before it
+    s = SurfacePresentation(2)
+    g = letter("a1")
+    assert dehn_reduce(s, concat(g, power(s.relator(), 200), invert(g))) == ()
+
+
+def _cyclic_relators(s):
+    """Rotations of the relator, then of its inverse."""
+    out = []
+    for r in (s.relator(), invert(s.relator())):
+        out.extend(r[i:] + r[:i] for i in range(len(r)))
+    return out
+
+
+def _dehn_reference(s, w):
+    """Dehn's algorithm as first written: after every rewrite, free-reduce
+    the whole word and scan again from position 0."""
+    sym = _cyclic_relators(s)
+    rlen = len(sym[0])
+    half = rlen // 2
+    w = reduce_word(w)
+    while True:
+        replaced = False
+        n = len(w)
+        for i in range(n):
+            best = None
+            for rel in sym:
+                k = 0
+                while k < rlen and i + k < n and w[i + k] == rel[k]:
+                    k += 1
+                if k > half and (best is None or k > best[0]):
+                    best = (k, rel)
+            if best is not None:
+                k, rel = best
+                w = reduce_word(w[:i] + invert(rel[k:]) + w[i + k:])
+                replaced = True
+                break
+        if not replaced:
+            return w
+
+
+@st.composite
+def surface_words(draw):
+    s = SurfacePresentation(draw(st.sampled_from((2, 3))))
+    rels = _cyclic_relators(s)
+    rlen = len(rels[0])
+    letters = st.tuples(st.sampled_from(s.generators), st.sampled_from((1, -1)))
+    rel = st.sampled_from(rels)
+    randoms = st.lists(letters, max_size=8).map(tuple)
+    piece = st.one_of(
+        rel,
+        st.tuples(rel, st.integers(2, 4)).map(lambda t: power(*t)),
+        st.tuples(rel, st.integers(rlen // 2 + 1, rlen - 1)).map(lambda t: t[0][:t[1]]),
+        randoms,
+        st.tuples(st.lists(letters, min_size=10, max_size=40), rel, st.integers(1, 6))
+        .map(lambda t: concat(reduce_word(tuple(t[0])), power(t[1], t[2]))),
+    )
+    return s, concat(*draw(st.lists(piece, max_size=5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(surface_words())
+def test_dehn_reduce_matches_reference(case):
+    s, w = case
+    out = dehn_reduce(s, w)
+    assert out == _dehn_reference(s, w)
+    assert reduce_word(out) == out
+    # Dehn-reduced: no subword is more than half of a cyclic relator
+    half = len(s.relator()) // 2
+    for rel in _cyclic_relators(s):
+        head = rel[:half + 1]
+        assert all(out[i:i + half + 1] != head for i in range(len(out)))
