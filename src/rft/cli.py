@@ -370,12 +370,16 @@ def build_tower(doc: TowerDocument, budget: int = 8) -> tower_mod.Tower:
     for b in doc.blocks:
         alph = T.alphabet()
         if b.kind == "A":
+            if len(b.attach) != 1:
+                raise WordError("block A needs exactly one attach word")
             block = tower_mod.BlockA(parse_word(b.attach[0], alph), b.rank, b.letters)
         elif b.kind == "T":
             words = tuple(parse_word(w, alph) for w in b.attach)
             block = tower_mod.BlockT(words, b.rank, b.letters)
         else:
             sm = b.surface
+            if sm is None:
+                raise WordError("block Q needs a surface=(...) field")
             surf = SurfacePresentation(sm.genus, sm.punctures, sm.generators)
             circles = [f"b{i + 1}" for i in range(surf.punctures)]
             given = dict(b.boundary)
@@ -430,13 +434,18 @@ def parse_splitting(text: str, gamma_prime: tower_mod.Tower):
             s.expect("punct", "{")
             sides = {}
             while not s.accept("punct", "}"):
-                which = s.expect("name").value
+                which = s.expect("name")
+                if which.value not in ("left", "right"):
+                    raise DslError(f"unknown edge side {which.value!r}", which.line, which.col)
                 s.expect("punct", "=")
                 vlab = s.expect("name").value
                 s.expect("punct", ":")
                 word = s.expect("string").value
-                sides[which] = (vlab, word)
+                sides[which.value] = (vlab, word)
                 s.expect("punct", ";")
+            if len(sides) != 2:
+                raise DslError(f"edge {elabel!r} needs a left and a right side",
+                               key.line, key.col)
             edge = (elabel, sides)
         elif key.value == "nu":
             nu_pairs = _parse_arrow_map(s)
@@ -471,6 +480,9 @@ def parse_splitting(text: str, gamma_prime: tower_mod.Tower):
     elabel, sides = edge
     lv, lw = sides["left"]
     rv, rw = sides["right"]
+    for v in (lv, rv):
+        if v not in by_label:
+            raise WordError(f"edge {elabel!r} names undeclared vertex {v!r}")
     e = EdgeGroup(elabel, 1,
                   (lv, (parse_word(lw, by_label[lv].alphabet),)),
                   (rv, (parse_word(rw, by_label[rv].alphabet),)),

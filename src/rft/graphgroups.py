@@ -106,7 +106,7 @@ class VertexGroup:
                 out.extend(power(letter(g), e))
             return tuple(out)
         if self.kind == "surface" and self.surface.closed:
-            return dehn_reduce(self.surface, reduce_word(w, self.alphabet))
+            return dehn_reduce(self.surface, w)
         return reduce_word(w, self.alphabet)
 
 
@@ -443,186 +443,140 @@ def subgroup_membership(
 # ---------------------------------------------------------------------------
 
 
-def _normalize_items(G: GraphOfGroups, items: list, budget: int) -> list:
-    """Merge same-vertex neighbours, drop provably trivial syllables, and
-    cancel adjacent inverse stable letters."""
-    changed = True
-    while changed:
-        changed = False
-        out: list = []
-        for it in items:
-            if it[0] == "syl":
-                V = G.vertices[it[1]]
-                word = V.normalize(it[2])
-                if not word and V.kind != "composite":
-                    changed = changed or it[2] != ()
-                    continue
-                if V.kind == "composite" and V.triviality(word, budget) == TRIVIAL:
-                    changed = True
-                    continue
-                if not word:
-                    changed = True
-                    continue
-                if out and out[-1][0] == "syl" and out[-1][1] == it[1]:
-                    out[-1] = ("syl", it[1], V.normalize(concat(out[-1][2], word)))
-                    changed = True
-                    continue
-                it = ("syl", it[1], word)
-            else:
-                if out and out[-1][0] == "stable" and out[-1][1] == it[1] and out[-1][2] == -it[2]:
-                    out.pop()
-                    changed = True
-                    continue
-            out.append(it)
-        # detect trivially-dropped normalized syllables on the rebuild pass
-        if len(out) != len(items):
-            changed = True
-        items = out
-    return items
+@dataclass
+class _Entry:
+    """An item on the reduction stack with the verdicts already decided for it."""
+
+    kind: str  # "syl" | "stable"
+    name: str  # vertex label or stable letter
+    value: object  # Word of a syllable, sign of a stable letter
+    unknown: bool = False  # syllable triviality, or the pinch this letter closes, is Unknown
+    member: Optional[str] = None  # edge membership, asked once a syllable neighbour arrives
 
 
-def _tree_edge_between(G: GraphOfGroups, v1: str, v2: str) -> Optional[tuple[EdgeGroup, int]]:
-    """Tree edge joining two vertex labels; returns (edge, side index of v1)."""
-    for e in G.edges:
-        if e.label not in G.tree_edges:
-            continue
-        if e.left[0] == v1 and e.right[0] == v2:
-            return e, 0
-        if e.right[0] == v1 and e.left[0] == v2:
-            return e, 1
-    return None
-
-
-def _base_reduce(G: GraphOfGroups, sylls: list, budget: int):
-    """Amalgam/free-product reduction of a stable-letter-free segment.
-
-    Returns (reduced syllable list, definite) where definite means the
-    terminal state's nontriviality is certified by exact subcalls.
-    """
-    amalgam_edges = [e for e in G.edges if e.label in G.tree_edges and e.rank >= 1]
-    if amalgam_edges and len(G.vertices) > 2:
+def _amalgam_edge(G: GraphOfGroups) -> Optional[EdgeGroup]:
+    """The tree edge of rank >= 1, if any."""
+    edges = [e for e in G.edges if e.label in G.tree_edges and e.rank >= 1]
+    if edges and len(G.vertices) > 2:
         raise GraphError("amalgams along trees with more than two vertices are not supported")
+    return edges[0] if edges else None
 
-    items = _normalize_items(G, [("syl", v, w) for v, w in sylls], budget)
-    while True:
-        converted = False
-        for i, it in enumerate(items):
-            _, vlab, word = it
-            neighbours = {items[j][1] for j in (i - 1, i + 1) if 0 <= j < len(items)}
-            other = next(iter(neighbours - {vlab}), None)
-            if other is None:
-                continue
-            hop = _tree_edge_between(G, vlab, other)
-            if hop is None or hop[0].rank == 0:
-                continue
-            e, side = hop
-            res = subgroup_membership(G.vertices[vlab], list(e.side(side)[1]), word, budget)
-            if res.status == MEMBER:
-                items[i] = ("syl", other, _expression_word(e.side(1 - side)[1], res.expression))
-                converted = True
-                break
-        if not converted:
-            break
-        items = _normalize_items(G, items, budget)
 
-    # final definiteness pass
-    definite = True
-    for i, it in enumerate(items):
-        _, vlab, word = it
-        V = G.vertices[vlab]
-        if V.triviality(word, budget) == UNKNOWN:
-            definite = False
-        if len(items) >= 2:
-            for e in amalgam_edges:
-                side = 0 if e.left[0] == vlab else (1 if e.right[0] == vlab else None)
-                if side is None:
-                    continue
-                res = subgroup_membership(G.vertices[vlab], list(e.side(side)[1]), word, budget)
-                if not res.definite:
-                    definite = False
-    return [(v, w) for _, v, w in items], definite
+def _ends(e: EdgeGroup, vlab: str):
+    """(near side, far side) of a tree edge seen from one of its vertices."""
+    return (e.left, e.right) if e.left[0] == vlab else (e.right, e.left)
+
+
+def _definite(stack: list) -> bool:
+    """Whether a reduced stack's nontriviality rests on exact answers only:
+    no Unknown pinch when stable letters remain (Britton's lemma), else no
+    Unknown triviality and, for two or more syllables, no Unknown membership."""
+    if any(e.kind == "stable" for e in stack):
+        return not any(e.unknown for e in stack if e.kind == "stable")
+    return not any(e.unknown or (len(stack) > 1 and e.member == UNKNOWN) for e in stack)
 
 
 def _segment_membership(
     G: GraphOfGroups, segment: list, vlab: str, images: tuple[Word, ...], budget: int
 ) -> MembershipResult:
-    """Membership of a base segment in <images> inside vertex vlab."""
-    red, definite = _base_reduce(G, segment, budget)
-    if not red:
+    """Membership of a reduced stable-free segment in <images> inside vertex vlab."""
+    if not segment:
         return MembershipResult(MEMBER, [])
-    if len(red) >= 2:
-        return MembershipResult(NONMEMBER) if definite else MembershipResult(UNKNOWN)
-    seg_v, word = red[0]
-    if seg_v != vlab:
-        hop = _tree_edge_between(G, seg_v, vlab)
-        if hop is None or hop[0].rank == 0:
-            verdict = G.vertices[seg_v].triviality(word, budget)
-            if verdict == NONTRIVIAL:
-                return MembershipResult(NONMEMBER)
-            if verdict == TRIVIAL:
-                return MembershipResult(MEMBER, [])
-            return MembershipResult(UNKNOWN)
-        e, side = hop
-        res = subgroup_membership(G.vertices[seg_v], list(e.side(side)[1]), word, budget)
-        if res.status == NONMEMBER:
-            return MembershipResult(NONMEMBER)
+    if len(segment) >= 2:
+        return MembershipResult(NONMEMBER if _definite(segment) else UNKNOWN)
+    (s,) = segment
+    word = s.value
+    if s.name != vlab:
+        e = _amalgam_edge(G)
+        if e is None:
+            return MembershipResult(UNKNOWN if s.unknown else NONMEMBER)
+        near, far = _ends(e, s.name)
+        res = (MembershipResult(s.member) if s.member is not None
+               else subgroup_membership(G.vertices[s.name], list(near[1]), word, budget))
         if res.status != MEMBER:
-            return MembershipResult(UNKNOWN)
-        word = _expression_word(e.side(1 - side)[1], res.expression)
+            return MembershipResult(res.status)
+        word = _expression_word(far[1], res.expression)
     return subgroup_membership(G.vertices[vlab], list(images), word, budget)
+
+
+def _reduce_items(G: GraphOfGroups, items: list, budget: int):
+    """Britton/amalgam reduction of decomposed items in one left-to-right pass.
+
+    Items move from the input onto a stack.  A syllable merges into a
+    same-vertex top syllable, is normalized once and dropped when trivial.
+    Across a rank >= 1 tree edge the incoming syllable, and the top one the
+    first time it gains a syllable neighbour, are asked their edge
+    membership; a member is rewritten at the other end and pushed back onto
+    the input, so it merges downward.  A stable letter cancels an inverse
+    top letter, or pinches `t seg t^-1` when the segment since the inverse
+    letter lies in the edge group; otherwise it is a barrier nothing merges
+    or converts across.  Each decision is made once per change of an
+    entry.  Returns (items, definite) as `_definite` reads the final stack.
+    """
+    amalgam = _amalgam_edge(G)
+    stack: list[_Entry] = []
+    todo = items[::-1]
+    while todo:
+        kind, name, value = todo.pop()
+        top = stack[-1] if stack else None
+        if kind == "stable":
+            if top is not None and top.kind == "stable" and (top.name, top.value) == (name, -value):
+                stack.pop()
+                continue
+            entry = _Entry("stable", name, value)
+            k = len(stack)
+            while k and stack[k - 1].kind == "syl":
+                k -= 1
+            if k and (stack[k - 1].name, stack[k - 1].value) == (name, -value):
+                e = next(e for e in G.edges
+                         if e.label not in G.tree_edges and G.stable_letter(e.label) == name)
+                # relator t * left * t^-1 = right: a t ... t^-1 pinch needs
+                # the segment in <left images>, and maps to the right side
+                src, dst = (e.left, e.right) if value == -1 else (e.right, e.left)
+                res = _segment_membership(G, stack[k:], src[0], src[1], budget)
+                if res.status == MEMBER:
+                    del stack[k - 1:]
+                    todo.append(("syl", dst[0], _expression_word(dst[1], res.expression)))
+                    continue
+                entry.unknown = res.status != NONMEMBER
+            stack.append(entry)
+            continue
+
+        if top is not None and top.kind == "syl" and top.name == name:
+            stack.pop()
+            value = concat(top.value, value)
+            top = stack[-1] if stack else None
+        V = G.vertices[name]
+        word = V.normalize(value)
+        # a normalized word is empty exactly when trivial, except at
+        # composite vertices, whose strategy decides
+        verdict = V.triviality(word, budget) if word and V.kind == "composite" else None
+        if not word or verdict == TRIVIAL:
+            continue
+        entry = _Entry("syl", name, word, unknown=verdict == UNKNOWN)
+        if amalgam is not None and top is not None and top.kind == "syl":
+            near, far = _ends(amalgam, top.name)
+            if top.member is None:
+                res = subgroup_membership(G.vertices[top.name], list(near[1]), top.value, budget)
+                if res.status == MEMBER:
+                    stack.pop()
+                    todo.append(("syl", name, concat(_expression_word(far[1], res.expression), word)))
+                    continue
+                top.member = res.status
+            res = subgroup_membership(V, list(far[1]), word, budget)
+            if res.status == MEMBER:
+                todo.append(("syl", top.name, _expression_word(near[1], res.expression)))
+                continue
+            entry.member = res.status
+        stack.append(entry)
+    return [(e.kind, e.name, e.value) for e in stack], _definite(stack)
 
 
 def normal_form(G: GraphOfGroups, w: Word, budget: int = 8) -> NormalForm:
     """Britton/amalgam reduction of a word over the fundamental presentation."""
-    pres = G.presentation()
-    w = reduce_word(w, pres.alphabet)
-    items = G.decompose(w)
-    edge_by_stable = {G.stable_letter(e.label): e for e in G.edges if e.label not in G.tree_edges}
-
-    while True:
-        items = _normalize_items(G, items, budget)
-        scan_unknown = False
-        applied = False
-        i = 0
-        while i < len(items):
-            if items[i][0] != "stable":
-                i += 1
-                continue
-            j = i + 1
-            while j < len(items) and items[j][0] == "syl":
-                j += 1
-            if j >= len(items):
-                break
-            _, tname, sign = items[i]
-            _, t2, sign2 = items[j]
-            if t2 == tname and sign2 == -sign:
-                e = edge_by_stable[tname]
-                # relator t * left * t^-1 = right: a t ... t^-1 pinch needs
-                # the segment in <left images>, and maps to the right side
-                src = e.left if sign == 1 else e.right
-                dst = e.right if sign == 1 else e.left
-                segment = [(it[1], it[2]) for it in items[i + 1:j]]
-                res = _segment_membership(G, segment, src[0], src[1], budget)
-                if res.status == MEMBER:
-                    replacement = ("syl", dst[0], _expression_word(dst[1], res.expression))
-                    items[i:j + 1] = [replacement]
-                    applied = True
-                    break
-                if res.status != NONMEMBER:
-                    scan_unknown = True
-            i = j
-        if applied:
-            continue
-        if any(it[0] == "stable" for it in items):
-            verdict = UNKNOWN if scan_unknown else NONTRIVIAL
-            return NormalForm(items, verdict)
-        red, definite = _base_reduce(G, [(it[1], it[2]) for it in items], budget)
-        items = [("syl", v, word) for v, word in red]
-        if not items:
-            return NormalForm(items, TRIVIAL)
-        if len(items) == 1:
-            return NormalForm(items, G.vertices[items[0][1]].triviality(items[0][2], budget))
-        return NormalForm(items, NONTRIVIAL if definite else UNKNOWN)
+    w = reduce_word(w, G.presentation().alphabet)
+    items, definite = _reduce_items(G, G.decompose(w), budget)
+    return NormalForm(items, TRIVIAL if not items else NONTRIVIAL if definite else UNKNOWN)
 
 
 # Verdicts decided during the current top-level word problem, keyed by

@@ -217,7 +217,7 @@ class Tower:
     # -- word problem ------------------------------------------------------
 
     def word_problem(self, w: Word, budget: int = 8) -> str:
-        return self._wp_at(self.height, reduce_word(w, self.alphabet()), budget)
+        return self._wp_at(self.height, w, budget)
 
     def _wp_at(self, stage: int, w: Word, budget: int) -> str:
         w = reduce_word(w, self.alphabet(stage))

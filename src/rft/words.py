@@ -268,11 +268,17 @@ def commutator(u: Word, v: Word) -> Word:
 # anything is built.
 MAX_WORD_LENGTH = 100_000
 
+# Deepest commutator nesting the grammar accepts; the parser recurses once
+# per level.  Nonempty operands pass MAX_WORD_LENGTH after about 17 levels,
+# so only empty operands get this deep.
+MAX_WORD_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg: str):
         raise WordError(f"word syntax error at position {self.pos}: {msg}")
@@ -300,7 +306,10 @@ class _Parser:
     def parse_atom(self) -> Word:
         c = self.peek()
         if c == "[":
+            if self.depth == MAX_WORD_DEPTH:
+                self.error(f"commutators nested deeper than {MAX_WORD_DEPTH}")
             self.pos += 1
+            self.depth += 1
             u = self.parse_seq(stop=",]")
             if self.peek() != ",":
                 self.error("expected ',' in commutator")
@@ -309,6 +318,7 @@ class _Parser:
             if self.peek() != "]":
                 self.error("expected ']' closing commutator")
             self.pos += 1
+            self.depth -= 1
             self.check_length(2 * (len(u) + len(v)))
             base = commutator(u, v)
         else:

@@ -147,6 +147,39 @@ def test_oversized_word_is_a_usage_error(gamma_file):
     assert text.startswith("error: word too long")
 
 
+@pytest.mark.parametrize("word", ["[" * 500 + ",]" * 500, "[" * 3000])
+def test_deeply_nested_word_is_a_usage_error(gamma_file, word):
+    code, text = cli.run_command(["wp", gamma_file, "--word", word])
+    assert code == 1
+    assert text.startswith("error: word syntax error")
+
+
+@pytest.mark.parametrize("block, message", [
+    ("block A { rank=2; letters=t; }", "needs exactly one attach word"),
+    ('block Q { boundary={ b1 -> "[a,b]" }; retract={ p -> "a", q -> "b" }; }',
+     "needs a surface"),
+])
+def test_block_missing_a_field_is_a_usage_error(tmp_path, block, message):
+    p = tmp_path / "bad.twr"
+    p.write_text(f"tower bad {{ base {{ free(a, b) }} {block} }}")
+    code, text = cli.run_command(["present", str(p)])
+    assert code == 1
+    assert text.startswith("error: ") and message in text
+
+
+@pytest.mark.parametrize("edge, message", [
+    ('edge E { right = vB: "[c,d]"; }', "needs a left and a right side"),
+    ('edge E { left = vA: "[a,b]"; right = vX: "[c,d]"; }', "undeclared vertex 'vX'"),
+])
+def test_splitting_edge_errors_are_usage_errors(tmp_path, gamma_file, edge, message):
+    sp = tmp_path / "bad.spl"
+    sp.write_text(SPLITTING.replace(
+        'edge E { left = vA: "[a,b]"; right = vB: "[c,d]"; }', edge))
+    code, text = cli.run_command(["embed", gamma_file, "--splitting", str(sp)])
+    assert code == 1
+    assert text.startswith("error: ") and message in text
+
+
 def test_witness(gamma_file):
     code, text = cli.run_command(
         ["witness", gamma_file, "--words", "a; b; t; [a,b]", "--budget", "8"])

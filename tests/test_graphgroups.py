@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rft import graphgroups
-from rft.cli import build_tower, parse_tower_dsl
+from rft.cli import build_tower, parse_splitting, parse_tower_dsl
 from rft.graphgroups import (
     EdgeGroup,
     GraphError,
@@ -32,6 +33,7 @@ from rft.words import (
     format_word,
     invert,
     parse_word,
+    power,
     reduce_word,
 )
 
@@ -180,7 +182,8 @@ def test_amalgam_verdict_respects_abelianization(w):
 
 # -- call-scoped verdict memo -------------------------------------------------
 
-TALL = Path(__file__).resolve().parent.parent / "bench" / "corpus" / "tall.twr"
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+TALL = CORPUS / "tall.twr"
 
 
 @pytest.mark.parametrize("text, verdict", [("[[b,s]^3,r]", TRIVIAL),
@@ -221,3 +224,224 @@ def test_memo_is_dropped_after_each_call(monkeypatch):
     assert graphgroups._verdicts.get() is None
     with pytest.raises(InconsistencyError):
         word_problem(G, parse_word("c", al))
+
+
+def test_amalgam_over_three_vertices_is_refused():
+    vs = [free_vertex("vA", AB), free_vertex("vB", alphabet("c")), free_vertex("vC", alphabet("d"))]
+    es = [EdgeGroup("E", 1, ("vA", (parse_word("a", AB),)), ("vB", (parse_word("c", alphabet("c")),))),
+          EdgeGroup("F", 0, ("vA", ()), ("vC", ()))]
+    G = GraphOfGroups(vs, es, "vA")
+    with pytest.raises(GraphError, match="more than two vertices"):
+        normal_form(G, parse_word("a d", G.presentation().alphabet))
+
+
+# -- one-pass reduction --------------------------------------------------------
+
+@pytest.mark.parametrize("text", ["a t", "[a,t]", "[a,b]^2 t a^3 t^-2 b",
+                                  "[[a,b]^3,t] a t^5 b", "b^2 [a,b] t a^-1 t^-1 [a,b]^-2"])
+def test_each_syllable_membership_is_asked_once(monkeypatch, text):
+    # gamma's top graph has no composite vertex, so nothing nests: every
+    # membership call below comes from this one normal_form call
+    G = build_tower(parse_tower_dsl((CORPUS / "gamma.twr").read_text())).stages[1].graph
+    seen: Counter = Counter()
+    real = graphgroups.subgroup_membership
+
+    def counting(V, subgens, w, budget):
+        seen[(V.label, tuple(subgens), reduce_word(w))] += 1
+        return real(V, subgens, w, budget)
+
+    monkeypatch.setattr(graphgroups, "subgroup_membership", counting)
+    normal_form(G, parse_word(text, G.presentation().alphabet))
+    assert seen and max(seen.values()) == 1
+
+
+# Reference: the restart-until-quiet reduction this module used before the
+# one-pass stack, kept to check that verdicts did not move.
+
+def _ref_expression_word(images, expr):
+    return reduce_word(concat(*(power(images[i], e) for i, e in expr)))
+
+
+def _ref_normalize_items(G, items, budget):
+    changed = True
+    while changed:
+        changed = False
+        out: list = []
+        for it in items:
+            if it[0] == "syl":
+                V = G.vertices[it[1]]
+                word = V.normalize(it[2])
+                if not word and V.kind != "composite":
+                    changed = changed or it[2] != ()
+                    continue
+                if V.kind == "composite" and V.triviality(word, budget) == TRIVIAL:
+                    changed = True
+                    continue
+                if not word:
+                    changed = True
+                    continue
+                if out and out[-1][0] == "syl" and out[-1][1] == it[1]:
+                    out[-1] = ("syl", it[1], V.normalize(concat(out[-1][2], word)))
+                    changed = True
+                    continue
+                it = ("syl", it[1], word)
+            elif out and out[-1][0] == "stable" and out[-1][1] == it[1] and out[-1][2] == -it[2]:
+                out.pop()
+                changed = True
+                continue
+            out.append(it)
+        if len(out) != len(items):
+            changed = True
+        items = out
+    return items
+
+
+def _ref_tree_edge_between(G, v1, v2):
+    for e in G.edges:
+        if e.label not in G.tree_edges:
+            continue
+        if e.left[0] == v1 and e.right[0] == v2:
+            return e, 0
+        if e.right[0] == v1 and e.left[0] == v2:
+            return e, 1
+    return None
+
+
+def _ref_base_reduce(G, sylls, budget):
+    amalgam_edges = [e for e in G.edges if e.label in G.tree_edges and e.rank >= 1]
+    if amalgam_edges and len(G.vertices) > 2:
+        raise GraphError("amalgams along trees with more than two vertices are not supported")
+    items = _ref_normalize_items(G, [("syl", v, w) for v, w in sylls], budget)
+    while True:
+        converted = False
+        for i, (_, vlab, word) in enumerate(items):
+            neighbours = {items[j][1] for j in (i - 1, i + 1) if 0 <= j < len(items)}
+            other = next(iter(neighbours - {vlab}), None)
+            if other is None:
+                continue
+            hop = _ref_tree_edge_between(G, vlab, other)
+            if hop is None or hop[0].rank == 0:
+                continue
+            e, side = hop
+            res = subgroup_membership(G.vertices[vlab], list(e.side(side)[1]), word, budget)
+            if res.status == MEMBER:
+                items[i] = ("syl", other, _ref_expression_word(e.side(1 - side)[1], res.expression))
+                converted = True
+                break
+        if not converted:
+            break
+        items = _ref_normalize_items(G, items, budget)
+    definite = True
+    for _, vlab, word in items:
+        if G.vertices[vlab].triviality(word, budget) == UNKNOWN:
+            definite = False
+        if len(items) >= 2:
+            for e in amalgam_edges:
+                side = 0 if e.left[0] == vlab else (1 if e.right[0] == vlab else None)
+                if side is None:
+                    continue
+                res = subgroup_membership(G.vertices[vlab], list(e.side(side)[1]), word, budget)
+                if not res.definite:
+                    definite = False
+    return [(v, w) for _, v, w in items], definite
+
+
+def _ref_segment_membership(G, segment, vlab, images, budget):
+    red, definite = _ref_base_reduce(G, segment, budget)
+    if not red:
+        return MEMBER, []
+    if len(red) >= 2:
+        return (NONMEMBER if definite else UNKNOWN), None
+    seg_v, word = red[0]
+    if seg_v != vlab:
+        hop = _ref_tree_edge_between(G, seg_v, vlab)
+        if hop is None or hop[0].rank == 0:
+            verdict = G.vertices[seg_v].triviality(word, budget)
+            return {NONTRIVIAL: NONMEMBER, TRIVIAL: MEMBER}.get(verdict, UNKNOWN), []
+        e, side = hop
+        res = subgroup_membership(G.vertices[seg_v], list(e.side(side)[1]), word, budget)
+        if res.status != MEMBER:
+            return (NONMEMBER if res.status == NONMEMBER else UNKNOWN), None
+        word = _ref_expression_word(e.side(1 - side)[1], res.expression)
+    res = subgroup_membership(G.vertices[vlab], list(images), word, budget)
+    return res.status, res.expression
+
+
+def _ref_verdict(G, w, budget):
+    items = G.decompose(reduce_word(w, G.presentation().alphabet))
+    edge_by_stable = {G.stable_letter(e.label): e for e in G.edges if e.label not in G.tree_edges}
+    while True:
+        items = _ref_normalize_items(G, items, budget)
+        scan_unknown = applied = False
+        i = 0
+        while i < len(items):
+            if items[i][0] != "stable":
+                i += 1
+                continue
+            j = i + 1
+            while j < len(items) and items[j][0] == "syl":
+                j += 1
+            if j >= len(items):
+                break
+            _, tname, sign = items[i]
+            if items[j][1:] == (tname, -sign):
+                e = edge_by_stable[tname]
+                src, dst = (e.left, e.right) if sign == 1 else (e.right, e.left)
+                segment = [(it[1], it[2]) for it in items[i + 1:j]]
+                status, expr = _ref_segment_membership(G, segment, src[0], src[1], budget)
+                if status == MEMBER:
+                    items[i:j + 1] = [("syl", dst[0], _ref_expression_word(dst[1], expr))]
+                    applied = True
+                    break
+                if status != NONMEMBER:
+                    scan_unknown = True
+            i = j
+        if applied:
+            continue
+        if any(it[0] == "stable" for it in items):
+            return UNKNOWN if scan_unknown else NONTRIVIAL
+        red, definite = _ref_base_reduce(G, [(it[1], it[2]) for it in items], budget)
+        if not red:
+            return TRIVIAL
+        if len(red) == 1:
+            return G.vertices[red[0][0]].triviality(red[0][1], budget)
+        return NONTRIVIAL if definite else UNKNOWN
+
+
+_TWO_PUNCTURES = """tower q2 { base { free(a, b, c) } block Q {
+  surface=(genus=1, punctures=2: p, q, d);
+  boundary={ b1 -> "c", b2 -> "[a,b] c" };
+  retract={ p -> "a", q -> "b", d -> "c" }; } }"""
+
+
+@functools.cache
+def _reference_graphs() -> list:
+    towers = [build_tower(parse_tower_dsl(f.read_text())) for f in sorted(CORPUS.glob("*.twr"))]
+    towers.append(build_tower(parse_tower_dsl(_TWO_PUNCTURES)))
+    graphs = [st.graph for T in towers for st in T.stages]
+    gamma = build_tower(parse_tower_dsl((CORPUS / "gamma.twr").read_text()))
+    graphs.append(parse_splitting((CORPUS / "hnn.spl").read_text(), gamma)[0].L)
+    return graphs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verdicts_match_the_restart_loop(data):
+    G = data.draw(st.sampled_from(_reference_graphs()))
+    pres = G.presentation()
+    gens = pres.alphabet.generators
+
+    def words(max_len):
+        return st.lists(st.tuples(st.sampled_from(gens), st.sampled_from((1, -1))),
+                        max_size=max_len).map(tuple)
+
+    conj = st.tuples(words(3), st.sampled_from(pres.relators or ((),)), st.booleans()).map(
+        lambda t: concat(t[0], invert(t[1]) if t[2] else t[1], invert(t[0])))
+    power_commutator = st.tuples(words(3), words(2), st.integers(1, 12)).map(
+        lambda t: concat(power(t[0], t[2]), t[1], power(t[0], -t[2]), invert(t[1])))
+    w = data.draw(st.one_of(
+        words(14),
+        st.lists(conj, min_size=1, max_size=3).map(lambda ps: concat(*ps)),
+        st.tuples(power_commutator, words(3)).map(lambda t: concat(*t))))
+    budget = data.draw(st.sampled_from((2, 8)))
+    assert normal_form(G, w, budget).verdict == _ref_verdict(G, w, budget)

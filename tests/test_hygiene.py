@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and no private module-level function or class is left unreferenced.
 
 Stdlib `ast` only.  A name counts as used when it is read anywhere in
 the module; names listed in the module's `__all__` are re-exports and
@@ -36,3 +37,27 @@ def unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
+    defined: dict[str, str] = {}
+    referenced: set[str] = set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined[node.name] = name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return sorted(f"{module}.{name}" for name, module in defined.items()
+                  if name not in referenced)
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert unreferenced_privates(trees) == []

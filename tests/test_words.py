@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rft.words import (
+    MAX_WORD_DEPTH,
     MAX_WORD_LENGTH,
     Alphabet,
     AlphabetError,
@@ -184,6 +185,21 @@ def test_parse_caps_nested_commutators():
 def test_parse_accepts_words_at_the_cap():
     assert len(parse_word(f"a^{MAX_WORD_LENGTH}", AB)) == MAX_WORD_LENGTH
     _rejected(f"a^{MAX_WORD_LENGTH} b")
+
+
+@pytest.mark.parametrize("text", ["[" * 500 + ",]" * 500, "[" * 3000])
+def test_parse_caps_commutator_nesting(text):
+    # empty operands stay short at any depth; the parser refuses the depth
+    # before it recurses into it
+    with pytest.raises(WordError, match="nested deeper"):
+        parse_word(text, AB)
+
+
+def test_parse_accepts_nesting_at_the_cap():
+    depth = MAX_WORD_DEPTH
+    assert parse_word("a " + "[" * depth + ",]" * depth + " b", AB) == (("a", 1), ("b", 1))
+    with pytest.raises(WordError, match="nested deeper"):
+        parse_word("[" * (depth + 1) + ",]" * (depth + 1), AB)
 
 
 @given(words_over(AB))
