@@ -1,8 +1,11 @@
 """Command-line front end: tower-description DSL, command dispatch, and
 deterministic structured reports.
 
-Exit codes: 0 verified/complete, 2 refuted (with witness), 3
-budget-limited/partial, 1 usage or input error.
+Exit codes: 0 verified/complete, 2 a refutation only (a check decided
+false, with witness), 3 budget-limited/partial, 1 usage or input error.
+`assume` (a block's `assume=true;`, `embed --assume`) accepts a check
+left undecided, never a refuted one; `embed` needs `--assume` when the
+maximal abelian subgroup U it attaches along is only budget-limited.
 """
 
 from __future__ import annotations
@@ -613,7 +616,7 @@ def _cmd_embed(args, text: str) -> tuple[int, Report]:
     rep.add("kind", S.kind)
     try:
         R = embed_mod.embed_step(S, D, args.budget, assume=args.assume)
-    except embed_mod.EmbedError as exc:
+    except tower_mod.RefutedError as exc:
         rep.add("verdict", "refuted")
         rep.add("witness", str(exc))
         return EXIT_REFUTED, rep

@@ -15,7 +15,16 @@ from typing import Callable, Optional
 from . import graphgroups as gg
 from .graphgroups import GraphOfGroups, NONTRIVIAL, TRIVIAL, UNKNOWN
 from .intlinalg import solve_int_linear, unimodular_with_first_row_image
-from .tower import BlockA, BlockQ, BlockT, Obligation, Tower, attach_block
+from .tower import (
+    BlockA,
+    BlockQ,
+    BlockT,
+    Obligation,
+    RefutedError,
+    Tower,
+    attach_block,
+    require_homomorphism,
+)
 from .words import (
     GroupHom,
     SurfacePresentation,
@@ -40,7 +49,7 @@ QH = "qh"
 
 
 class EmbedError(ValueError):
-    """Malformed splitting/quotient data or a refuted hard obligation."""
+    """Malformed or unsupported splitting/quotient data."""
 
 
 @dataclass(frozen=True)
@@ -59,13 +68,22 @@ class SplittingData:
             raise EmbedError(f"unknown splitting kind {self.kind!r}")
         if self.edge_label not in {e.label for e in self.L.edges}:
             raise EmbedError(f"no edge labelled {self.edge_label!r}")
+        if self.edge.rank != 1:
+            raise EmbedError("one-edge splitting steps support cyclic edge groups")
+        if self.kind == HNN and self.edge.stable_letter is None:
+            raise EmbedError("hnn splitting needs a stable letter on the edge")
+        if self.kind in (ABELIAN, QH):
+            if self.special_vertex is None:
+                raise EmbedError(f"{self.kind} splitting needs the special vertex label")
+            if self.special_vertex not in self.L.vertices:
+                raise EmbedError(f"no vertex labelled {self.special_vertex!r}")
+        if self.kind == ABELIAN and self.L.vertices[self.special_vertex].kind != "abelian":
+            raise EmbedError(f"vertex {self.special_vertex!r} is not free-abelian")
         if self.kind == QH:
-            if self.surface is None or self.special_vertex is None:
+            if self.surface is None:
                 raise EmbedError("qh splitting needs the surface vertex data")
-            if self.surface.closed:
-                raise EmbedError("qh surface must have boundary")
-        if self.kind == ABELIAN and self.special_vertex is None:
-            raise EmbedError("abelian splitting needs the abelian vertex label")
+            if self.surface.punctures != 1:
+                raise EmbedError("one-edge qh steps support a single boundary circle")
 
     @property
     def edge(self):
@@ -131,25 +149,6 @@ def maximal_abelian_containing(tower: Tower, w: Word, budget: int = 8) -> Abelia
                         "composite locus: cyclic candidate, maximality unresolved")
 
 
-def _check_nu(S: SplittingData, D: StrictQuotientData, budget: int,
-              obligations: list[Obligation], assume: bool):
-    nu = D.nu
-    for r in S.L.presentation().relators:
-        verdict = D.gamma_prime.word_problem(nu.apply(r), budget)
-        if verdict == NONTRIVIAL:
-            raise EmbedError(
-                f"nu is not a homomorphism: relator {format_word(r)} maps to a "
-                f"nontrivial word")
-        ob = Obligation("nu-homomorphism",
-                        "verified" if verdict == TRIVIAL else "budget-limited",
-                        f"relator {format_word(r)}")
-        if ob.status == "budget-limited":
-            if not assume:
-                raise EmbedError(f"nu-homomorphism unresolved on {format_word(r)}")
-            ob.status = "assumed"
-        obligations.append(ob)
-
-
 def _fresh_name(base: str, used: set[str]) -> str:
     cand, i = base, 1
     while cand in used:
@@ -170,59 +169,43 @@ def _edge_sides(S: SplittingData):
 
 def embed_step(S: SplittingData, D: StrictQuotientData, budget: int = 8,
                assume: bool = False) -> EmbeddingResult:
+    """Attach one block to the target tower and build j: L -> tower.
+
+    nu and j must kill every relator of L and the new block must pass
+    its checks, all under the one obligation policy of `rft.tower`.
+    """
     obligations: list[Obligation] = []
-    _check_nu(S, D, budget, obligations, assume)
     nu = D.nu
     gp = D.gamma_prime
-    L_alph = S.L.presentation().alphabet
+    L_pres = S.L.presentation()
+    L_alph = L_pres.alphabet
+    require_homomorphism(obligations, "nu", nu, L_pres.relators, gp, budget, assume)
+    kept, moved = _edge_sides(S)
+    used = set(gp.alphabet().generators) | set(L_alph.generators)
+    images = {g: nu.apply(letter(g)) for g in L_alph.generators}
+    new_letter = ""
 
     if S.kind in (AMALGAM, HNN):
-        kept, moved = _edge_sides(S)
-        if S.edge.rank != 1:
-            raise EmbedError("amalgam/hnn steps support cyclic edge groups")
         e_img = nu.apply(kept[1][0])
         U = maximal_abelian_containing(gp, e_img, budget)
-        used = set(gp.alphabet().generators) | set(L_alph.generators)
-        t = _fresh_name("t", used)
+        new_letter = _fresh_name("t", used)
         if len(U.generators) == 1:
-            block = BlockA(U.generators[0], 2, (t,))
+            block = BlockA(U.generators[0], 2, (new_letter,))
         else:
-            block = BlockT(U.generators, len(U.generators) + 1, (t,))
-        gamma = attach_block(gp, block, budget,
-                             assume=assume or U.status != "verified")
-        tl = letter(t)
-        images: dict[str, Word] = {}
+            block = BlockT(U.generators, len(U.generators) + 1, (new_letter,))
+        gamma = attach_block(gp, block, budget, assume=assume)
+        tl = letter(new_letter)
         if S.kind == AMALGAM:
-            moved_vertex = moved[0]
-            moved_gens = set(S.L.vertices[moved_vertex].alphabet.generators)
-            for g in L_alph.generators:
-                img = nu.apply(letter(g))
-                if g in moved_gens:
-                    images[g] = reduce_word(concat(tl, img, invert(tl)))
-                else:
-                    images[g] = img
+            for g in S.L.vertices[moved[0]].alphabet.generators:
+                images[g] = reduce_word(concat(tl, images[g], invert(tl)))
         else:
             s = S.edge.stable_letter
-            if s is None:
-                raise EmbedError("hnn splitting needs a stable letter on the edge")
-            for g in L_alph.generators:
-                if g == s:
-                    images[g] = reduce_word(concat(tl, nu.apply(letter(g))))
-                else:
-                    images[g] = nu.apply(letter(g))
-        j = GroupHom(L_alph, gamma.alphabet(), images)
+            images[s] = reduce_word(concat(tl, images[s]))
 
     elif S.kind == ABELIAN:
-        kept, moved = _edge_sides(S)
-        ab_label = S.special_vertex
-        V = S.L.vertices[ab_label]
-        if V.kind != "abelian":
-            raise EmbedError(f"vertex {ab_label!r} is not free-abelian")
+        V = S.L.vertices[S.special_vertex]
         # orient: `side_b` is the peripheral inclusion into the abelian vertex
-        side_b = kept if kept[0] == ab_label else moved
-        side_a = moved if kept[0] == ab_label else kept
-        if S.edge.rank != 1:
-            raise EmbedError("abelian-vertex steps support cyclic edge groups")
+        side_b, side_a = (kept, moved) if kept[0] == S.special_vertex else (moved, kept)
         n = len(V.alphabet)
         e_img = nu.apply(side_a[1][0])
         U = maximal_abelian_containing(gp, e_img, budget)
@@ -232,73 +215,36 @@ def embed_step(S: SplittingData, D: StrictQuotientData, budget: int = 8,
         sol = solve_int_linear([abelianize(w, gp.alphabet())],
                                abelianize(e_img, gp.alphabet()))
         if sol is None:
-            raise EmbedError("edge image is not a power of the abelian locus root")
+            raise RefutedError("edge image is not a power of the abelian locus root")
         c = sol[0]
         v = abelianize(side_b[1][0], V.alphabet)
         M = unimodular_with_first_row_image(v)
         g = sum(M[0][j] * v[j] for j in range(n))
         if c % g != 0:
-            raise EmbedError("edge exponents incompatible with the vertex lattice")
-        used = set(gp.alphabet().generators) | set(L_alph.generators)
+            raise RefutedError("edge exponents incompatible with the vertex lattice")
         new_letters = tuple(_fresh_name("s", used) for _ in range(n - 1))
-        t = new_letters[0] if new_letters else ""
-        block = BlockT((w,), n, new_letters)
-        gamma = attach_block(gp, block, budget,
-                             assume=assume or U.status != "verified")
+        new_letter = new_letters[0] if new_letters else ""
+        gamma = attach_block(gp, BlockT((w,), n, new_letters), budget, assume=assume)
         lam = [power(w, c // g)] + [letter(s) for s in new_letters]
-        images = {}
-        ab_gens = V.alphabet.generators
-        for g_ in L_alph.generators:
-            if g_ in V.alphabet:
-                jcol = ab_gens.index(g_)
-                images[g_] = reduce_word(
-                    concat(*(power(lam[i], M[i][jcol]) for i in range(n))))
-            else:
-                images[g_] = nu.apply(letter(g_))
-        j = GroupHom(L_alph, gamma.alphabet(), images)
+        for jcol, g_ in enumerate(V.alphabet.generators):
+            images[g_] = reduce_word(
+                concat(*(power(lam[i], M[i][jcol]) for i in range(n))))
 
     else:  # QH
-        kept, moved = _edge_sides(S)
         surf = S.surface
-        if surf.punctures != 1:
-            raise EmbedError("one-edge qh steps support a single boundary circle")
-        qh_label = S.special_vertex
-        side_q = kept if kept[0] == qh_label else moved
-        side_r = moved if kept[0] == qh_label else kept
+        side_r = moved if kept[0] == S.special_vertex else kept
         attach_w = nu.apply(side_r[1][0])
-        used = set(gp.alphabet().generators) | set(L_alph.generators)
         fresh = tuple(_fresh_name(g, used) for g in surf.generators)
         copy = SurfacePresentation(surf.genus, surf.punctures, fresh)
-        retraction = {
-            f: nu.apply(letter(g)) for f, g in zip(fresh, surf.generators)
-        }
-        block = BlockQ(copy, (attach_w,), retraction)
-        gamma = attach_block(gp, block, budget, assume=assume)
+        retraction = {f: nu.apply(letter(g)) for f, g in zip(fresh, surf.generators)}
+        gamma = attach_block(gp, BlockQ(copy, (attach_w,), retraction), budget,
+                             assume=assume)
         U = maximal_abelian_containing(gp, attach_w, budget)
-        rename = dict(zip(surf.generators, fresh))
-        images = {}
-        for g_ in L_alph.generators:
-            if g_ in rename:
-                images[g_] = letter(rename[g_])
-            else:
-                images[g_] = nu.apply(letter(g_))
-        j = GroupHom(L_alph, gamma.alphabet(), images)
-        t = ""
+        for g_, f in zip(surf.generators, fresh):
+            images[g_] = letter(f)
 
-    # hard postcondition: j kills every relator of L
-    for r in S.L.presentation().relators:
-        verdict = gamma.word_problem(j.apply(r), budget)
-        if verdict == NONTRIVIAL:
-            raise EmbedError(
-                f"j is not a homomorphism: relator {format_word(r)} survives")
-        ob = Obligation("j-homomorphism",
-                        "verified" if verdict == TRIVIAL else "budget-limited",
-                        f"relator {format_word(r)}")
-        if ob.status == "budget-limited" and not assume:
-            raise EmbedError(f"j-homomorphism unresolved on {format_word(r)}")
-        obligations.append(ob)
-
-    new_letter = "" if S.kind == QH else t
+    j = GroupHom(L_alph, gamma.alphabet(), images)
+    require_homomorphism(obligations, "j", j, L_pres.relators, gamma, budget, assume)
     return EmbeddingResult(gamma, j, U, new_letter, obligations)
 
 
@@ -328,7 +274,6 @@ def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
 
     # peripheral subgroups of abelian vertices
     if S.kind == ABELIAN:
-        V = S.L.vertices[S.special_vertex]
         side = edge.left if edge.left[0] == S.special_vertex else edge.right
         bad = next((img for img in side[1]
                     if gp.word_problem(nu.apply(img), budget) == TRIVIAL), None)
@@ -342,16 +287,12 @@ def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
         out.append(BulletVerdict("abelian-peripheral", "not-applicable"))
 
     # edge-group injectivity and maximality of one image
-    verdicts = []
-    for side in (edge.left, edge.right):
-        for img in side[1]:
-            verdicts.append(gp.word_problem(nu.apply(img), budget))
-    if TRIVIAL in verdicts:
-        killed = next(
-            format_word(img) for side in (edge.left, edge.right) for img in side[1]
-            if gp.word_problem(nu.apply(img), budget) == TRIVIAL)
-        out.append(BulletVerdict("edge-injective-maximal", "refuted", witness=killed,
-                                 detail="edge generator dies"))
+    verdicts = {img: gp.word_problem(nu.apply(img), budget)
+                for side in (edge.left, edge.right) for img in side[1]}
+    killed = next((img for img, v in verdicts.items() if v == TRIVIAL), None)
+    if killed is not None:
+        out.append(BulletVerdict("edge-injective-maximal", "refuted",
+                                 witness=format_word(killed), detail="edge generator dies"))
     elif edge.rank == 1:
         e_img = nu.apply(edge.left[1][0])
         locus = maximal_abelian_containing(gp, e_img, budget)
@@ -372,7 +313,8 @@ def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
                                      detail=locus.detail))
     else:
         out.append(BulletVerdict("edge-injective-maximal",
-                                 "verified" if UNKNOWN not in verdicts else "budget-limited",
+                                 "verified" if UNKNOWN not in verdicts.values()
+                                 else "budget-limited",
                                  detail="higher-rank edge: generators survive"))
 
     # QH image nonabelian
@@ -406,12 +348,11 @@ def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
         (v for v in S.L.vertices if v != S.special_vertex), S.L.base)
     Vr = S.L.vertices[rigid]
     side = edge.left if edge.left[0] == rigid else edge.right
-    env_gens: list[Word] = [letter(g) for g in Vr.alphabet.generators]
     cent_status = "verified"
     for img in side[1]:
         if maximal_abelian_containing(gp, nu.apply(img), budget).status != "verified":
             cent_status = "budget-limited"
-    ball = _generated_ball(env_gens, ball_radius)
+    ball = enumerate_ball(Vr.alphabet, ball_radius)
     refuted = None
     unknown = False
     for u, v in itertools.combinations(ball, 2):
@@ -434,24 +375,6 @@ def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
         out.append(BulletVerdict("envelope-injective", "verified",
                                  detail=f"injective on the radius-{ball_radius} ball"))
     return out
-
-
-def _generated_ball(gens: list[Word], radius: int) -> list[Word]:
-    """All reduced products of at most `radius` generators (and inverses)."""
-    seen = {(): None}
-    frontier = [()]
-    steps = [reduce_word(g) for g in gens if reduce_word(g)]
-    steps += [invert(g) for g in steps]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for s in steps:
-                u = reduce_word(concat(w, s))
-                if u not in seen:
-                    seen[u] = None
-                    nxt.append(u)
-        frontier = nxt
-    return list(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .words import (
     commutator,
     enumerate_ball,
     concat,
-    cyclic_reduce,
     format_word,
     invert,
     is_proper_power,
@@ -386,8 +385,7 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
     top = C.top_block
     if isinstance(top, (BlockA, BlockT)):
         attach = reduce_word(top.attaching[0])
-        core, _ = cyclic_reduce(attach)
-        pp = is_proper_power(core)
+        pp = is_proper_power(attach)
         if pp is not None:
             verdicts.append(HypothesisVerdict(
                 "hypothesis-2", "refuted",

@@ -20,6 +20,7 @@ from .graphgroups import (
     NONTRIVIAL,
     Presentation,
     TRIVIAL,
+    UNKNOWN,
     VertexGroup,
     abelian_vertex,
     composite_vertex,
@@ -45,7 +46,11 @@ from .words import (
 
 
 class BlockError(ValueError):
-    """A block failed a validity obligation at attach time."""
+    """A validity obligation failed or could not be settled."""
+
+
+class RefutedError(BlockError):
+    """A validity check was decided false; no `assume` covers it."""
 
 
 @dataclass(frozen=True)
@@ -115,8 +120,42 @@ Block = BlockA | BlockQ | BlockT
 @dataclass
 class Obligation:
     name: str
-    status: str  # "verified" | "refuted" | "budget-limited" | "assumed"
+    status: str  # "verified" | "assumed"
     detail: str = ""
+
+
+def decided(verdict: str, proves: str) -> Optional[bool]:
+    """A word-problem verdict as a check outcome: True when it is the
+    verdict that proves the check, None when Unknown, False otherwise."""
+    return None if verdict == UNKNOWN else verdict == proves
+
+
+def require(obligations: list[Obligation], name: str, holds: Optional[bool],
+            detail: str, assume: bool, refutation: str = "") -> None:
+    """The one obligation policy of towers and embeddings.
+
+    `holds` is True (verified), False (refuted) or None (budget-limited).
+    A refuted check raises RefutedError whatever `assume` says; a
+    budget-limited one raises BlockError unless `assume`, and is then
+    recorded as assumed.
+    """
+    if holds is False:
+        raise RefutedError(refutation or f"{name} refuted ({detail})")
+    if holds is None and not assume:
+        raise BlockError(f"{name} could not be verified ({detail}); pass assume=True to accept")
+    obligations.append(Obligation(name, "verified" if holds else "assumed", detail))
+
+
+def require_homomorphism(obligations: list[Obligation], name: str, hom: GroupHom,
+                         relators, target: Tower, budget: int, assume: bool) -> None:
+    """`hom` kills every relator in `target`: one `<name>-homomorphism`
+    obligation per relator."""
+    for r in relators:
+        verdict = target.word_problem(hom.apply(r), budget)
+        fr = format_word(r)
+        require(obligations, f"{name}-homomorphism", decided(verdict, TRIVIAL),
+                f"relator {fr}", assume,
+                f"{name} is not a homomorphism: relator {fr} maps to a nontrivial word")
 
 
 @dataclass
@@ -316,9 +355,9 @@ def _prev_vertex(tower: Tower, label: str) -> VertexGroup:
     return composite_vertex(label, pres.alphabet, pres.relators, tower.strategy())
 
 
-def _check_maximal_cyclic(tower: Tower, w: Word, budget: int) -> Obligation:
+def _check_maximal_cyclic(tower: Tower, w: Word) -> tuple[Optional[bool], str]:
     """Attaching-word maximality: not a proper power, not conjugate into a
-    torus lattice.  Exact on free/surface loci, budget-limited elsewhere."""
+    torus lattice.  Exact on free/surface loci, undecided elsewhere."""
     pres = tower.presentation()
     free_locus = not pres.relators
     g = tower.stages[-1].graph
@@ -331,16 +370,12 @@ def _check_maximal_cyclic(tower: Tower, w: Word, budget: int) -> Obligation:
         probe = w
         if surface_locus:
             probe = gg.VertexGroup.normalize(next(iter(g.vertices.values())), w)
-        if is_proper_power(probe) is not None:
-            root, exp = is_proper_power(probe)
-            return Obligation(
-                "attach-maximal", "refuted",
-                f"attaching word is a proper power: ({format_word(root)})^{exp}",
-            )
+        pp = is_proper_power(probe)
+        if pp is not None:
+            return False, f"attaching word is a proper power: ({format_word(pp[0])})^{pp[1]}"
         if free_locus:
-            return Obligation("attach-maximal", "verified", "free locus, not a proper power")
-        return Obligation("attach-maximal", "verified",
-                          "surface locus, Dehn-normalized word is not a proper power")
+            return True, "free locus, not a proper power"
+        return True, "surface locus, Dehn-normalized word is not a proper power"
     # conjugacy into a torus lattice: abelianization necessary condition
     vec = abelianize(w, pres.alphabet)
     rel_cols = pres.relator_columns()
@@ -349,39 +384,22 @@ def _check_maximal_cyclic(tower: Tower, w: Word, budget: int) -> Obligation:
             continue
         cols = [abelianize(g_, pres.alphabet) for g_ in rec.generators]
         if solve_int_linear(cols + rel_cols, vec) is not None:
-            return Obligation(
-                "attach-maximal", "budget-limited",
-                "abelianization is consistent with a torus lattice; maximality unresolved",
-            )
-    return Obligation(
-        "attach-maximal", "budget-limited",
-        "composite locus: proper-power freeness not decided exactly",
-    )
+            return None, "abelianization is consistent with a torus lattice; maximality unresolved"
+    return None, "composite locus: proper-power freeness not decided exactly"
 
 
 def attach_block(tower: Tower, block: Block, budget: int = 8, assume: bool = False) -> Tower:
     """Attach one A/Q/T block; validity obligations are checked here.
 
-    A failed obligation rejects the block naming the check; an Unknown
-    obligation is accepted only with assume=True and recorded.
+    Every check goes through `require`: a refuted one rejects the block
+    naming the check; an undecided one is accepted only with assume=True
+    and recorded as assumed.
     """
     if isinstance(block, BlockQ):
         return _attach_q(tower, block, budget, assume)
     if isinstance(block, (BlockA, BlockT)):
         return _attach_t(tower, block, budget, assume)
     raise BlockError(f"unknown block type {type(block).__name__}")
-
-
-def _require(obligations: list[Obligation], ob: Obligation, assume: bool):
-    if ob.status == "refuted":
-        raise BlockError(f"{ob.name}: {ob.detail}")
-    if ob.status == "budget-limited":
-        if not assume:
-            raise BlockError(
-                f"{ob.name} could not be verified ({ob.detail}); pass assume=True to accept"
-            )
-        ob.status = "assumed"
-    obligations.append(ob)
 
 
 def _attach_q(tower: Tower, block: BlockQ, budget: int, assume: bool) -> Tower:
@@ -398,12 +416,8 @@ def _attach_q(tower: Tower, block: BlockQ, budget: int, assume: bool) -> Tower:
     attach = [reduce_word(w, pres.alphabet) for w in block.boundary_attach]
     for i, w in enumerate(attach):
         verdict = tower.word_problem(w, budget)
-        if verdict == TRIVIAL:
-            raise BlockError(f"attach-nontrivial: boundary {i + 1} attaching word is trivial")
-        _require(obligations,
-                 Obligation("attach-nontrivial",
-                            "verified" if verdict == NONTRIVIAL else "budget-limited",
-                            f"boundary {i + 1} verdict {verdict}"), assume)
+        require(obligations, "attach-nontrivial", decided(verdict, NONTRIVIAL),
+                f"boundary {i + 1} verdict {verdict}", assume)
 
     v1 = _prev_vertex(tower, f"st{n - 1}")
     v2 = free_vertex(f"blk{n}", surf.alphabet())
@@ -435,33 +449,21 @@ def _attach_q(tower: Tower, block: BlockQ, budget: int, assume: bool) -> Tower:
     retraction = GroupHom(new_alph, pres.alphabet, images)
 
     # retraction homomorphism check: every new relator dies one stage down
-    for r in new_pres.relators[len(pres.relators):]:
-        verdict = tower.word_problem(retraction.apply(r), budget)
-        if verdict == NONTRIVIAL:
-            raise BlockError(
-                f"retraction-homomorphism: relator {format_word(r)} maps to a "
-                f"nontrivial word"
-            )
-        _require(obligations,
-                 Obligation("retraction-homomorphism",
-                            "verified" if verdict == TRIVIAL else "budget-limited",
-                            f"relator {format_word(r)}"), assume)
+    require_homomorphism(obligations, "retraction", retraction,
+                         new_pres.relators[len(pres.relators):], tower, budget, assume)
 
-    # nonabelian image: some pair of surface generators has noncommuting images
-    pair = None
+    # nonabelian image: some pair of surface generators has noncommuting
+    # images; refuted only when every pair provably commutes
+    holds, detail = False, "every surface generator pair has commuting images"
     for x, y in itertools.combinations(surf.generators, 2):
         c = commutator(retraction.apply(letter(x)), retraction.apply(letter(y)))
-        if tower.word_problem(c, budget) == NONTRIVIAL:
-            pair = (x, y)
+        verdict = tower.word_problem(c, budget)
+        if verdict == NONTRIVIAL:
+            holds, detail = True, f"witness pair {x}, {y}"
             break
-    if pair is None:
-        _require(obligations,
-                 Obligation("retraction-nonabelian", "refuted" if not assume else "budget-limited",
-                            "no surface generator pair with noncommuting images found"),
-                 assume)
-    else:
-        obligations.append(Obligation("retraction-nonabelian", "verified",
-                                      f"witness pair {pair[0]}, {pair[1]}"))
+        if verdict == UNKNOWN:
+            holds, detail = None, "no surface generator pair with noncommuting images found"
+    require(obligations, "retraction-nonabelian", holds, detail, assume)
 
     stage = Stage(new_pres, graph, retraction, block, obligations)
     return Tower(tower.summands, tower.stages + [stage])
@@ -477,34 +479,22 @@ def _attach_t(tower: Tower, block: BlockA | BlockT, budget: int, assume: bool) -
 
     if k == 1:
         verdict = tower.word_problem(attach[0], budget)
-        if verdict == TRIVIAL:
-            raise BlockError("attach-nontrivial: attaching word is trivial")
-        _require(obligations,
-                 Obligation("attach-nontrivial",
-                            "verified" if verdict == NONTRIVIAL else "budget-limited",
-                            f"word problem verdict {verdict}"), assume)
-        _require(obligations, _check_maximal_cyclic(tower, attach[0], budget), assume)
+        require(obligations, "attach-nontrivial", decided(verdict, NONTRIVIAL),
+                f"word problem verdict {verdict}", assume)
+        require(obligations, "attach-maximal", *_check_maximal_cyclic(tower, attach[0]), assume)
     else:
         for u, v in itertools.combinations(attach, 2):
             verdict = tower.word_problem(commutator(u, v), budget)
-            if verdict == NONTRIVIAL:
-                raise BlockError("attach-lattice: attaching tuple does not commute")
-            _require(obligations,
-                     Obligation("attach-lattice-commutes",
-                                "verified" if verdict == TRIVIAL else "budget-limited",
-                                f"[{format_word(u)}, {format_word(v)}]"), assume)
-        match = any(
-            not rec.superseded and set(rec.generators) == set(attach)
-            for rec in tower.lattice_records()
-        )
-        if match:
-            obligations.append(Obligation("attach-lattice", "verified",
-                                          "attaching tuple generates an existing torus lattice"))
+            require(obligations, "attach-lattice-commutes", decided(verdict, TRIVIAL),
+                    f"[{format_word(u)}, {format_word(v)}]", assume)
+        if any(not rec.superseded and set(rec.generators) == set(attach)
+               for rec in tower.lattice_records()):
+            require(obligations, "attach-lattice", True,
+                    "attaching tuple generates an existing torus lattice", assume)
         else:
-            _require(obligations,
-                     Obligation("attach-lattice", "budget-limited",
-                                "attaching tuple is not the generator tuple of a recorded "
-                                "torus lattice"), assume)
+            require(obligations, "attach-lattice", None,
+                    "attaching tuple is not the generator tuple of a recorded torus lattice",
+                    assume)
 
     used = set(pres.alphabet.generators)
     for t in block.letters:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from rft import cli, graphgroups
@@ -235,3 +237,77 @@ def test_reports_are_byte_stable(gamma_file):
         ["witness", gamma_file, "--words", "a; b; t", "--seed", "5"])
         for _ in range(3)]
     assert len({text for _, text in runs}) == 1
+
+
+# ---------------------------------------------------------------------------
+# one obligation policy: refuted raises, undecided needs assume
+# ---------------------------------------------------------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+
+
+def _corpus_splitting(tmp_path, name, *edits):
+    text = (CORPUS / f"{name}.spl").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    p = tmp_path / f"{name}.spl"
+    p.write_text(text)
+    return str(p)
+
+
+def _embed(tower, spl, *extra):
+    return cli.run_command(["embed", str(CORPUS / f"{tower}.twr"), "--splitting", spl,
+                            *extra])
+
+
+def test_embed_undecided_nu_is_an_error_unless_assumed(tmp_path):
+    spl = _corpus_splitting(tmp_path, "hnn", ('nu { a -> "a", s -> "a" }',
+                                              'nu { a -> "[a1,b1]^12", s -> "t" }'))
+    code, text = _embed("closed2", spl)
+    assert code == 1
+    assert text.startswith("error: nu-homomorphism")
+    code, text = _embed("closed2", spl, "--assume")
+    assert code == 0
+    assert "obligation-0: nu-homomorphism assumed (relator s a s^-1 a^-1)" in text
+    assert "obligation-1: j-homomorphism assumed (relator s a s^-1 a^-1)" in text
+
+
+def test_embed_budget_limited_locus_needs_assume(tmp_path):
+    spl = _corpus_splitting(tmp_path, "hnn", ('nu { a -> "a", s -> "a" }',
+                                              'nu { a -> "a1", s -> "a1" }'))
+    code, text = _embed("closed2", spl)
+    assert code == 1
+    assert text.startswith("error: attach-maximal")
+    code, text = _embed("closed2", spl, "--assume")
+    assert code == 0
+    assert "U-status: budget-limited" in text and "certificate: full" in text
+
+
+@pytest.mark.parametrize("name, edits, message", [
+    ("hnn", (("stable=s;", ""), ('s -> "a"', 't1 -> "a"')), "needs a stable letter"),
+    ("abelian", (("special=vB;", "special=vA;"),), "'vA' is not free-abelian"),
+])
+def test_malformed_splitting_is_a_usage_error(tmp_path, name, edits, message):
+    code, text = _embed("f2", _corpus_splitting(tmp_path, name, *edits))
+    assert code == 1
+    assert text.startswith("error: ") and message in text
+
+
+def test_nu_refutation_exits_2(tmp_path):
+    spl = _corpus_splitting(tmp_path, "double", ('d -> "b"', 'd -> "a"'))
+    code, text = _embed("f2", spl)
+    assert code == 2
+    assert "verdict: refuted" in text
+    assert "witness: nu is not a homomorphism" in text
+
+
+def test_assume_never_covers_a_refuted_block(tmp_path):
+    p = tmp_path / "abq.twr"
+    p.write_text('tower abq { base { free(a, b) } block Q { '
+                 'surface=(genus=1, punctures=2: p, q, d1); '
+                 'boundary={ b1 -> "a", b2 -> "a" }; '
+                 'retract={ p -> "a", q -> "a", d1 -> "a" }; assume=true; } }')
+    code, text = cli.run_command(["present", str(p)])
+    assert code == 1
+    assert text.startswith("error: retraction-nonabelian")

@@ -250,3 +250,48 @@ def test_expansion_order_invariance(free2):
     a = co.expand_cover(free2, gens).canonical_form()
     b = co.expand_cover(free2, list(reversed(gens))).canonical_form()
     assert a == b
+
+
+def _count_rounds(monkeypatch, fake_first_merge=False):
+    """Count `_identify_round` calls; optionally report a merge on the first."""
+    real = co.CoverGraph._identify_round
+    calls = []
+
+    def counted(self):
+        calls.append(None)
+        merged = real(self)
+        return 1 if fake_first_merge and len(calls) == 1 else merged
+
+    monkeypatch.setattr(co.CoverGraph, "_identify_round", counted)
+    return calls
+
+
+def test_quiet_cover_loop_needs_no_further_round(gamma, monkeypatch):
+    calls = _count_rounds(monkeypatch)
+    al = gamma.alphabet()
+    C = co.expand_cover(gamma, [parse_word("a", al), parse_word("t", al)])
+    assert C.rounds_log == [0]
+    R = co.extract_core(C)
+    assert len(calls) == 1
+    assert R.stabilization == {"criterion": "generator loops closed + two quiet rounds",
+                               "heuristic": True, "quiet_rounds": 2,
+                               "evidence": "two further identification rounds added nothing"}
+
+
+def test_one_quiet_round_after_a_merge_stabilizes(gamma, monkeypatch):
+    calls = _count_rounds(monkeypatch, fake_first_merge=True)
+    al = gamma.alphabet()
+    C = co.expand_cover(gamma, [parse_word("a", al), parse_word("t", al)], depth_budget=1)
+    assert C.rounds_log == [1]
+    R = co.extract_core(C)
+    assert len(calls) == 2
+    assert R.stabilization["quiet_rounds"] == 2
+
+
+def test_a_merging_round_is_not_stable(gamma, monkeypatch):
+    al = gamma.alphabet()
+    C = co.expand_cover(gamma, [parse_word("a", al), parse_word("t", al)], depth_budget=0)
+    calls = _count_rounds(monkeypatch, fake_first_merge=True)
+    with pytest.raises(co.CoreError, match="not stabilized"):
+        co.extract_core(C)
+    assert len(calls) == 1

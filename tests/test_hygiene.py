@@ -61,3 +61,20 @@ def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
 def test_no_unreferenced_private_definitions():
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     assert unreferenced_privates(trees) == []
+
+
+def assumed_literals(trees: dict[str, ast.Module]) -> list[str]:
+    """Where the status literal "assumed" is written, as module.top-level name."""
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            where = getattr(top, "name", "<module>")
+            found += [f"{module}.{where}" for node in ast.walk(top)
+                      if isinstance(node, ast.Constant) and node.value == "assumed"]
+    return sorted(found)
+
+
+def test_one_function_assumes_obligations():
+    # the obligation policy lives in tower.require alone
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert assumed_literals(trees) == ["tower.require"]

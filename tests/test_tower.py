@@ -102,6 +102,54 @@ def test_attach_t_rejects_noncommuting(gamma):
                                          3, ("u",)))
 
 
+def test_assume_never_covers_a_refuted_nonabelian_check(free2):
+    # every surface generator maps to a: all commutators are Trivial
+    surf = SurfacePresentation(1, 2, ("p", "q", "d1"))
+    block = tw.BlockQ(surf, (parse_word("a"), parse_word("a")),
+                      {g: parse_word("a") for g in surf.generators})
+    with pytest.raises(tw.RefutedError, match="retraction-nonabelian"):
+        tw.attach_block(free2, block, assume=True)
+
+
+def test_nonabelian_check_with_an_unknown_pair_is_budget_limited(free2, monkeypatch):
+    # pairs (p,q) and (q,d1) undecided, (p,d1) Trivial: budget-limited, not refuted
+    surf = SurfacePresentation(1, 2, ("p", "q", "d1"))
+    block = tw.BlockQ(surf, (parse_word("a"), parse_word("[a,b] a")),
+                      {"p": parse_word("a"), "q": parse_word("b"), "d1": parse_word("a")})
+    undecided = {parse_word("[a,b]"), parse_word("[b,a]")}
+    real = tw.Tower.word_problem
+    monkeypatch.setattr(tw.Tower, "word_problem", lambda self, w, budget=8: (
+        UNKNOWN if w in undecided else real(self, w, budget)))
+    with pytest.raises(tw.BlockError, match="retraction-nonabelian could not be verified"):
+        tw.attach_block(free2, block)
+    t = tw.attach_block(free2, block, assume=True)
+    assert [(ob.name, ob.status) for ob in t.obligations()][-1] == (
+        "retraction-nonabelian", "assumed")
+
+
+@pytest.mark.parametrize("holds, assume, outcome", [
+    (True, False, "verified"), (True, True, "verified"), (None, True, "assumed"),
+    (None, False, "BlockError"), (False, False, "RefutedError"),
+    (False, True, "RefutedError"),
+])
+def test_obligation_policy(holds, assume, outcome):
+    ledger = []
+    if outcome in ("verified", "assumed"):
+        tw.require(ledger, "check", holds, "detail", assume)
+        assert [(ob.name, ob.status, ob.detail) for ob in ledger] == [
+            ("check", outcome, "detail")]
+    else:
+        with pytest.raises(tw.BlockError) as exc:
+            tw.require(ledger, "check", holds, "detail", assume)
+        assert exc.type.__name__ == outcome and ledger == []
+
+
+@pytest.mark.parametrize("verdict, holds", [
+    (TRIVIAL, True), (NONTRIVIAL, False), (UNKNOWN, None)])
+def test_word_problem_verdict_decides_a_check(verdict, holds):
+    assert tw.decided(verdict, TRIVIAL) is holds
+
+
 # -- word problem ------------------------------------------------------------
 
 def test_gamma_word_problems(gamma):
