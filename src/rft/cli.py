@@ -539,9 +539,9 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
 
-def _obligation_lines(rep: Report, obligations):
+def _obligation_lines(rep: Report, obligations, key: str = "obligation"):
     for i, ob in enumerate(obligations):
-        rep.add(f"obligation-{i}", f"{ob.name} {ob.status} ({ob.detail})")
+        rep.add(f"{key}-{i}", f"{ob.name} {ob.status} ({ob.detail})")
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +628,7 @@ def _cmd_embed(args, text: str) -> tuple[int, Report]:
     rep.add("U", " ; ".join(format_word(g) for g in R.U.generators))
     rep.add("U-status", R.U.status)
     _obligation_lines(rep, R.obligations)
+    _obligation_lines(rep, R.gamma.stages[-1].obligations, "block-obligation")
     cert = embed_mod.certify_injectivity_on_ball(
         R, lambda w, b: graph_word_problem(S.L, w, b), args.ball, args.budget)
     rep.add("ball-radius", cert.radius)
@@ -776,7 +777,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--gens", default="")
     sp.add_argument("--budget", type=int, default=8)
-    sp.add_argument("--power-budget", type=int, dest="power_budget", default=8)
+    sp.add_argument("--power-budget", type=int, dest="power_budget", default=8,
+                    help="largest k, l tried for u^k = v^l in hypothesis 1 (commuting or "
+                         "undecided pairs, or all pairs if the stage below the top is uncertified)")
 
     sub.add_parser("selftest", help="quick internal checks")
     return p

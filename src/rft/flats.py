@@ -20,7 +20,6 @@ from .tower import Block, BlockA, BlockQ, BlockT, Tower
 from .words import (
     Word,
     commutator,
-    enumerate_ball,
     concat,
     format_word,
     invert,
@@ -316,8 +315,10 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
 
     (0) every rank-1 edge of the core touches a G vertex;
     (1) no two distinct edge generators at a common extended G vertex
-        have coinciding powers (refuted by a hit u^k = v^l; upgraded to
-        exact when non-commutation of the conjugator settles it);
+        have coinciding powers.  Under `Tower.prev_stage_csa` they lie in a
+        limit group (commutative transitive, torsion-free), so a Nontrivial
+        commutator settles a pair exactly; other pairs are searched for
+        u^k = v^l up to `power_budget`, and a hit's witness is u^k v^-l;
     (2) the top attaching element is maximal: not a proper power and not
         conjugate into any earlier flat lattice.
     """
@@ -346,40 +347,27 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
         "hypothesis-0", "verified" if touched else "refuted", witness=witness0,
         detail="every rank-1 edge meets a G vertex" if touched else ""))
 
-    # (1) power coincidences between distinct edge generators
+    # (1) power coincidences between distinct edge generators (no two equal)
     gens = _edge_generators_at_g(C, T)
-    status1 = "verified"
-    witness1 = None
+    exact = T.prev_stage_csa()
+    status1, witness1, detail1 = "verified", None, ""
     for u, v in itertools.combinations(gens, 2):
-        if reduce_word(u) == reduce_word(v):
+        pair = f"{format_word(u)} vs {format_word(v)}"
+        if exact and T.word_problem(commutator(u, v), power_budget) == NONTRIVIAL:
+            pair_log.append(f"{pair}: noncommuting, exact")
             continue
-        hit = None
-        for k in range(1, power_budget + 1):
-            for l in range(1, power_budget + 1):
-                for sk, sl in ((1, 1), (1, -1)):
-                    w = concat(power(u, sk * k), power(v, -sl * l))
-                    if T.word_problem(w, power_budget) == TRIVIAL:
-                        hit = (sk * k, sl * l)
-                        break
-                if hit:
-                    break
-            if hit:
-                break
+        hit = _power_coincidence(T, u, v, power_budget)
         if hit:
+            k, l = hit
             status1 = "refuted"
-            witness1 = (f"{format_word(u)}^{hit[0]} = {format_word(v)}^{hit[1]}")
-            pair_log.append(f"{format_word(u)} vs {format_word(v)}: hit {hit}")
+            witness1 = format_word(reduce_word(concat(power(u, k), power(v, -l)))) or "1"
+            detail1 = f"({format_word(u)})^{k} = ({format_word(v)})^{l}"
+            pair_log.append(f"{pair}: hit {hit}")
             break
-        # exact upgrade: if v = c u c^-1 and [c, u] is nontrivial in an
-        # exact locus, no powers can coincide
-        exact = _conjugate_noncommuting(T, u, v, power_budget)
-        pair_log.append(
-            f"{format_word(u)} vs {format_word(v)}: no hit to {power_budget}"
-            + (", exact" if exact else ""))
-        if not exact and status1 == "verified":
-            status1 = "verified-to-budget"
+        pair_log.append(f"{pair}: no hit to {power_budget}")
+        status1 = "verified-to-budget"
     verdicts.append(HypothesisVerdict("hypothesis-1", status1, power_budget,
-                                      witness1))
+                                      witness1, detail1))
 
     # (2) attaching-element maximality for abelian/torus top blocks
     top = C.top_block
@@ -420,17 +408,12 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
     return IsolationReport(verdicts, pair_log)
 
 
-def _conjugate_noncommuting(T: Tower, u: Word, v: Word, budget: int) -> bool:
-    """True when v is c u c^-1 for a visible conjugator c that provably
-    fails to commute with u — then u and v generate distinct lines."""
-    u, v = reduce_word(u), reduce_word(v)
-    for c in enumerate_ball(T.alphabet(), 2):
-        if not c:
-            continue
-        if reduce_word(concat(c, u, invert(c))) == v:
-            if T.word_problem(commutator(c, u), budget) == NONTRIVIAL:
-                return True
-        if reduce_word(concat(c, v, invert(c))) == u:
-            if T.word_problem(commutator(c, v), budget) == NONTRIVIAL:
-                return True
-    return False
+def _power_coincidence(T: Tower, u: Word, v: Word, budget: int) -> Optional[tuple[int, int]]:
+    """The first (k, l) with u^k = v^l in T, k then l from 1 to budget,
+    l positive before negative."""
+    for k in range(1, budget + 1):
+        for l in range(1, budget + 1):
+            for sl in (l, -l):
+                if T.word_problem(concat(power(u, k), power(v, -sl)), budget) == TRIVIAL:
+                    return k, sl
+    return None

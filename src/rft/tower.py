@@ -231,6 +231,15 @@ class Tower:
     def obligations(self) -> list[Obligation]:
         return [ob for s in self.stages for ob in s.obligations]
 
+    def prev_stage_csa(self) -> bool:
+        """True when the ledger certifies stage h-1 as a limit group (hence
+        CSA) embedded in the top stage: all obligations of stages 1..h-1 are
+        verified, and so is the top retraction, which fixes stage h-1 (an
+        A/T retraction t -> 1 always is a homomorphism and records none)."""
+        top = [ob for ob in self.stages[-1].obligations if ob.name == "retraction-homomorphism"]
+        below = [ob for s in self.stages[1:-1] for ob in s.obligations]
+        return self.height >= 1 and all(ob.status == "verified" for ob in below + top)
+
     def lattice_records(self) -> list[LatticeRecord]:
         records: list[LatticeRecord] = []
         for i, s in enumerate(self.stages):
@@ -546,9 +555,11 @@ class _WitnessFamily:
         self._build()
 
     def _build(self):
+        # slots are listed in the order `hom` consumes them: stages from
+        # the top down, then the summands
         t = self.tower
-        for i, s in enumerate(t.stages[1:], start=1):
-            b = s.block
+        for i in range(t.height, 0, -1):
+            b = t.stages[i].block
             if isinstance(b, (BlockA, BlockT)):
                 for lt in b.letters:
                     self.slots.append(f"stage {i}: {lt} -> ({format_word(b.attaching[0])})^N")
@@ -580,8 +591,8 @@ class _WitnessFamily:
                     a = v.surface.generators[2 * h]
                     bgen = v.surface.generators[2 * h + 1]
                     self.slots.append(f"summand {v.label}: twist {bgen} -> {bgen} {a}^N")
-                self.slots.append(f"summand {v.label}: a1 -> x1^N")
-                self.slots.append(f"summand {v.label}: b1 -> x1^N")
+                for g in v.surface.generators[:2]:
+                    self.slots.append(f"summand {v.label}: {g} -> {names[0]}^N")
                 target_gens.extend(names)
                 self.summand_plan.append(("surface", v, names))
         self.target = Alphabet(tuple(target_gens))

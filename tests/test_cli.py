@@ -282,6 +282,8 @@ def test_embed_budget_limited_locus_needs_assume(tmp_path):
     code, text = _embed("closed2", spl, "--assume")
     assert code == 0
     assert "U-status: budget-limited" in text and "certificate: full" in text
+    # the assumed block check is shown, not only the verified nu/j lines
+    assert "block-obligation-1: attach-maximal assumed (composite locus" in text
 
 
 @pytest.mark.parametrize("name, edits, message", [

@@ -1,8 +1,11 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rft import cli
 from rft import core as co
 from rft import flats as fl
 from rft import tower as tw
@@ -205,3 +208,66 @@ def test_hypothesis_budget_monotone(gamma):
             assert hi[name] == "refuted"
         if status == "verified":
             assert hi[name] in ("verified",)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis-1 by commutative transitivity
+# ---------------------------------------------------------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+
+
+def _corpus_tower(name):
+    return cli.build_tower(cli.parse_tower_dsl((CORPUS / f"{name}.twr").read_text()))
+
+
+def _colored(T):
+    al = T.alphabet()
+    R = co.extract_core(co.expand_cover(T, [parse_word(g, al) for g in al.generators]))
+    return fl.color_vertices(R, T)
+
+
+@pytest.mark.parametrize("name, most", [("a2", 10), ("gamma", 3), ("q1", 3)])
+def test_hypotheses_ask_few_word_problems(name, most, monkeypatch):
+    T = _corpus_tower(name)
+    C = _colored(T)
+    calls = []
+    word_problem = tw.Tower.word_problem
+    monkeypatch.setattr(tw.Tower, "word_problem", lambda self, w, budget=8:
+                        calls.append(w) or word_problem(self, w, budget))
+    rep = fl.check_isolation_hypotheses(C, T, power_budget=8)
+    assert rep.verdict("hypothesis-1").status == "verified"
+    assert len(calls) <= most
+
+
+def test_hypothesis1_on_tall_is_budget_limited():
+    # tall's stage-2 attach-maximal is assumed, so stage 2 is not certified
+    # a limit group and no pair is settled by its commutator
+    T = _corpus_tower("tall")
+    rep = fl.check_isolation_hypotheses(_colored(T), T, 2)
+    assert rep.verdict("hypothesis-1").status == "verified-to-budget"
+    assert all(line.endswith("no hit to 2") for line in rep.pair_log)
+
+
+def test_hypothesis1_falls_back_when_top_retraction_is_assumed():
+    T = _corpus_tower("q1")
+    for ob in T.stages[-1].obligations:
+        if ob.name == "retraction-homomorphism":
+            ob.status = "assumed"
+    assert not T.prev_stage_csa()
+    rep = fl.check_isolation_hypotheses(_colored(T), T, 2)
+    assert rep.verdict("hypothesis-1").status == "verified-to-budget"
+    assert rep.pair_log and all(line.endswith("no hit to 2") for line in rep.pair_log)
+
+
+def test_hypothesis1_witness_is_a_trivial_word():
+    refuted = []
+    for twr in sorted(CORPUS.glob("*.twr")):
+        _, text = cli.run_command(["flats", str(twr), "--power-budget", "2"])
+        m = re.search(r"^hypothesis-1: refuted witness=(.*) \(\(", text, re.M)
+        if m is None:
+            continue
+        refuted.append(twr.stem)
+        code, text = cli.run_command(["wp", str(twr), "--word", m.group(1)])
+        assert code == 0 and "verdict: Trivial" in text, twr.stem
+    assert refuted

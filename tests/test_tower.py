@@ -293,3 +293,34 @@ def test_root_uniqueness_sampled(gamma, data):
         return
     pw = reduce_word(concat(*([x] * n), *([invert(y)] * n)))
     assert gamma.word_problem(pw) != TRIVIAL
+
+
+# -- ledger views and witness-family labels ----------------------------------
+
+@pytest.mark.parametrize("name, certified", [
+    ("gamma", True), ("a2", True), ("mixed", True), ("q1", True),
+    ("tall", False), ("wide", False),
+])
+def test_prev_stage_csa(name, certified):
+    # a2's only assumed obligation is in its top block, which the
+    # precondition does not need
+    assert _corpus_tower(name).prev_stage_csa() is certified
+
+
+# closed2 is left out: its handle-killing resolution sends [a1,b1], and so
+# the image of t, to 1 for every parameter
+@pytest.mark.parametrize("name", ["a2", "gamma", "mixed", "q1", "t2", "tall", "wide"])
+def test_stage_slot_labels_name_the_letter_they_move(name):
+    T = _corpus_tower(name)
+    family = tw._WitnessFamily(T)
+    ones = (1,) * family.dimension
+    base = family.hom(ones).images
+    for j, label in enumerate(family.slots):
+        if not label.startswith("stage "):
+            continue
+        stage, rest = label[len("stage "):].split(": ", 1)
+        moved = rest.removeprefix("twist ").split(" ")[0]
+        images = family.hom(ones[:j] + (2,) + ones[j + 1:]).images
+        assert images[moved] != base[moved], label
+        lower = T.alphabet(int(stage) - 1).generators
+        assert all(images[g] == base[g] for g in lower), label
