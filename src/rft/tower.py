@@ -9,6 +9,7 @@ exactly.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -189,23 +190,31 @@ class WitnessCertificate:
     trace: list
     seed: int
     budget: int
+    # per word, its provable-equality class; empty means each distinct
+    # reduced word is its own class
+    classes: list[int] = field(default_factory=list)
 
     def recheck(self) -> bool:
         """Re-verify validity by pure word operations: every relator maps
-        to the empty word, so hom is a homomorphism to the free group, and
-        the images are pairwise distinct unless the words are literally
-        equal."""
+        to the empty word, so hom is a homomorphism to the free group;
+        each image is the word's image under hom; and two words share an
+        image exactly when they share a recorded class.  The classes
+        themselves come from word-problem verdicts and are taken as
+        given."""
         if self.hom is None:
             return False
         if any(self.hom.apply(r) for r in self.relators):
             return False
-        seen: dict[Word, Word] = {}
-        for w, img in zip(self.words, self.images):
+        keys = self.classes or [reduce_word(w) for w in self.words]
+        if not len(keys) == len(self.images) == len(self.words):
+            return False
+        image_of: dict = {}
+        class_of: dict[Word, object] = {}
+        for w, img, k in zip(self.words, self.images, keys):
             if self.hom.apply(w) != img:
                 return False
-            if img in seen and seen[img] != reduce_word(w):
+            if image_of.setdefault(k, img) != img or class_of.setdefault(img, k) != k:
                 return False
-            seen.setdefault(img, reduce_word(w))
         return True
 
 
@@ -547,6 +556,10 @@ class _WitnessFamily:
     power along the a-curve.  Height 0: free summands map by identity,
     abelian summands to powers of one fresh letter, closed surfaces by
     handle-killing after twist powers.
+
+    `_build` compiles the family once; `images` then evaluates one member
+    bottom-up as a plain dict, so an attempt costs the length of the
+    images and builds no `GroupHom`.
     """
 
     def __init__(self, tower: Tower):
@@ -555,11 +568,15 @@ class _WitnessFamily:
         self._build()
 
     def _build(self):
-        # slots are listed in the order `hom` consumes them: stages from
+        # slots are listed in the order parameters are read: stages from
         # the top down, then the summands
         t = self.tower
+        # (first slot, stage, new letters) per stage, from the bottom up
+        self.stage_plan: list[tuple[int, Stage, tuple[str, ...]]] = []
         for i in range(t.height, 0, -1):
             b = t.stages[i].block
+            new = t.alphabet(i).generators[len(t.alphabet(i - 1)):]
+            self.stage_plan.insert(0, (len(self.slots), t.stages[i], new))
             if isinstance(b, (BlockA, BlockT)):
                 for lt in b.letters:
                     self.slots.append(f"stage {i}: {lt} -> ({format_word(b.attaching[0])})^N")
@@ -568,6 +585,7 @@ class _WitnessFamily:
                     a = b.surface.generators[2 * h]
                     bgen = b.surface.generators[2 * h + 1]
                     self.slots.append(f"stage {i}: twist {bgen} -> {bgen} {a}^N")
+        self.summand_slot = len(self.slots)
         # height-0 resolution slots
         target_gens: list[str] = []
         self.summand_plan: list[tuple[str, VertexGroup, list[str]]] = []
@@ -601,84 +619,105 @@ class _WitnessFamily:
     def dimension(self) -> int:
         return len(self.slots)
 
-    def hom(self, params: tuple[int, ...]) -> GroupHom:
-        t = self.tower
-        it = iter(params)
-        # stage homs, top down to stage 0
-        hom = GroupHom.identity(t.alphabet())
-        for i in range(t.height, 0, -1):
-            s = t.stages[i]
-            b = s.block
-            prev_alph = t.alphabet(i - 1)
-            images = {g: letter(g) for g in prev_alph.generators}
-            stage_alph = t.alphabet(i)
-            stage_images = {g: letter(g) for g in stage_alph.generators}
-            if isinstance(b, (BlockA, BlockT)):
-                attach = reduce_word(b.attaching[0])
-                ns = [next(it) for _ in b.letters]
-                stage_map = {g: letter(g) for g in prev_alph.generators}
-                for lt, N in zip(b.letters, ns):
-                    stage_map[lt] = power(attach, N)
-                stage_hom = GroupHom(stage_alph, prev_alph, stage_map)
-            else:
-                ns = [next(it) for _ in range(b.surface.genus)]
-                twist = dict(stage_images)
-                for h, N in enumerate(ns):
-                    a = b.surface.generators[2 * h]
-                    bg = b.surface.generators[2 * h + 1]
-                    twist[bg] = reduce_word(concat(letter(bg), power(letter(a), N)))
-                twist_hom = GroupHom(stage_alph, stage_alph, twist)
-                stage_hom = twist_hom.then(s.retraction)
-            hom = hom.then(stage_hom)
-        # height-0 resolution
-        res_images: dict[str, Word] = {}
+    def images(self, params: tuple[int, ...]) -> dict[str, Word]:
+        """Reduced images of every tower generator under the member with
+        these parameters: the height-0 resolution first, then stage by
+        stage the images of that stage's new letters."""
+        img: dict[str, Word] = {}
+        it = iter(params[self.summand_slot:])
         for kind, v, names in self.summand_plan:
+            gens = v.alphabet.generators
             if kind == "free":
-                for g, tgt in zip(v.alphabet.generators, names):
-                    res_images[g] = letter(tgt)
+                for g, tgt in zip(gens, names):
+                    img[g] = letter(tgt)
             elif kind == "abelian":
-                f = names[0]
-                for g in v.alphabet:
-                    res_images[g] = power(letter(f), next(it))
+                for g in gens:
+                    img[g] = power(letter(names[0]), next(it))
             else:
-                surf = v.surface
-                twist = {g: letter(g) for g in surf.generators}
-                for h in range(surf.genus):
-                    a = surf.generators[2 * h]
-                    bg = surf.generators[2 * h + 1]
-                    twist[bg] = reduce_word(concat(letter(bg), power(letter(a), next(it))))
-                kill: dict[str, Word] = {}
+                # twist b_h -> b_h a_h^N_h, then kill handles: a1 -> x^p,
+                # b1 -> x^q, and a_h -> y_h, b_h -> 1 for h >= 2
+                twists = [next(it) for _ in names]
                 p, q = next(it), next(it)
-                for h in range(surf.genus):
-                    a = surf.generators[2 * h]
-                    bg = surf.generators[2 * h + 1]
-                    if h == 0:
-                        kill[a] = power(letter(names[0]), p)
-                        kill[bg] = power(letter(names[0]), q)
-                    else:
-                        kill[a] = letter(names[h])
-                        kill[bg] = ()
-                inner = GroupHom(surf.alphabet(), surf.alphabet(), twist)
-                outer = GroupHom(surf.alphabet(), self.target, kill)
-                comp = inner.then(outer)
-                for g in surf.generators:
-                    res_images[g] = comp.images[g]
-        resolution = GroupHom(self.tower.alphabet(0), self.target, res_images)
-        return hom.then(resolution)
+                img[gens[0]] = power(letter(names[0]), p)
+                img[gens[1]] = power(letter(names[0]), q + p * twists[0])
+                for h in range(1, len(names)):
+                    img[gens[2 * h]] = letter(names[h])
+                    img[gens[2 * h + 1]] = power(letter(names[h]), twists[h])
+        for first, s, new in self.stage_plan:
+            b = s.block
+            if isinstance(b, (BlockA, BlockT)):
+                u = _apply(img, b.attaching[0])
+                for j, lt in enumerate(b.letters):
+                    img[lt] = reduce_word(power(u, params[first + j]))
+            else:
+                # the twist b_h -> b_h a_h^N, then the retraction; its
+                # stable letters map to 1
+                for g in new:
+                    img[g] = _apply(img, s.retraction.images[g])
+                gens = b.surface.generators
+                for h in range(b.surface.genus):
+                    a, bg = gens[2 * h], gens[2 * h + 1]
+                    img[bg] = reduce_word(img[bg] + power(img[a], params[first + h]))
+        return img
+
+    def hom(self, params: tuple[int, ...]) -> GroupHom:
+        return GroupHom(self.tower.alphabet(), self.target, self.images(params))
+
+
+def _apply(images: dict[str, Word], w: Word) -> Word:
+    """Reduced image of w under the map given by `images` on generators."""
+    out: list = []
+    for sym, sign in w:
+        out.extend(images[sym] if sign == 1 else invert(images[sym]))
+    return reduce_word(out)
+
+
+def _shell_vector(dim: int, r: int, index: int) -> tuple[int, ...]:
+    """The vector of max-norm r >= 1 with the given index in [0, shell
+    size): vectors are ranked by the first coordinate j at +-r (the j
+    before it lie in (-r, r), the rest in [-r, r]), then by its sign,
+    then by the remaining coordinates in mixed radix."""
+    inner, outer = 2 * r - 1, 2 * r + 1
+    block = 2 * outer ** (dim - 1)  # vectors whose first +-r is at j
+    j = 0
+    while index >= block:
+        index -= block
+        block = block // outer * inner
+        j += 1
+    tail = []
+    for _ in range(dim - 1 - j):
+        index, d = divmod(index, outer)
+        tail.append(d - r)
+    index, sign = divmod(index, 2)
+    head = []
+    for _ in range(j):
+        index, d = divmod(index, inner)
+        head.append(d - r + 1)
+    return tuple(head[::-1]) + ((r if sign else -r),) + tuple(tail[::-1])
 
 
 def _parameter_shells(dim: int, max_norm: int, seed: int):
-    """Integer vectors ordered by max-norm, lexicographic inside a shell,
-    then deterministically shuffled with the seed."""
+    """Integer vectors of max-norm <= max_norm, by increasing max-norm r.
+
+    Shell r is visited in a seeded permutation i -> (a i + b) mod size of
+    its index range, with gcd(a, size) = 1, and each index is unranked to
+    its vector: every vector appears exactly once, and the state is O(dim)
+    however large the shell.
+    """
+    if max_norm < 0:
+        return
+    yield (0,) * dim
+    if dim == 0:
+        return
     rng = random.Random(seed)
-    for r in range(max_norm + 1):
-        shell = [
-            v for v in itertools.product(range(-r, r + 1), repeat=dim)
-            if (max(map(abs, v)) if v else 0) == r
-        ]
-        rng.shuffle(shell)
-        for v in sorted(shell) if r == 0 else shell:
-            yield v
+    for r in range(1, max_norm + 1):
+        size = (2 * r + 1) ** dim - (2 * r - 1) ** dim
+        a = rng.randrange(1, size)
+        while math.gcd(a, size) != 1:
+            a = rng.randrange(1, size)
+        b = rng.randrange(size)
+        for i in range(size):
+            yield _shell_vector(dim, r, (a * i + b) % size)
 
 
 def find_rf_witness(
@@ -713,8 +752,8 @@ def find_rf_witness(
         attempts += 1
         if attempts > max_attempts:
             break
-        hom = family.hom(params)
-        images = [hom.apply(w) for w in W]
+        member = family.images(params)
+        images = [_apply(member, w) for w in W]
         collision = None
         seen: dict[Word, int] = {}
         for i, img in enumerate(images):
@@ -729,9 +768,10 @@ def find_rf_witness(
             seen.setdefault(img, i)
         if collision is None:
             trace.append((params, "valid"))
+            hom = GroupHom(alph, family.target, member)
             return WitnessCertificate(family.target, hom, relators, W, images, "valid",
-                                      "; ".join(family.slots), trace, seed, budget)
+                                      "; ".join(family.slots), trace, seed, budget, classes)
         trace.append((params, f"collision {format_word(W[collision[0]])} ~ "
                               f"{format_word(W[collision[1]])}"))
     return WitnessCertificate(family.target, None, relators, W, [], "failed",
-                              "; ".join(family.slots), trace, seed, budget)
+                              "; ".join(family.slots), trace, seed, budget, classes)

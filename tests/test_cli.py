@@ -196,6 +196,15 @@ def test_witness_failure_budget_limited(gamma_file):
     assert code == 3
 
 
+def test_witness_attempt_cap_on_a_hopeless_search():
+    # every member of closed2's family sends t to 1, so the search runs to
+    # its cap of 20,000 attempts without building any parameter shell
+    closed2 = Path(__file__).resolve().parent.parent / "bench" / "corpus" / "closed2.twr"
+    code, text = cli.run_command(["witness", str(closed2), "--words", "a1; t"])
+    assert code == 3
+    assert "attempts: 20000" in text.splitlines()
+
+
 def test_core(gamma_file):
     code, text = cli.run_command(["core", gamma_file, "--gens", "a; t"])
     assert code == 0

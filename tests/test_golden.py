@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from rft.cli import run_command
+from rft.cli import build_tower, parse_tower_dsl, run_command
+from rft.tower import find_rf_witness
+from rft.words import parse_word
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "bench" / "corpus"
@@ -65,6 +67,16 @@ def _render(argv: list[str]) -> str:
 def test_golden_report(case):
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert _render(CASES[case]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+def test_golden_witness_certificates_recheck(name):
+    T = build_tower(parse_tower_dsl((CORPUS / f"{name}.twr").read_text(encoding="utf-8")))
+    words = [parse_word(w, T.alphabet()) for w in TOWERS[name][1].split(";")]
+    cert = find_rf_witness(T, words, 8)
+    golden = (GOLDEN / f"{name}.witness.out").read_text(encoding="utf-8")
+    assert f"verdict: {cert.verdict}" in golden.splitlines()
+    assert cert.verdict == "failed" or cert.recheck()
 
 
 if __name__ == "__main__":

@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,9 @@ from rft.words import (
     enumerate_ball,
     format_word,
     invert,
+    letter,
     parse_word,
+    power,
     reduce_word,
 )
 
@@ -278,6 +283,122 @@ def test_witness_surface_summand():
     cert = tw.find_rf_witness(t, W, budget=6, seed=0)
     assert cert.verdict == "valid"
     assert cert.recheck()
+
+
+def test_merged_words_share_an_image_and_recheck(gamma):
+    # t commutes with [a,b], so the first two words are one element
+    al = gamma.alphabet()
+    W = [parse_word(s, al) for s in ("t [a,b]", "[a,b] t", "a")]
+    cert = tw.find_rf_witness(gamma, W, 8)
+    assert cert.verdict == "valid"
+    assert cert.classes[0] == cert.classes[1] != cert.classes[2]
+    assert cert.images[0] == cert.images[1]
+    assert cert.recheck()
+
+
+def test_recheck_rejects_forged_classes(gamma):
+    al = gamma.alphabet()
+    W = [parse_word(s, al) for s in ("t [a,b]", "[a,b] t", "a")]
+    cert = tw.find_rf_witness(gamma, W, 8)
+    # two different classes given one image
+    assert not dataclasses.replace(cert, classes=[0, 1, 2]).recheck()
+    # one class given two different images
+    assert not dataclasses.replace(cert, classes=[0, 0, 0]).recheck()
+    assert not dataclasses.replace(cert, classes=[0, 0]).recheck()
+
+
+# -- compiled witness family -------------------------------------------------
+
+def _composed_hom(family: tw._WitnessFamily, params: tuple[int, ...]) -> GroupHom:
+    """Reference member of the family: one map per stage, composed from the
+    top down, then the height-0 resolution."""
+    t = family.tower
+    it = iter(params)
+    hom = GroupHom.identity(t.alphabet())
+    for i in range(t.height, 0, -1):
+        s, b = t.stages[i], t.stages[i].block
+        prev_alph, stage_alph = t.alphabet(i - 1), t.alphabet(i)
+        if isinstance(b, (tw.BlockA, tw.BlockT)):
+            attach = reduce_word(b.attaching[0])
+            stage_map = {g: letter(g) for g in prev_alph.generators}
+            for lt in b.letters:
+                stage_map[lt] = power(attach, next(it))
+            stage_hom = GroupHom(stage_alph, prev_alph, stage_map)
+        else:
+            twist = {g: letter(g) for g in stage_alph.generators}
+            for h in range(b.surface.genus):
+                a, bg = b.surface.generators[2 * h], b.surface.generators[2 * h + 1]
+                twist[bg] = reduce_word(concat(letter(bg), power(letter(a), next(it))))
+            stage_hom = GroupHom(stage_alph, stage_alph, twist).then(s.retraction)
+        hom = hom.then(stage_hom)
+    res: dict = {}
+    for kind, v, names in family.summand_plan:
+        if kind == "free":
+            res.update((g, letter(tgt)) for g, tgt in zip(v.alphabet.generators, names))
+        elif kind == "abelian":
+            res.update((g, power(letter(names[0]), next(it))) for g in v.alphabet)
+        else:
+            surf = v.surface
+            twist = {g: letter(g) for g in surf.generators}
+            for h in range(surf.genus):
+                a, bg = surf.generators[2 * h], surf.generators[2 * h + 1]
+                twist[bg] = reduce_word(concat(letter(bg), power(letter(a), next(it))))
+            p, q = next(it), next(it)
+            kill: dict = {}
+            for h in range(surf.genus):
+                a, bg = surf.generators[2 * h], surf.generators[2 * h + 1]
+                if h == 0:
+                    kill[a], kill[bg] = power(letter(names[0]), p), power(letter(names[0]), q)
+                else:
+                    kill[a], kill[bg] = letter(names[h]), ()
+            inner = GroupHom(surf.alphabet(), surf.alphabet(), twist)
+            res.update(inner.then(GroupHom(surf.alphabet(), family.target, kill)).images)
+    return hom.then(GroupHom(t.alphabet(0), family.target, res))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.twr")))
+def test_family_images_equal_the_composed_maps(name):
+    family = tw._WitnessFamily(_corpus_tower(name))
+    rng = random.Random(0)
+    for _ in range(200):
+        params = tuple(rng.randint(-3, 3) for _ in range(family.dimension))
+        assert family.images(params) == _composed_hom(family, params).images, params
+
+
+# -- lazy parameter shells ---------------------------------------------------
+
+def _norm(v: tuple[int, ...]) -> int:
+    return max(map(abs, v), default=0)
+
+
+@pytest.mark.parametrize("max_norm", range(4))
+@pytest.mark.parametrize("dim", range(6))
+def test_parameter_shells_yield_each_vector_once(dim, max_norm):
+    seq = list(tw._parameter_shells(dim, max_norm, seed=5))
+    assert sorted(seq) == list(itertools.product(range(-max_norm, max_norm + 1), repeat=dim))
+    norms = [_norm(v) for v in seq]
+    assert norms == sorted(norms)
+
+
+def test_parameter_shells_are_seeded():
+    def first(seed):
+        return list(itertools.islice(tw._parameter_shells(4, 3, seed), 500))
+    assert first(1) == first(1)
+    assert first(1) != first(2)
+
+
+# At a parent that sorted whole shells, shell 1 here alone holds 3^12 - 1
+# vectors, so the test runs only where shells are unranked lazily.
+@pytest.mark.skipif(not hasattr(tw, "_shell_vector"), reason="shells are materialized")
+def test_parameter_shells_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        norms = [_norm(v) for v in itertools.islice(tw._parameter_shells(12, 8, 0), 1000)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(norms) == 1000 and max(norms) == 1
+    assert peak < 1 << 20
 
 
 # -- limit-group style properties -------------------------------------------
