@@ -6,10 +6,13 @@ generators (a Stallings-style automaton).  Over a free base this is
 exact; over a tower the graph is additionally folded by word-problem
 verified coset identifications and the stabilization criterion is
 explicitly heuristic.
+
+`CoverGraph` reduces and checks the subgroup generators it is given.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -87,32 +90,26 @@ class CoverGraph:
 
     # -- tower-regime identification --------------------------------------
 
+    @functools.cached_property
     def _membership_candidates(self) -> list[Word]:
-        """Short elements of the subgroup used to verify identifications."""
-        out = [()]
-        gens = [g for g in self.subgens] + [invert(g) for g in self.subgens]
-        out += gens
-        for a, b in itertools.product(gens, repeat=2):
-            out.append(reduce_word(concat(a, b)))
-        seen = set()
-        uniq = []
-        for h in out:
-            if h not in seen:
-                seen.add(h)
-                uniq.append(h)
-        return uniq
+        """Short elements of the subgroup used to verify identifications,
+        built once per cover, when the first vertex pair is tested: the
+        subgenerators never change."""
+        gens = self.subgens + [invert(g) for g in self.subgens]
+        products = [reduce_word(concat(a, b)) for a, b in itertools.product(gens, repeat=2)]
+        return list(dict.fromkeys([(), *gens, *products]))
 
     def _identify_round(self) -> int:
         """One round: merge vertex pairs whose connecting word provably
         lies in the subgroup, then fold; returns the number of vertices
         the round removed (0 when no pair merged)."""
-        cands = self._membership_candidates()
         merged_pairs: list[tuple[int, int]] = []
         verts = sorted(self.path_words)
         for i, u in enumerate(verts):
             for v in verts[i + 1:]:
                 c = reduce_word(concat(self.path_words[u], invert(self.path_words[v])))
-                if any(self._wp(concat(c, invert(h))) == TRIVIAL for h in cands):
+                if any(self._wp(concat(c, invert(h))) == TRIVIAL
+                       for h in self._membership_candidates):
                     merged_pairs.append((u, v))
         if not merged_pairs:
             return 0
@@ -175,8 +172,10 @@ def extract_core(C: CoverGraph, required: Optional[set] = None) -> CoreReport:
     """Finite subgraph carrying the subgroup: the union of the generator
     loops (plus any required cells), connected along BFS tree paths.
 
-    Stabilization evidence: two further identification rounds change
-    nothing.  Exact over a free base; explicitly heuristic otherwise.
+    Stabilization evidence: no further identification round changes
+    anything.  A cover whose own rounds ended quiet needs none; otherwise
+    at most one more round runs, and a quiet round stands for every later
+    one.  Exact over a free base; explicitly heuristic otherwise.
     """
     required = set(required or ())
     loops: list[LoopExpression] = []

@@ -3,7 +3,7 @@
 Given a group L split over a single edge, a strict quotient of that
 splitting, and the target tower of the quotient, build the tower with
 one more block and the map j: L -> tower, then certify injectivity of j
-on finite balls.
+on finite balls.  `maximal_abelian_containing` reduces and checks w.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .tower import (
     RefutedError,
     Tower,
     attach_block,
+    noncommuting_pair,
     require_homomorphism,
 )
 from .words import (
@@ -30,7 +31,6 @@ from .words import (
     SurfacePresentation,
     Word,
     abelianize,
-    commutator,
     concat,
     cyclic_reduce,
     enumerate_ball,
@@ -138,13 +138,10 @@ def maximal_abelian_containing(tower: Tower, w: Word, budget: int = 8) -> Abelia
         root = pp[0] if pp else core
         gen = reduce_word(concat(conj, root, invert(conj)))
         return AbelianLocus((gen,), "verified", "free locus: cyclic on the root")
-    for rec in tower.lattice_records():
-        if rec.superseded:
-            continue
-        if all(tower.word_problem(commutator(w, g), budget) == TRIVIAL
-               for g in rec.generators):
-            return AbelianLocus(tuple(rec.generators), "verified",
-                                "centralized by a recorded torus lattice")
+    rec = tower.centralizing_lattice(w, budget)
+    if rec is not None:
+        return AbelianLocus(tuple(rec.generators), "verified",
+                            "centralized by a recorded torus lattice")
     return AbelianLocus((w,), "budget-limited",
                         "composite locus: cyclic candidate, maximality unresolved")
 
@@ -296,10 +293,7 @@ def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
     elif edge.rank == 1:
         e_img = nu.apply(edge.left[1][0])
         locus = maximal_abelian_containing(gp, e_img, budget)
-        maximal = (locus.status == "verified"
-                   and len(locus.generators) == 1
-                   and reduce_word(locus.generators[0]) == reduce_word(e_img))
-        if maximal:
+        if locus.status == "verified" and locus.generators == (e_img,):
             out.append(BulletVerdict("edge-injective-maximal", "verified",
                                      detail="image generates its own maximal "
                                             "abelian subgroup"))
@@ -320,20 +314,11 @@ def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
     # QH image nonabelian
     if S.kind == QH:
         gens = S.surface.generators
-        pair = None
-        all_commute = True
-        for x, y in itertools.combinations(gens, 2):
-            c = commutator(nu.apply(letter(x)), nu.apply(letter(y)))
-            v = gp.word_problem(c, budget)
-            if v == NONTRIVIAL:
-                pair = (x, y)
-                break
-            if v != TRIVIAL:
-                all_commute = False
-        if pair:
+        holds, pair = noncommuting_pair(gp, nu, gens, budget)
+        if holds:
             out.append(BulletVerdict("qh-nonabelian", "verified",
                                      detail=f"witness pair {pair[0]}, {pair[1]}"))
-        elif all_commute:
+        elif holds is False:
             out.append(BulletVerdict("qh-nonabelian", "refuted",
                                      witness=f"[{gens[0]}, {gens[1]}] maps to a "
                                              f"trivial commutator"))

@@ -298,12 +298,11 @@ def _edge_generators_at_g(C: ColoredCore, T: Tower) -> list[Word]:
             V = graph.vertices[vlab]
             if not set(V.alphabet.generators) <= set(prev_alph.generators):
                 continue  # edge generators are read on the previous-stage side
-            for img in images:
-                w = reduce_word(img)
-                if w and w not in gens:
-                    gens.append(w)
+            for img in images:  # nontrivial and reduced where the graph was built
+                if img not in gens:
+                    gens.append(img)
                 for c in prev_alph.generators:
-                    cw = reduce_word(concat(letter(c), w, invert(letter(c))))
+                    cw = reduce_word(concat(letter(c), img, invert(letter(c))))
                     if cw not in gens:
                         gens.append(cw)
     return gens
@@ -379,14 +378,7 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
                 "hypothesis-2", "refuted",
                 witness=f"proper power ({format_word(pp[0])})^{pp[1]}"))
         else:
-            conflict = None
-            prev_flats = [rec for rec in T.lattice_records()
-                          if not rec.superseded and rec.stage < T.height]
-            for rec in prev_flats:
-                if all(T.word_problem(commutator(attach, g), power_budget) == TRIVIAL
-                       for g in rec.generators):
-                    conflict = rec
-                    break
+            conflict = T.centralizing_lattice(attach, power_budget, below=T.height)
             recorded = [ob for ob in T.stages[-1].obligations
                         if ob.name == "attach-maximal"]
             exact = all(ob.status == "verified" for ob in recorded) if recorded else False

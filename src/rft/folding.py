@@ -4,6 +4,8 @@ and membership expressions read off generator labels.
 `petal` and `fold` are the one folding engine; `rft.core` builds its
 cover graphs with them as well.  Labels follow Kapovich-Myasnikov,
 *Stallings foldings and subgroups of free groups* (2002).
+`SubgroupGraph` reduces its subgenerators, and `express` and `walk` the
+word they read.
 """
 
 from __future__ import annotations

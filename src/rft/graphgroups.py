@@ -4,6 +4,12 @@ Fundamental-group presentations, Britton/amalgam normal forms, and
 edge-subgroup membership.  Verdicts are three-valued: Trivial and
 Nontrivial are proofs, Unknown records a budget-limited membership
 subcall and is never silently upgraded.
+
+`word_problem` reduces and checks its word through `normal_form`, and
+`VertexGroup.normalize` reduces the syllables the reduction builds.
+`VertexGroup.triviality`, `subgroup_membership` and `_reduce_items`
+take their words as given; unreduced words get the same answers, only
+more slowly.
 """
 
 from __future__ import annotations
@@ -87,16 +93,9 @@ class VertexGroup:
         return self.relators
 
     def triviality(self, w: Word, budget: int) -> str:
-        w = reduce_word(w, self.alphabet)
-        if self.kind == "free":
-            return TRIVIAL if not w else NONTRIVIAL
-        if self.kind == "abelian":
-            return TRIVIAL if not any(abelianize(w, self.alphabet)) else NONTRIVIAL
-        if self.kind == "surface":
-            if self.surface.closed:
-                return TRIVIAL if not dehn_reduce(self.surface, w) else NONTRIVIAL
-            return TRIVIAL if not w else NONTRIVIAL
-        return self.strategy(w, budget)
+        if self.kind == "composite":
+            return self.strategy(w, budget)
+        return NONTRIVIAL if self.normalize(w) else TRIVIAL
 
     def normalize(self, w: Word) -> Word:
         if self.kind == "abelian":
@@ -160,8 +159,7 @@ class Presentation:
 
     def __post_init__(self):
         for r in self.relators:
-            self.alphabet.check(r)
-            if not reduce_word(r):
+            if not reduce_word(r, self.alphabet):
                 raise GraphError("relators must be nontrivial")
 
     def relator_columns(self) -> list[tuple[int, ...]]:
@@ -229,8 +227,7 @@ class GraphOfGroups:
                     raise GraphError(f"edge {e.label!r}: unknown vertex {vlab!r}")
                 V = self.vertices[vlab]
                 for img in images:
-                    V.alphabet.check(img)
-                    if not reduce_word(img):
+                    if not reduce_word(img, V.alphabet):
                         raise GraphError(
                             f"edge {e.label!r}: trivial monomorphism image at {vlab!r}"
                         )
@@ -386,56 +383,44 @@ def subgroup_membership(
     integer lattice solve.  Surface (closed) and composite vertices:
     exact when the abelianization pins the candidate exponents down,
     otherwise a budgeted cyclic power search; unknown past the budget.
+    Takes w and subgens as given.
     """
-    w = reduce_word(w, V.alphabet)
-    subgens = [reduce_word(g, V.alphabet) for g in subgens]
-    if not subgens or all(not g for g in subgens):
-        verdict = V.triviality(w, budget)
-        if verdict == TRIVIAL:
-            return MembershipResult(MEMBER, [])
-        if verdict == NONTRIVIAL:
+    expr: Expression = []
+    if any(subgens):
+        if V.kind == "free":
+            expr = _subgroup_graph(V.alphabet, tuple(subgens)).express(w)
+            return MembershipResult(NONMEMBER if expr is None else MEMBER, expr)
+        if V.kind == "abelian":
+            cols = [abelianize(g, V.alphabet) for g in subgens]
+            sol = solve_int_linear(cols, abelianize(w, V.alphabet))
+            if sol is None:
+                return MembershipResult(NONMEMBER)
+            return MembershipResult(MEMBER, [(i, k) for i, k in enumerate(sol) if k])
+        # surface (closed) and composite vertices share the quotient logic
+        status, coeffs = _quotient_coefficients(V.alphabet, V.all_relators(), subgens, w)
+        if status == "nonmember":
             return MembershipResult(NONMEMBER)
-        return MembershipResult(UNKNOWN)
-
-    if V.kind == "free":
-        expr = _subgroup_graph(V.alphabet, tuple(subgens)).express(w)
-        return MembershipResult(NONMEMBER if expr is None else MEMBER, expr)
-
-    if V.kind == "abelian":
-        cols = [abelianize(g, V.alphabet) for g in subgens]
-        sol = solve_int_linear(cols, abelianize(w, V.alphabet))
-        if sol is None:
-            return MembershipResult(NONMEMBER)
-        return MembershipResult(MEMBER, [(i, k) for i, k in enumerate(sol) if k])
-
-    # surface (closed) and composite vertices share the quotient logic
-    relators = V.all_relators()
-    status, coeffs = _quotient_coefficients(V.alphabet, relators, subgens, w)
-    if status == "nonmember":
-        return MembershipResult(NONMEMBER)
-    if status == "candidate":
+        if status == "indeterminate":
+            # budgeted exponent search.  Products g1^k1 ... gn^kn cover the
+            # subgroup when the generators commute (edge groups are
+            # free-abelian); bounded |ki| <= budget, small first.
+            if len(subgens) <= 3:
+                tuples = sorted(
+                    itertools.product(range(-budget, budget + 1), repeat=len(subgens)),
+                    key=lambda ks: (max(map(abs, ks)), ks),
+                )
+                for ks in tuples:
+                    cand = concat(*(power(g, k) for g, k in zip(subgens, ks)))
+                    if V.triviality(reduce_word(concat(w, invert(cand))), budget) == TRIVIAL:
+                        return MembershipResult(MEMBER, [(i, k) for i, k in enumerate(ks) if k])
+            return MembershipResult(UNKNOWN)
+        # the unique candidate: w is a member exactly when w / candidate is trivial
         expr = [(i, k) for i, k in enumerate(coeffs) if k]
-        candidate = _expression_word(tuple(subgens), expr)
-        verdict = V.triviality(concat(w, invert(candidate)), budget)
-        if verdict == TRIVIAL:
-            return MembershipResult(MEMBER, expr)
-        if verdict == NONTRIVIAL:
-            return MembershipResult(NONMEMBER)
-        return MembershipResult(UNKNOWN)
-
-    # indeterminate abelianization; budgeted exponent search.  Products
-    # g1^k1 ... gn^kn cover the subgroup when the generators commute
-    # (edge groups are free-abelian); bounded |ki| <= budget, small first.
-    if len(subgens) <= 3:
-        tuples = sorted(
-            itertools.product(range(-budget, budget + 1), repeat=len(subgens)),
-            key=lambda ks: (max(map(abs, ks)), ks),
-        )
-        for ks in tuples:
-            cand = concat(*(power(g, k) for g, k in zip(subgens, ks)))
-            if V.triviality(concat(w, invert(cand)), budget) == TRIVIAL:
-                return MembershipResult(MEMBER, [(i, k) for i, k in enumerate(ks) if k])
-    return MembershipResult(UNKNOWN)
+        w = reduce_word(concat(w, invert(_expression_word(tuple(subgens), expr))))
+    verdict = V.triviality(w, budget)
+    if verdict == TRIVIAL:
+        return MembershipResult(MEMBER, expr)
+    return MembershipResult(NONMEMBER if verdict == NONTRIVIAL else UNKNOWN)
 
 
 # ---------------------------------------------------------------------------
@@ -573,17 +558,19 @@ def _reduce_items(G: GraphOfGroups, items: list, budget: int):
 
 
 def normal_form(G: GraphOfGroups, w: Word, budget: int = 8) -> NormalForm:
-    """Britton/amalgam reduction of a word over the fundamental presentation."""
+    """Britton/amalgam reduction of a word over the fundamental
+    presentation; reduces and checks w first."""
     w = reduce_word(w, G.presentation().alphabet)
     items, definite = _reduce_items(G, G.decompose(w), budget)
     return NormalForm(items, TRIVIAL if not items else NONTRIVIAL if definite else UNKNOWN)
 
 
 # Verdicts decided during the current top-level word problem, keyed by
-# (graph, reduced word, budget); graphs hash by identity.  A tower word
-# problem re-enters lower stages through composite vertices and asks the
-# same subproblems many times over.  The memo lives only as long as the
-# outermost call, so no verdict state outlives it.
+# (graph, word as given, budget); graphs hash by identity, and the engine
+# passes reduced words.  A tower word problem re-enters lower stages
+# through composite vertices and asks the same subproblems many times
+# over.  The memo lives only as long as the outermost call, so no verdict
+# state outlives it.
 _verdicts: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
     "rft_verdicts", default=None)
 
@@ -598,13 +585,12 @@ def word_problem(G: GraphOfGroups, w: Word, budget: int = 8) -> str:
         memo = {}
         token = _verdicts.set(memo)
     try:
-        pres = G.presentation()
-        w = reduce_word(w, pres.alphabet)
         key = (G, w, budget)
         verdict = memo.get(key)
         if verdict is None:
             verdict = normal_form(G, w, budget).verdict
             if verdict == TRIVIAL:
+                pres = G.presentation()
                 vec = abelianize(w, pres.alphabet)
                 if any(vec) and solve_int_linear(pres.relator_columns(), vec) is None:
                     raise InconsistencyError(

@@ -4,6 +4,10 @@ A tower keeps, per stage, a presentation, the one-edge splitting used by
 the word problem, the retraction to the previous stage, and an
 obligation ledger for every validity check that could not be settled
 exactly.
+
+`Tower.word_problem`, `attach_block` and `find_rf_witness` reduce and
+check the words they are given; `Tower._wp_at` and the stage strategies
+that composite vertices call take their words as given.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .words import (
     SurfacePresentation,
     Word,
     abelianize,
+    apply_map,
     commutator,
     concat,
     format_word,
@@ -159,6 +164,22 @@ def require_homomorphism(obligations: list[Obligation], name: str, hom: GroupHom
                 f"{name} is not a homomorphism: relator {fr} maps to a nontrivial word")
 
 
+def noncommuting_pair(target: Tower, hom: GroupHom, gens, budget: int):
+    """Search generator pairs for images under `hom` with a Nontrivial
+    commutator in `target`.  Returns (True, pair) at the first such pair,
+    (False, None) when every pair's commutator is Trivial, and (None,
+    None) otherwise."""
+    holds = False
+    for x, y in itertools.combinations(gens, 2):
+        c = commutator(hom.apply(letter(x)), hom.apply(letter(y)))
+        verdict = target.word_problem(c, budget)
+        if verdict == NONTRIVIAL:
+            return True, (x, y)
+        if verdict == UNKNOWN:
+            holds = None
+    return holds, None
+
+
 @dataclass
 class LatticeRecord:
     """A rank >= 2 free-abelian lattice created during construction."""
@@ -271,16 +292,28 @@ class Tower:
                         r.superseded = True
         return records
 
+    def centralizing_lattice(self, w: Word, budget: int,
+                             below: Optional[int] = None) -> Optional[LatticeRecord]:
+        """The first non-superseded torus lattice, of a stage below `below`
+        when given, whose generators all provably commute with w."""
+        for rec in self.lattice_records():
+            if rec.superseded or (below is not None and rec.stage >= below):
+                continue
+            if all(self.word_problem(commutator(w, g), budget) == TRIVIAL
+                   for g in rec.generators):
+                return rec
+        return None
+
     # -- word problem ------------------------------------------------------
 
     def word_problem(self, w: Word, budget: int = 8) -> str:
-        return self._wp_at(self.height, w, budget)
+        return self._wp_at(self.height, reduce_word(w, self.alphabet()), budget)
 
     def _wp_at(self, stage: int, w: Word, budget: int) -> str:
-        w = reduce_word(w, self.alphabet(stage))
         if not w:
             return TRIVIAL
-        # fast path: a nontrivial retraction image at the base is a proof
+        # fast path: a nontrivial retraction image at the base is a proof;
+        # the retractions reduce the image they build
         if stage > 0:
             img = self._retract_to_base(stage, w)
             if self._wp_at(0, img, budget) == NONTRIVIAL:
@@ -472,15 +505,10 @@ def _attach_q(tower: Tower, block: BlockQ, budget: int, assume: bool) -> Tower:
 
     # nonabelian image: some pair of surface generators has noncommuting
     # images; refuted only when every pair provably commutes
-    holds, detail = False, "every surface generator pair has commuting images"
-    for x, y in itertools.combinations(surf.generators, 2):
-        c = commutator(retraction.apply(letter(x)), retraction.apply(letter(y)))
-        verdict = tower.word_problem(c, budget)
-        if verdict == NONTRIVIAL:
-            holds, detail = True, f"witness pair {x}, {y}"
-            break
-        if verdict == UNKNOWN:
-            holds, detail = None, "no surface generator pair with noncommuting images found"
+    holds, pair = noncommuting_pair(tower, retraction, surf.generators, budget)
+    detail = (f"witness pair {pair[0]}, {pair[1]}" if holds
+              else "every surface generator pair has commuting images" if holds is False
+              else "no surface generator pair with noncommuting images found")
     require(obligations, "retraction-nonabelian", holds, detail, assume)
 
     stage = Stage(new_pres, graph, retraction, block, obligations)
@@ -646,14 +674,14 @@ class _WitnessFamily:
         for first, s, new in self.stage_plan:
             b = s.block
             if isinstance(b, (BlockA, BlockT)):
-                u = _apply(img, b.attaching[0])
+                u = apply_map(img, b.attaching[0])
                 for j, lt in enumerate(b.letters):
                     img[lt] = reduce_word(power(u, params[first + j]))
             else:
                 # the twist b_h -> b_h a_h^N, then the retraction; its
                 # stable letters map to 1
                 for g in new:
-                    img[g] = _apply(img, s.retraction.images[g])
+                    img[g] = apply_map(img, s.retraction.images[g])
                 gens = b.surface.generators
                 for h in range(b.surface.genus):
                     a, bg = gens[2 * h], gens[2 * h + 1]
@@ -662,14 +690,6 @@ class _WitnessFamily:
 
     def hom(self, params: tuple[int, ...]) -> GroupHom:
         return GroupHom(self.tower.alphabet(), self.target, self.images(params))
-
-
-def _apply(images: dict[str, Word], w: Word) -> Word:
-    """Reduced image of w under the map given by `images` on generators."""
-    out: list = []
-    for sym, sign in w:
-        out.extend(images[sym] if sign == 1 else invert(images[sym]))
-    return reduce_word(out)
 
 
 def _shell_vector(dim: int, r: int, index: int) -> tuple[int, ...]:
@@ -753,7 +773,7 @@ def find_rf_witness(
         if attempts > max_attempts:
             break
         member = family.images(params)
-        images = [_apply(member, w) for w in W]
+        images = [apply_map(member, w) for w in W]
         collision = None
         seen: dict[Word, int] = {}
         for i, img in enumerate(images):

@@ -4,6 +4,12 @@ Words are tuples of signed letters over a declared alphabet.  Everything
 here is pure and total: reduction, cyclic reduction, proper-power
 detection, homomorphism application, abelianization, ball enumeration,
 and Dehn's algorithm for closed hyperbolic surface groups.
+
+Free reduction happens once per word: where a word enters the engine,
+or where the engine builds it.  Here `reduce_word`, `cyclic_reduce` and
+`dehn_reduce` reduce their input; `apply_map` and `GroupHom.apply`
+reduce the image they build; `concat`, `invert`, `power` and
+`commutator` do not reduce.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ __all__ = [
     "Word",
     "GroupHom",
     "SurfacePresentation",
+    "apply_map",
     "EMPTY",
     "letter",
     "concat",
@@ -236,13 +243,7 @@ class GroupHom:
         return GroupHom(alph, alph, {g: letter(g) for g in alph.generators})
 
     def apply(self, w: Word) -> Word:
-        out: list[Letter] = []
-        for sym, sign in w:
-            if sym not in self.source:
-                raise AlphabetError(f"undeclared symbol: {sym!r}")
-            img = self.images[sym] if sign == 1 else invert(self.images[sym])
-            out.extend(img)
-        return reduce_word(tuple(out))
+        return apply_map(self.images, w)
 
     def then(self, other: "GroupHom") -> "GroupHom":
         """Composition: first self, then other."""
@@ -251,6 +252,17 @@ class GroupHom:
             other.target,
             {g: other.apply(self.images[g]) for g in self.source.generators},
         )
+
+
+def apply_map(images: dict[str, Word], w: Word) -> Word:
+    """Reduced image of w under the map given on generators by `images`."""
+    out: list[Letter] = []
+    for sym, sign in w:
+        img = images.get(sym)
+        if img is None:
+            raise AlphabetError(f"undeclared symbol: {sym!r}")
+        out.extend(img if sign == 1 else invert(img))
+    return reduce_word(out)
 
 
 def commutator(u: Word, v: Word) -> Word:

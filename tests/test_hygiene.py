@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no private module-level function or class is left unreferenced.
+no private module-level function or class is left unreferenced, and only
+the listed entry points reduce a word they were given.
 
 Stdlib `ast` only.  A name counts as used when it is read anywhere in
 the module; names listed in the module's `__all__` are re-exports and
@@ -78,3 +79,86 @@ def test_one_function_assumes_obligations():
     # the obligation policy lives in tower.require alone
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     assert assumed_literals(trees) == ["tower.require"]
+
+
+# Where a word enters the engine, or the normal form that reduces the
+# words the engine builds: the only functions that may reduce a word they
+# were given.  Everything else takes its words as given.
+REDUCING_ENTRY_POINTS = {
+    "words.cyclic_reduce",
+    "words.dehn_reduce",
+    "folding.walk",
+    "folding.SubgroupGraph.__init__",
+    "folding.SubgroupGraph.express",
+    "graphgroups.VertexGroup.normalize",
+    "graphgroups.normal_form",
+    "tower.Tower.word_problem",
+    "tower._attach_q",
+    "tower._attach_t",
+    "tower.find_rf_witness",
+    "core.CoverGraph.__init__",
+    "embed.maximal_abelian_containing",
+}
+
+
+def _root_name(node: ast.AST):
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _own_nodes(func: ast.AST):
+    """The nodes of a function body, not descending into nested functions."""
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _functions(tree: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every function, methods as Class.method."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from _functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.")
+
+
+def _calls_reduce_word(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and bool(node.args)
+            and "reduce_word" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def parameter_reductions(trees: dict[str, ast.Module]) -> list[str]:
+    """Functions that pass one of their own parameters to `reduce_word`,
+    directly or as the variable of a loop or comprehension over it (or
+    over an attribute or item of it).  `self` and `cls` do not count."""
+    found = set()
+    for module, tree in trees.items():
+        for name, func in _functions(tree):
+            args = func.args
+            given = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            given -= {"self", "cls"}
+            loops = [n for n in _own_nodes(func) if isinstance(n, (ast.For, ast.comprehension))]
+            grown = True
+            while grown:
+                grown = False
+                for loop in loops:
+                    if _root_name(loop.iter) in given:
+                        for target in ast.walk(loop.target):
+                            if isinstance(target, ast.Name) and target.id not in given:
+                                given.add(target.id)
+                                grown = True
+            if any(_calls_reduce_word(node) and _root_name(node.args[0]) in given
+                   for node in _own_nodes(func)):
+                found.add(f"{module}.{name}")
+    return sorted(found)
+
+
+def test_words_are_reduced_once_at_the_entry_points():
+    # the entry points reduce, and nothing else reduces a word it was given
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert parameter_reductions(trees) == sorted(REDUCING_ENTRY_POINTS)
