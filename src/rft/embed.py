@@ -342,15 +342,15 @@ def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
     unknown = False
     for u, v in itertools.combinations(ball, 2):
         d = reduce_word(concat(u, invert(v)))
-        lv = gg.word_problem(S.L, d, budget)
-        if lv != NONTRIVIAL:
-            continue
+        # a Nontrivial image settles the pair whatever L says, so L is
+        # asked only about the pairs that could refute or demote the bullet
         tv = gp.word_problem(nu.apply(d), budget)
+        if tv == NONTRIVIAL or gg.word_problem(S.L, d, budget) != NONTRIVIAL:
+            continue
         if tv == TRIVIAL:
             refuted = format_word(d)
             break
-        if tv == UNKNOWN:
-            unknown = True
+        unknown = True
     if refuted:
         out.append(BulletVerdict("envelope-injective", "refuted", witness=refuted))
     elif unknown or cent_status != "verified":
@@ -397,18 +397,29 @@ def certify_injectivity_on_ball(R: EmbeddingResult,
                                 radius: int, budget: int = 8) -> BallCertificate:
     """For every source-nontrivial ball element w, certify that j(w) is
     nontrivial in the tower; any Unknown demotes the certificate to
-    partial, any Trivial image refutes it."""
+    partial, any Trivial image refutes it.
+
+    The tower is asked first.  When every `j-homomorphism` obligation is
+    verified (vacuously so when L has no relators), j is a homomorphism,
+    so a Nontrivial j(w) proves w nontrivial and L is not asked.  In every
+    other case, an assumed j included, L's word problem decides whether w
+    belongs to the certificate."""
     from .tower import find_rf_witness
 
     alph = R.j.source
+    j_proved = all(ob.status == "verified" for ob in R.obligations
+                   if ob.name == "j-homomorphism")
     entries: list[BallEvidence] = []
     status = "full"
     for w in enumerate_ball(alph, radius):
-        sv = L_word_problem(w, budget)
-        if sv != NONTRIVIAL:
-            continue
         img = R.j.apply(w)
         iv = R.gamma.word_problem(img, budget)
+        if j_proved and iv == NONTRIVIAL:
+            sv = NONTRIVIAL
+        else:
+            sv = L_word_problem(w, budget)
+            if sv != NONTRIVIAL:
+                continue
         method = "direct"
         if iv == UNKNOWN:
             cert = find_rf_witness(R.gamma, [img], budget, seed=0)

@@ -7,9 +7,9 @@ subcall and is never silently upgraded.
 
 `word_problem` reduces and checks its word through `normal_form`, and
 `VertexGroup.normalize` reduces the syllables the reduction builds.
-`VertexGroup.triviality`, `subgroup_membership` and `_reduce_items`
-take their words as given; unreduced words get the same answers, only
-more slowly.
+`VertexGroup.triviality` and `subgroup_membership` take their words as
+given; unreduced words get the same answers, only more slowly.
+`_reduce_items` takes the decomposition of a reduced word.
 """
 
 from __future__ import annotations
@@ -485,10 +485,13 @@ def _segment_membership(
 
 
 def _reduce_items(G: GraphOfGroups, items: list, budget: int):
-    """Britton/amalgam reduction of decomposed items in one left-to-right pass.
+    """Britton/amalgam reduction of a reduced word's decomposition in one
+    left-to-right pass.
 
     Items move from the input onto a stack.  A syllable merges into a
-    same-vertex top syllable, is normalized once and dropped when trivial.
+    same-vertex top syllable, is normalized once (an input syllable that
+    merged with nothing, at a free or composite vertex, is already normal)
+    and dropped when trivial.
     Across a rank >= 1 tree edge the incoming syllable, and the top one the
     first time it gains a syllable neighbour, are asked their edge
     membership; a member is rewritten at the other end and pushed back onto
@@ -501,8 +504,11 @@ def _reduce_items(G: GraphOfGroups, items: list, budget: int):
     amalgam = _amalgam_edge(G)
     stack: list[_Entry] = []
     todo = items[::-1]
+    fresh = len(todo)  # todo[:fresh] are input items not yet taken
     while todo:
         kind, name, value = todo.pop()
+        straight = len(todo) < fresh
+        fresh = min(fresh, len(todo))
         top = stack[-1] if stack else None
         if kind == "stable":
             if top is not None and top.kind == "stable" and (top.name, top.value) == (name, -value):
@@ -531,8 +537,11 @@ def _reduce_items(G: GraphOfGroups, items: list, budget: int):
             stack.pop()
             value = concat(top.value, value)
             top = stack[-1] if stack else None
+            straight = False
         V = G.vertices[name]
-        word = V.normalize(value)
+        # at free and composite vertices normalize is free reduction, which
+        # leaves an input syllable of a reduced word unchanged
+        word = value if straight and V.kind in ("free", "composite") else V.normalize(value)
         # a normalized word is empty exactly when trivial, except at
         # composite vertices, whose strategy decides
         verdict = V.triviality(word, budget) if word and V.kind == "composite" else None

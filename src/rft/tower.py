@@ -310,13 +310,20 @@ class Tower:
         return self._wp_at(self.height, reduce_word(w, self.alphabet()), budget)
 
     def _wp_at(self, stage: int, w: Word, budget: int) -> str:
+        """Triviality of w in the given stage.
+
+        Above stage 0 the retraction image in the base is asked first: the
+        retraction is a homomorphism, so a nontrivial image proves w
+        nontrivial.  The retractions reduce the image they build, so on a
+        relator-free (free) base a nonempty image is that proof already and
+        no base word problem runs.  Every other case goes to the stage's
+        Britton/amalgam word problem."""
         if not w:
             return TRIVIAL
-        # fast path: a nontrivial retraction image at the base is a proof;
-        # the retractions reduce the image they build
         if stage > 0:
             img = self._retract_to_base(stage, w)
-            if self._wp_at(0, img, budget) == NONTRIVIAL:
+            if img and (not self.stages[0].presentation.relators
+                        or self._wp_at(0, img, budget) == NONTRIVIAL):
                 return NONTRIVIAL
         return gg.word_problem(self.stages[stage].graph, w, budget)
 

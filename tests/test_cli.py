@@ -127,18 +127,19 @@ def test_wp_exit_codes_match_verdicts(gamma_file):
 
 def test_inconsistent_trivial_verdict_is_an_error(gamma_file, monkeypatch):
     # a normal form that wrongly answers Trivial trips the abelianization
-    # cross-check, which the CLI reports as an error, not a traceback
+    # cross-check, which the CLI reports as an error, not a traceback; t
+    # retracts to the empty word, so its word problem reaches normal_form
     real = graphgroups.normal_form
 
-    def wrong_for_a(G, w, budget=8):
-        if w == (("a", 1),):
+    def wrong_for_t(G, w, budget=8):
+        if w == (("t", 1),):
             return graphgroups.NormalForm([], graphgroups.TRIVIAL)
         return real(G, w, budget)
 
-    monkeypatch.setattr(graphgroups, "normal_form", wrong_for_a)
+    monkeypatch.setattr(graphgroups, "normal_form", wrong_for_t)
     # a failed cross-check is never remembered: asking again raises again
     for _ in range(2):
-        code, text = cli.run_command(["wp", gamma_file, "--word", "a"])
+        code, text = cli.run_command(["wp", gamma_file, "--word", "t"])
         assert code == 1
         assert text.startswith("error: internal inconsistency")
 

@@ -1,12 +1,18 @@
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from rft import embed as em
+from rft import graphgroups
 from rft import tower as tw
+from rft.cli import build_tower, parse_splitting, parse_tower_dsl
 from rft.graphgroups import (
     EdgeGroup,
     GraphOfGroups,
     NONTRIVIAL,
     TRIVIAL,
+    UNKNOWN,
     abelian_vertex,
     free_vertex,
     word_problem,
@@ -15,6 +21,7 @@ from rft.words import (
     GroupHom,
     SurfacePresentation,
     alphabet,
+    enumerate_ball,
     format_word,
     parse_word,
     reduce_word,
@@ -214,3 +221,142 @@ def test_validate_monotone_in_budget():
     for name, status in low.items():
         if status in ("verified", "refuted"):
             assert high[name] == status
+
+
+# -- tower-first ball certificates and envelope checks ------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+SPLITTINGS = ("double", "hnn", "abelian", "qh")
+
+
+def _corpus_embedding(name):
+    f2 = build_tower(parse_tower_dsl((CORPUS / "f2.twr").read_text()))
+    S, D = parse_splitting((CORPUS / f"{name}.spl").read_text(), f2)
+    return S, D, em.embed_step(S, D)
+
+
+def _counting_L(S):
+    calls = []
+
+    def L_wp(w, b):
+        calls.append(w)
+        return word_problem(S.L, w, b)
+    return L_wp, calls
+
+
+def _l_first_certificate(R, L_word_problem, radius, budget=8):
+    """The certificate as built before the tower was asked first: L decides
+    every ball element, and only source-nontrivial ones reach the tower."""
+    entries, status = [], "full"
+    for w in enumerate_ball(R.j.source, radius):
+        sv = L_word_problem(w, budget)
+        if sv != NONTRIVIAL:
+            continue
+        img = R.j.apply(w)
+        iv = R.gamma.word_problem(img, budget)
+        method = "direct"
+        if iv == UNKNOWN:
+            cert = tw.find_rf_witness(R.gamma, [img], budget, seed=0)
+            if cert.verdict == "valid" and cert.images and cert.images[0]:
+                iv, method = NONTRIVIAL, "witness"
+            else:
+                method = "none"
+        entries.append(em.BallEvidence(w, sv, img, iv, method))
+        if iv == TRIVIAL:
+            status = "refuted"
+        elif iv == UNKNOWN and status != "refuted":
+            status = "partial"
+    return em.BallCertificate(radius, status, entries)
+
+
+@pytest.mark.parametrize("name", SPLITTINGS)
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_tower_first_certificate_equals_l_first(name, radius):
+    S, D, R = _corpus_embedding(name)
+    L_wp = lambda w, b: word_problem(S.L, w, b)
+    cert = em.certify_injectivity_on_ball(R, L_wp, radius)
+    assert cert == _l_first_certificate(R, L_wp, radius)
+    assert cert.entries and cert.status == "full"
+
+
+def test_assumed_j_asks_l_about_every_ball_element():
+    S, D, R = _corpus_embedding("qh")
+    obligations = [dataclasses.replace(ob, status="assumed")
+                   if ob.name == "j-homomorphism" else ob for ob in R.obligations]
+    R_assumed = dataclasses.replace(R, obligations=obligations)
+    L_wp, calls = _counting_L(S)
+    cert = em.certify_injectivity_on_ball(R_assumed, L_wp, 2)
+    assert calls == enumerate_ball(R.j.source, 2)
+    assert cert == em.certify_injectivity_on_ball(R, lambda w, b: word_problem(S.L, w, b), 2)
+
+
+def test_radius3_qh_certificate_call_counts(monkeypatch):
+    # Counts, not time: with a verified j the tower decides every ball
+    # element, so L is asked only about the empty word, and on the free base
+    # a nonempty retraction image needs no base word problem.  Lower is the
+    # aim; a change that moves a count updates this pin.
+    S, D, R = _corpus_embedding("qh")
+    L_wp, L_calls = _counting_L(S)
+    real = graphgroups.word_problem
+    gg_calls = []
+
+    def counting(G, w, budget=8):
+        gg_calls.append(w)
+        return real(G, w, budget)
+
+    monkeypatch.setattr(graphgroups, "word_problem", counting)
+    cert = em.certify_injectivity_on_ball(R, L_wp, 3)
+    assert len(cert.entries) == 456 and cert.status == "full"
+    assert (len(L_calls), len(gg_calls)) == (1, 8)
+
+
+def _envelope_L_calls(S, D, radius, monkeypatch):
+    real = graphgroups.word_problem
+    calls = []
+
+    def counting(G, w, budget=8):
+        if G is S.L:
+            calls.append(w)
+        return real(G, w, budget)
+
+    monkeypatch.setattr(graphgroups, "word_problem", counting)
+    bullets = em.validate_strict_quotient(S, D, radius)
+    monkeypatch.undo()
+    return [(b.name, b.status, b.witness) for b in bullets], len(calls)
+
+
+@pytest.mark.parametrize("name", SPLITTINGS)
+def test_envelope_check_asks_l_only_when_the_image_is_not_nontrivial(name, monkeypatch):
+    S, D, _ = _corpus_embedding(name)
+    bullets, n_calls = _envelope_L_calls(S, D, 2, monkeypatch)
+    qh = "verified" if name == "qh" else "not-applicable"
+    peripheral = "verified" if name == "abelian" else "not-applicable"
+    assert bullets == [("abelian-peripheral", peripheral, None),
+                       ("edge-injective-maximal", "verified", None),
+                       ("qh-nonabelian", qh, None),
+                       ("envelope-injective", "verified", None)]
+    # every pair of the rigid ball has a Nontrivial image: L is never asked,
+    # where asking L first took one call per pair
+    assert n_calls == 0
+
+
+def test_envelope_refutation_still_asks_l(monkeypatch):
+    # the rigid vertex <a, b, e> loses e = a in the quotient, while the
+    # edge image [a, b] survives
+    abe, cd = alphabet("a", "b", "e"), alphabet("c", "d")
+    L = GraphOfGroups(
+        [free_vertex("vA", abe), free_vertex("vB", cd)],
+        [EdgeGroup("E", 1, ("vA", (parse_word("[a,b]", abe),)),
+                   ("vB", (parse_word("[c,d]", cd),)))], "vA")
+    gp = tw.new_height0([tw.free_summand("a", "b")])
+    rho = GroupHom(L.presentation().alphabet, gp.alphabet(), {
+        "a": parse_word("a"), "b": parse_word("b"), "e": parse_word("a"),
+        "c": parse_word("a"), "d": parse_word("b")})
+    D = em.StrictQuotientData(rho, GroupHom.identity(gp.alphabet()), gp)
+    S = em.SplittingData("amalgam", L, "E")
+    bullets, n_calls = _envelope_L_calls(S, D, 1, monkeypatch)
+    assert bullets[1:] == [("edge-injective-maximal", "verified", None),
+                           ("qh-nonabelian", "not-applicable", None),
+                           ("envelope-injective", "refuted", "a e^-1")]
+    # L decides only the pairs whose image is not Nontrivial
+    assert n_calls == 1

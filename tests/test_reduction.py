@@ -191,4 +191,4 @@ def test_reduce_word_calls_are_pinned(monkeypatch):
         for w in ws:
             T.word_problem(w, 8)
         counts[name] = calls[0]
-    assert counts == {"gamma": 52, "tall": 203}
+    assert counts == {"gamma": 42, "tall": 139}
