@@ -8,6 +8,7 @@ on finite balls.  `maximal_abelian_containing` reduces and checks w.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -27,19 +28,21 @@ from .tower import (
     require_homomorphism,
 )
 from .words import (
+    EMPTY,
     GroupHom,
     SurfacePresentation,
     Word,
     abelianize,
     concat,
     cyclic_reduce,
-    enumerate_ball,
     format_word,
     invert,
     is_proper_power,
+    join_reduced,
     letter,
     power,
     reduce_word,
+    walk_ball,
 )
 
 AMALGAM = "amalgam"
@@ -337,14 +340,24 @@ def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
     for img in side[1]:
         if maximal_abelian_containing(gp, nu.apply(img), budget).status != "verified":
             cent_status = "budget-limited"
-    ball = enumerate_ball(Vr.alphabet, ball_radius)
+    # Elements whose images under nu have different base images are
+    # distinct in the tower, so on a free base only pairs within one group
+    # of equal base images need a word problem; with base relators every
+    # pair does.  Merging the groups' pairs keeps `itertools.combinations`
+    # order, so a refutation names the first pair of the whole ball.
+    ball = list(walk_ball(Vr.alphabet, ball_radius, nu, nu.then(gp.retraction_to_base())))
+    groups: dict[Word, list[int]] = {}
+    for i, (_, _, base) in enumerate(ball):
+        groups.setdefault(base if gp.free_base else EMPTY, []).append(i)
     refuted = None
     unknown = False
-    for u, v in itertools.combinations(ball, 2):
-        d = reduce_word(concat(u, invert(v)))
+    for i, k in heapq.merge(*(itertools.combinations(g, 2) for g in groups.values())):
+        (u, nu_u, base_u), (v, nu_v, base_v) = ball[i], ball[k]
+        d = join_reduced(u, invert(v))
         # a Nontrivial image settles the pair whatever L says, so L is
         # asked only about the pairs that could refute or demote the bullet
-        tv = gp.word_problem(nu.apply(d), budget)
+        tv = gp.reduced_word_problem(join_reduced(nu_u, invert(nu_v)),
+                                     join_reduced(base_u, invert(base_v)), budget)
         if tv == NONTRIVIAL or gg.word_problem(S.L, d, budget) != NONTRIVIAL:
             continue
         if tv == TRIVIAL:
@@ -399,6 +412,13 @@ def certify_injectivity_on_ball(R: EmbeddingResult,
     nontrivial in the tower; any Unknown demotes the certificate to
     partial, any Trivial image refutes it.
 
+    The ball is walked layer by layer (`walk_ball`): each word carries
+    j(w) and its base image r(j(w)), r the tower's retraction to stage 0,
+    both extended by one letter's image, so neither j nor r is applied to
+    a whole word.  The tower decides j(w) from the two
+    (`Tower.reduced_word_problem`): a nonempty base image on a free base
+    is Nontrivial at once, and only the rest reach a word problem.
+
     The tower is asked first.  When every `j-homomorphism` obligation is
     verified (vacuously so when L has no relators), j is a homomorphism,
     so a Nontrivial j(w) proves w nontrivial and L is not asked.  In every
@@ -406,14 +426,13 @@ def certify_injectivity_on_ball(R: EmbeddingResult,
     belongs to the certificate."""
     from .tower import find_rf_witness
 
-    alph = R.j.source
     j_proved = all(ob.status == "verified" for ob in R.obligations
                    if ob.name == "j-homomorphism")
+    to_base = R.j.then(R.gamma.retraction_to_base())
     entries: list[BallEvidence] = []
     status = "full"
-    for w in enumerate_ball(alph, radius):
-        img = R.j.apply(w)
-        iv = R.gamma.word_problem(img, budget)
+    for w, img, base in walk_ball(R.j.source, radius, R.j, to_base):
+        iv = R.gamma.reduced_word_problem(img, base, budget)
         if j_proved and iv == NONTRIVIAL:
             sv = NONTRIVIAL
         else:

@@ -306,24 +306,40 @@ class Tower:
 
     # -- word problem ------------------------------------------------------
 
+    @property
+    def free_base(self) -> bool:
+        """Stage 0 has no relators, so it is a free group, in which a
+        nonempty reduced word is nontrivial."""
+        return not self.stages[0].presentation.relators
+
     def word_problem(self, w: Word, budget: int = 8) -> str:
         return self._wp_at(self.height, reduce_word(w, self.alphabet()), budget)
 
-    def _wp_at(self, stage: int, w: Word, budget: int) -> str:
+    def reduced_word_problem(self, w: Word, base: Word, budget: int = 8) -> str:
+        """Triviality of a reduced word w of the top stage whose reduced
+        image under `retraction_to_base()` is `base`.  Neither word is
+        reduced or checked again, and no retraction runs: callers that
+        build both images letter by letter (the ball walks of `rft.embed`)
+        already have them."""
+        return self._wp_at(self.height, w, budget, base)
+
+    def _wp_at(self, stage: int, w: Word, budget: int,
+               base: Optional[Word] = None) -> str:
         """Triviality of w in the given stage.
 
-        Above stage 0 the retraction image in the base is asked first: the
+        Above stage 0 the image of w in the base is asked first: `base`
+        when the caller has it, else the retractions build it.  The
         retraction is a homomorphism, so a nontrivial image proves w
-        nontrivial.  The retractions reduce the image they build, so on a
-        relator-free (free) base a nonempty image is that proof already and
-        no base word problem runs.  Every other case goes to the stage's
-        Britton/amalgam word problem."""
+        nontrivial.  The image is reduced, so on a free base a nonempty
+        image is that proof already and no base word problem runs;
+        otherwise the stage-0 word problem decides it.  Every other case
+        goes to the stage's Britton/amalgam word problem."""
         if not w:
             return TRIVIAL
         if stage > 0:
-            img = self._retract_to_base(stage, w)
-            if img and (not self.stages[0].presentation.relators
-                        or self._wp_at(0, img, budget) == NONTRIVIAL):
+            if base is None:
+                base = self._retract_to_base(stage, w)
+            if base and (self.free_base or self._wp_at(0, base, budget) == NONTRIVIAL):
                 return NONTRIVIAL
         return gg.word_problem(self.stages[stage].graph, w, budget)
 

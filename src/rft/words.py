@@ -8,8 +8,9 @@ and Dehn's algorithm for closed hyperbolic surface groups.
 Free reduction happens once per word: where a word enters the engine,
 or where the engine builds it.  Here `reduce_word`, `cyclic_reduce` and
 `dehn_reduce` reduce their input; `apply_map` and `GroupHom.apply`
-reduce the image they build; `concat`, `invert`, `power` and
-`commutator` do not reduce.
+reduce the image they build; `join_reduced` and `walk_ball` take reduced
+words and keep them reduced, cancelling only where two of them meet;
+`concat`, `invert`, `power` and `commutator` do not reduce.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ __all__ = [
     "is_proper_power",
     "abelianize",
     "enumerate_ball",
+    "walk_ball",
+    "join_reduced",
     "ball_size",
     "parse_word",
     "format_word",
@@ -192,35 +195,70 @@ def abelianize(w: Word, alph: Alphabet) -> tuple[int, ...]:
     return tuple(counts[g] for g in alph.generators)
 
 
-def enumerate_ball(alph: Alphabet, radius: int) -> list[Word]:
-    """All reduced words of length <= radius in shortlex order.
+def join_reduced(u: Word, v: Word) -> Word:
+    """Reduced form of u v for reduced u and v: letters cancel only at the
+    junction, so the rest of both words is copied as it is."""
+    i, k, n = len(u), 0, len(v)
+    while i and k < n and u[i - 1][0] == v[k][0] and u[i - 1][1] == -v[k][1]:
+        i -= 1
+        k += 1
+    return u[:i] + v[k:]
+
+
+# Most words a ball walk visits.  Balls grow as (2n-1)^radius, so the
+# size is checked before any word is built: a radius-12 ball over four
+# generators has about 2 * 10^10 words.
+MAX_BALL_SIZE = 100_000
+
+
+def walk_ball(alph: Alphabet, radius: int, *homs: GroupHom) -> Iterator[tuple[Word, ...]]:
+    """All reduced words w of length <= radius in shortlex order, each as
+    (w, h(w) for h in homs), every image reduced.
 
     Letter order is (g, +1) before (g, -1), generators in declared order.
+    A word of one layer extends a word of the layer before by one letter,
+    and its images extend that word's images by the letter's images
+    (`join_reduced`), so each hom is applied once per generator.  Only
+    the layer being extended and the one being built are held, never
+    the whole ball.  A ball of more than `MAX_BALL_SIZE`
+    words is refused with WordError before any word is built.
     """
     if radius < 0:
         raise WordError("radius must be >= 0")
-    letters: list[Letter] = []
+    if ball_size(len(alph), min(radius, MAX_BALL_SIZE)) > MAX_BALL_SIZE:
+        raise WordError(f"the radius-{radius} ball over {len(alph)} generators has "
+                        f"more than {MAX_BALL_SIZE} words")
+    steps: list[tuple[Letter, tuple[Word, ...]]] = []
     for g in alph.generators:
-        letters.append((g, 1))
-        letters.append((g, -1))
-    out: list[Word] = [EMPTY]
-    layer: list[Word] = [EMPTY]
-    for _ in range(radius):
-        nxt: list[Word] = []
-        for w in layer:
-            for lt in letters:
-                if w and w[-1][0] == lt[0] and w[-1][1] == -lt[1]:
-                    continue
-                nxt.append(w + (lt,))
-        out.extend(nxt)
+        images = tuple(h.apply(letter(g)) for h in homs)
+        steps.append(((g, 1), images))
+        steps.append(((g, -1), tuple(invert(img) for img in images)))
+    layer = [(EMPTY,) * (len(homs) + 1)]
+    yield layer[0]
+    for _ in range(radius if steps else 0):
+        nxt = []
+        for entry in layer:
+            w, images = entry[0], entry[1:]
+            undo = (w[-1][0], -w[-1][1]) if w else None
+            for lt, lt_images in steps:
+                if lt != undo:
+                    child = (w + (lt,), *map(join_reduced, images, lt_images))
+                    nxt.append(child)
+                    yield child
         layer = nxt
-    return out
+
+
+def enumerate_ball(alph: Alphabet, radius: int) -> list[Word]:
+    """All reduced words of length <= radius in `walk_ball`'s shortlex order."""
+    return [w for w, in walk_ball(alph, radius)]
 
 
 def ball_size(rank: int, radius: int) -> int:
     """Closed-form count of reduced words of length <= radius in rank n."""
     n = rank
-    return 1 + sum(2 * n * (2 * n - 1) ** (i - 1) for i in range(1, radius + 1)) if n else 1
+    if n <= 1:
+        return 1 + 2 * n * radius
+    return 1 + n * ((2 * n - 1) ** radius - 1) // (n - 1)
 
 
 @dataclass(frozen=True)

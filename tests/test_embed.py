@@ -1,10 +1,16 @@
 import dataclasses
+import functools
+import itertools
+import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from rft import cli
 from rft import embed as em
-from rft import graphgroups
+from rft import graphgroups, words
 from rft import tower as tw
 from rft.cli import build_tower, parse_splitting, parse_tower_dsl
 from rft.graphgroups import (
@@ -18,11 +24,16 @@ from rft.graphgroups import (
     word_problem,
 )
 from rft.words import (
+    AlphabetError,
     GroupHom,
     SurfacePresentation,
+    WordError,
     alphabet,
+    concat,
     enumerate_ball,
     format_word,
+    invert,
+    join_reduced,
     parse_word,
     reduce_word,
 )
@@ -360,3 +371,189 @@ def test_envelope_refutation_still_asks_l(monkeypatch):
                            ("envelope-injective", "refuted", "a e^-1")]
     # L decides only the pairs whose image is not Nontrivial
     assert n_calls == 1
+
+
+# -- ball walks: prefix images, grouped envelopes, bounded balls --------------
+
+@functools.cache
+def _corpus_pairs():
+    """(tower, splitting, S, D, R) for every corpus splitting that parses
+    against a corpus tower; block checks that stay undecided are assumed,
+    as `rft embed --assume` does."""
+    pairs = []
+    for path in sorted(CORPUS.glob("*.twr")):
+        T = build_tower(parse_tower_dsl(path.read_text()))
+        for name in SPLITTINGS:
+            try:
+                S, D = parse_splitting((CORPUS / f"{name}.spl").read_text(), T)
+            except AlphabetError:
+                continue
+            pairs.append((path.stem, name, S, D, em.embed_step(S, D, assume=True)))
+    return pairs
+
+
+def _tower_first_certificate(R, L_word_problem, radius, budget=8):
+    """The certificate as built before the ball walk: j and the tower's
+    retractions are applied to every ball word from scratch."""
+    j_proved = all(ob.status == "verified" for ob in R.obligations
+                   if ob.name == "j-homomorphism")
+    entries, status = [], "full"
+    for w in enumerate_ball(R.j.source, radius):
+        img = R.j.apply(w)
+        iv = R.gamma.word_problem(img, budget)
+        if j_proved and iv == NONTRIVIAL:
+            sv = NONTRIVIAL
+        else:
+            sv = L_word_problem(w, budget)
+            if sv != NONTRIVIAL:
+                continue
+        method = "direct"
+        if iv == UNKNOWN:
+            cert = tw.find_rf_witness(R.gamma, [img], budget, seed=0)
+            if cert.verdict == "valid" and cert.images and cert.images[0]:
+                iv, method = NONTRIVIAL, "witness"
+            else:
+                method = "none"
+        entries.append(em.BallEvidence(w, sv, img, iv, method))
+        if iv == TRIVIAL:
+            status = "refuted"
+        elif iv == UNKNOWN and status != "refuted":
+            status = "partial"
+    return em.BallCertificate(radius, status, entries)
+
+
+def test_corpus_pairs_cover_every_base_shape():
+    pairs = _corpus_pairs()
+    assert len(pairs) == 32
+    # free and relator stage 0, towers of height 0 to 3 below the new block
+    assert {R.gamma.free_base for *_, R in pairs} == {True, False}
+    assert {R.gamma.height for *_, R in pairs} == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_walked_certificate_equals_tower_first_loop(radius):
+    for tower, name, S, D, R in _corpus_pairs():
+        L_wp = lambda w, b: word_problem(S.L, w, b)
+        cert = em.certify_injectivity_on_ball(R, L_wp, radius)
+        assert cert == _tower_first_certificate(R, L_wp, radius), (tower, name)
+
+
+@pytest.mark.parametrize("name", SPLITTINGS)
+def test_walked_certificate_equals_tower_first_loop_radius4(name):
+    S, D, R = _corpus_embedding(name)
+    L_wp = lambda w, b: word_problem(S.L, w, b)
+    assert em.certify_injectivity_on_ball(R, L_wp, 4) == _tower_first_certificate(R, L_wp, 4)
+
+
+def _reduced_words(gens=("a", "b", "c")):
+    return st.lists(st.tuples(st.sampled_from(gens), st.sampled_from((1, -1))),
+                    max_size=12).map(lambda w: reduce_word(tuple(w)))
+
+
+@given(_reduced_words(), _reduced_words())
+def test_join_reduced_is_free_reduction(u, v):
+    assert join_reduced(u, v) == reduce_word(u + v)
+
+
+def _pairwise_envelope(S, D, radius, budget=8):
+    """The envelope bullet as checked before base-image grouping: every
+    pair of the rigid-vertex ball gets a word problem."""
+    nu, gp, edge = D.nu, D.gamma_prime, S.edge
+    rigid = S.L.base if S.kind != em.QH else next(
+        (v for v in S.L.vertices if v != S.special_vertex), S.L.base)
+    side = edge.left if edge.left[0] == rigid else edge.right
+    cent_status = "verified"
+    for img in side[1]:
+        if em.maximal_abelian_containing(gp, nu.apply(img), budget).status != "verified":
+            cent_status = "budget-limited"
+    refuted, unknown = None, False
+    for u, v in itertools.combinations(enumerate_ball(S.L.vertices[rigid].alphabet, radius), 2):
+        d = reduce_word(concat(u, invert(v)))
+        tv = gp.word_problem(nu.apply(d), budget)
+        if tv == NONTRIVIAL or word_problem(S.L, d, budget) != NONTRIVIAL:
+            continue
+        if tv == TRIVIAL:
+            refuted = format_word(d)
+            break
+        unknown = True
+    if refuted:
+        return em.BulletVerdict("envelope-injective", "refuted", witness=refuted)
+    if unknown or cent_status != "verified":
+        return em.BulletVerdict("envelope-injective", "budget-limited",
+                                detail=f"checked radius {radius}")
+    return em.BulletVerdict("envelope-injective", "verified",
+                            detail=f"injective on the radius-{radius} ball")
+
+
+def _collapsing_rigid_vertex():
+    """The rigid vertex <a, b, e> loses e = a in the quotient: the pairs
+    (a, e) and (a^-1, e^-1) both refute."""
+    abe, cd = alphabet("a", "b", "e"), alphabet("c", "d")
+    L = GraphOfGroups(
+        [free_vertex("vA", abe), free_vertex("vB", cd)],
+        [EdgeGroup("E", 1, ("vA", (parse_word("[a,b]", abe),)),
+                   ("vB", (parse_word("[c,d]", cd),)))], "vA")
+    gp = tw.new_height0([tw.free_summand("a", "b")])
+    rho = GroupHom(L.presentation().alphabet, gp.alphabet(), {
+        "a": parse_word("a"), "b": parse_word("b"), "e": parse_word("a"),
+        "c": parse_word("a"), "d": parse_word("b")})
+    D = em.StrictQuotientData(rho, GroupHom.identity(gp.alphabet()), gp)
+    return em.SplittingData("amalgam", L, "E"), D
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+def test_grouped_envelope_equals_pairwise_loop(radius):
+    cases = [(S, D) for tower, _, S, D, _ in _corpus_pairs()
+             if radius < 4 or tower == "f2"]
+    cases.append(_collapsing_rigid_vertex())
+    for S, D in cases:
+        bullet = em.validate_strict_quotient(S, D, radius)[-1]
+        assert bullet == _pairwise_envelope(S, D, radius)
+    assert bullet.status == "refuted"
+
+
+def test_envelope_radius6_is_fast():
+    S, D, _ = _corpus_embedding("double")
+    assert len(enumerate_ball(S.L.vertices[S.L.base].alphabet, 6)) == 1457
+    t0 = time.perf_counter()
+    bullets = em.validate_strict_quotient(S, D, 6)
+    assert time.perf_counter() - t0 < 1.0
+    assert bullets[-1].status == "verified"
+
+
+def test_oversized_ball_is_refused_before_it_is_built():
+    # a rank-4 ball of radius 12 has about 10^10 words
+    S, D, R = _corpus_embedding("double")
+    L_wp = lambda w, b: word_problem(S.L, w, b)
+    with pytest.raises(WordError, match="more than"):
+        em.certify_injectivity_on_ball(R, L_wp, 12)
+    with pytest.raises(WordError, match="more than"):
+        em.validate_strict_quotient(S, D, 12)
+    code, text = cli.run_command(["embed", str(CORPUS / "f2.twr"), "--splitting",
+                                  str(CORPUS / "double.spl"), "--ball", "12"])
+    assert code == 1 and text.startswith("error: ") and "more than" in text
+
+
+def test_radius3_qh_certificate_hom_and_reduction_counts(monkeypatch):
+    # Each hom is applied once per generator and each image is extended by
+    # one letter's image, so the counts do not grow with the ball; the
+    # reductions left are the Britton work on the 8 empty-base entries.
+    # Applying j and the retractions to every ball word took 913 and 1,405.
+    S, D, R = _corpus_embedding("qh")
+    graphgroups._subgroup_graph.cache_clear()
+    counts = {"apply_map": 0, "reduce_word": 0}
+    for name in counts:
+        real = getattr(words, name)
+
+        def counting(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "rft" or module_name.startswith("rft."):
+                for key, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, key, counting)
+    cert = em.certify_injectivity_on_ball(R, lambda w, b: word_problem(S.L, w, b), 3)
+    assert len(cert.entries) == 456
+    assert counts == {"apply_map": 16, "reduce_word": 51}

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import pytest
@@ -133,6 +134,16 @@ def test_ball_all_reduced_and_distinct():
     ball = enumerate_ball(AB, 3)
     assert len(set(ball)) == len(ball)
     assert all(reduce_word(w) == w for w in ball)
+
+
+def test_ball_is_shortlex():
+    # independent oracle: every letter string, reduced ones kept, sorted by
+    # length and then by letter rank, (g, +1) before (g, -1)
+    three = alphabet("a", "b", "t")
+    rank = {(g, s): 2 * i + (s == -1) for i, g in enumerate(three.generators) for s in (1, -1)}
+    words = [w for n in range(4) for w in itertools.product(sorted(rank), repeat=n)
+             if reduce_word(w) == w]
+    assert enumerate_ball(three, 3) == sorted(words, key=lambda w: (len(w), [rank[x] for x in w]))
 
 
 # -- parsing and formatting --------------------------------------------------
