@@ -351,9 +351,10 @@ def test_envelope_check_asks_l_only_when_the_image_is_not_nontrivial(name, monke
     assert n_calls == 0
 
 
-def test_envelope_refutation_still_asks_l(monkeypatch):
-    # the rigid vertex <a, b, e> loses e = a in the quotient, while the
-    # edge image [a, b] survives
+def _collapsing_rigid_vertex():
+    """The rigid vertex <a, b, e> loses e = a in the quotient, while the
+    edge image [a, b] survives: the pairs (a, e) and (a^-1, e^-1) both
+    refute."""
     abe, cd = alphabet("a", "b", "e"), alphabet("c", "d")
     L = GraphOfGroups(
         [free_vertex("vA", abe), free_vertex("vB", cd)],
@@ -364,7 +365,11 @@ def test_envelope_refutation_still_asks_l(monkeypatch):
         "a": parse_word("a"), "b": parse_word("b"), "e": parse_word("a"),
         "c": parse_word("a"), "d": parse_word("b")})
     D = em.StrictQuotientData(rho, GroupHom.identity(gp.alphabet()), gp)
-    S = em.SplittingData("amalgam", L, "E")
+    return em.SplittingData("amalgam", L, "E"), D
+
+
+def test_envelope_refutation_still_asks_l(monkeypatch):
+    S, D = _collapsing_rigid_vertex()
     bullets, n_calls = _envelope_L_calls(S, D, 1, monkeypatch)
     assert bullets[1:] == [("edge-injective-maximal", "verified", None),
                            ("qh-nonabelian", "not-applicable", None),
@@ -483,22 +488,6 @@ def _pairwise_envelope(S, D, radius, budget=8):
                                 detail=f"checked radius {radius}")
     return em.BulletVerdict("envelope-injective", "verified",
                             detail=f"injective on the radius-{radius} ball")
-
-
-def _collapsing_rigid_vertex():
-    """The rigid vertex <a, b, e> loses e = a in the quotient: the pairs
-    (a, e) and (a^-1, e^-1) both refute."""
-    abe, cd = alphabet("a", "b", "e"), alphabet("c", "d")
-    L = GraphOfGroups(
-        [free_vertex("vA", abe), free_vertex("vB", cd)],
-        [EdgeGroup("E", 1, ("vA", (parse_word("[a,b]", abe),)),
-                   ("vB", (parse_word("[c,d]", cd),)))], "vA")
-    gp = tw.new_height0([tw.free_summand("a", "b")])
-    rho = GroupHom(L.presentation().alphabet, gp.alphabet(), {
-        "a": parse_word("a"), "b": parse_word("b"), "e": parse_word("a"),
-        "c": parse_word("a"), "d": parse_word("b")})
-    D = em.StrictQuotientData(rho, GroupHom.identity(gp.alphabet()), gp)
-    return em.SplittingData("amalgam", L, "E"), D
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3, 4])
