@@ -16,7 +16,7 @@ import functools
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Hashable, Optional
 
 from .folding import Delta, Edge, Labelled, fold, petal, walk
 from .graphgroups import TRIVIAL, UNKNOWN
@@ -30,7 +30,10 @@ class CoreError(ValueError):
 
 class CoverGraph:
     """The portion of the subgroup cover generated by tracing the
-    subgroup generators, folded and (over towers) coset-identified."""
+    subgroup generators, folded and (over towers) coset-identified.
+
+    A coset identification is verified by the word problem; the tower's
+    `element_key` rules out most candidates before any word problem runs."""
 
     def __init__(self, source: Tower, subgens: list[Word],
                  depth_budget: int = 2, budget: int = 8):
@@ -99,17 +102,30 @@ class CoverGraph:
         products = [reduce_word(concat(a, b)) for a, b in itertools.product(gens, repeat=2)]
         return list(dict.fromkeys([(), *gens, *products]))
 
+    @functools.cached_property
+    def _candidates_by_key(self) -> dict[Hashable, list[Word]]:
+        """The membership candidates grouped by `Tower.element_key`, each
+        group in candidate order."""
+        groups: dict[Hashable, list[Word]] = {}
+        for h in self._membership_candidates:
+            groups.setdefault(self.source.element_key(h), []).append(h)
+        return groups
+
     def _identify_round(self) -> int:
-        """One round: merge vertex pairs whose connecting word provably
+        """One round: merge vertex pairs whose connecting word c provably
         lies in the subgroup, then fold; returns the number of vertices
-        the round removed (0 when no pair merged)."""
+        the round removed (0 when no pair merged).
+
+        c lies in the subgroup when c h^-1 is trivial for a membership
+        candidate h.  Equal elements have equal keys, so only the
+        candidates with the key of c are asked, in candidate order."""
         merged_pairs: list[tuple[int, int]] = []
         verts = sorted(self.path_words)
         for i, u in enumerate(verts):
             for v in verts[i + 1:]:
                 c = reduce_word(concat(self.path_words[u], invert(self.path_words[v])))
-                if any(self._wp(concat(c, invert(h))) == TRIVIAL
-                       for h in self._membership_candidates):
+                candidates = self._candidates_by_key.get(self.source.element_key(c), ())
+                if any(self._wp(concat(c, invert(h))) == TRIVIAL for h in candidates):
                     merged_pairs.append((u, v))
         if not merged_pairs:
             return 0

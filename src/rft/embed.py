@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Hashable, Optional
 
 from . import graphgroups as gg
 from .graphgroups import GraphOfGroups, NONTRIVIAL, TRIVIAL, UNKNOWN
@@ -28,7 +28,6 @@ from .tower import (
     require_homomorphism,
 )
 from .words import (
-    EMPTY,
     GroupHom,
     SurfacePresentation,
     Word,
@@ -340,15 +339,15 @@ def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
     for img in side[1]:
         if maximal_abelian_containing(gp, nu.apply(img), budget).status != "verified":
             cent_status = "budget-limited"
-    # Elements whose images under nu have different base images are
-    # distinct in the tower, so on a free base only pairs within one group
-    # of equal base images need a word problem; with base relators every
-    # pair does.  Merging the groups' pairs keeps `itertools.combinations`
-    # order, so a refutation names the first pair of the whole ball.
+    # Elements whose images under nu have different keys (`element_key`)
+    # are distinct in the tower, so only pairs within one group of equal
+    # keys need a word problem.  Merging the groups' pairs keeps
+    # `itertools.combinations` order, so a refutation names the first pair
+    # of the whole ball.
     ball = list(walk_ball(Vr.alphabet, ball_radius, nu, nu.then(gp.retraction_to_base())))
-    groups: dict[Word, list[int]] = {}
-    for i, (_, _, base) in enumerate(ball):
-        groups.setdefault(base if gp.free_base else EMPTY, []).append(i)
+    groups: dict[Hashable, list[int]] = {}
+    for i, (_, nu_u, base) in enumerate(ball):
+        groups.setdefault(gp.element_key(nu_u, base), []).append(i)
     refuted = None
     unknown = False
     for i, k in heapq.merge(*(itertools.combinations(g, 2) for g in groups.values())):

@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Hashable, Optional
 
 from . import graphgroups as gg
 from .graphgroups import (
@@ -311,6 +311,23 @@ class Tower:
         """Stage 0 has no relators, so it is a free group, in which a
         nonempty reduced word is nontrivial."""
         return not self.stages[0].presentation.relators
+
+    def element_key(self, w: Word, base: Optional[Word] = None) -> Hashable:
+        """A hashable invariant of the element that the reduced word w of
+        the top stage represents: equal elements have equal keys, so two
+        words with different keys are distinct and need no word problem.
+
+        The key is read off the image of w under `retraction_to_base()`
+        (`base` when the caller has it).  On a free stage 0 it is that
+        reduced image itself.  Otherwise it is the image's exponent-sum
+        vector over stage 0's alphabet: every stage-0 relator (abelian
+        commutators, the orientable surface relator) has exponent sum
+        zero, so the retraction followed by abelianization is a
+        homomorphism to Z^n.  The key trusts the retraction exactly as far
+        as `_wp_at`'s nonempty-base-image proof does."""
+        if base is None:
+            base = self._retract_to_base(self.height, w)
+        return base if self.free_base else abelianize(base, self.alphabet(0))
 
     def word_problem(self, w: Word, budget: int = 8) -> str:
         return self._wp_at(self.height, reduce_word(w, self.alphabet()), budget)
@@ -776,19 +793,21 @@ def find_rf_witness(
     trace: list = []
 
     # group words into provable-equality classes so that equal elements are
-    # allowed equal images
+    # allowed equal images; words with different keys are distinct
+    keys = [tower.element_key(w) for w in W]
     classes: list[int] = list(range(len(W)))
     for i in range(len(W)):
         for j in range(i + 1, len(W)):
-            if classes[j] != j:
+            if classes[j] != j or keys[i] != keys[j]:
                 continue
             if W[i] == W[j] or tower.word_problem(
                 concat(W[i], invert(W[j])), wp_budget
             ) == TRIVIAL:
                 classes[j] = classes[i]
+    one = tower.element_key(())
     trivial_class = next(
         (classes[i] for i, w in enumerate(W)
-         if tower.word_problem(w, wp_budget) == TRIVIAL), None)
+         if keys[i] == one and tower.word_problem(w, wp_budget) == TRIVIAL), None)
 
     attempts = 0
     for params in _parameter_shells(family.dimension, budget, seed):

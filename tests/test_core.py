@@ -1,10 +1,16 @@
+import functools
 import random
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rft import core as co
 from rft import tower as tw
-from rft.words import alphabet, enumerate_ball, parse_word, reduce_word
+from rft.cli import build_tower, parse_tower_dsl
+from rft.graphgroups import TRIVIAL
+from rft.words import alphabet, concat, enumerate_ball, invert, parse_word, reduce_word
 
 AB = alphabet("a", "b")
 
@@ -295,3 +301,104 @@ def test_a_merging_round_is_not_stable(gamma, monkeypatch):
     with pytest.raises(co.CoreError, match="not stabilized"):
         co.extract_core(C)
     assert len(calls) == 1
+
+
+# -- keyed coset identification ------------------------------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+
+
+@functools.cache
+def _corpus_tower(name):
+    return build_tower(parse_tower_dsl((CORPUS / f"{name}.twr").read_text()))
+
+
+TALL_TOWERS = tuple(sorted(p.stem for p in CORPUS.glob("*.twr")
+                           if _corpus_tower(p.stem).height >= 1))
+
+
+class _UnbucketedCover(co.CoverGraph):
+    """The cover as identified before candidates were grouped by key: each
+    vertex pair asks the word problem about every membership candidate."""
+
+    def _identify_round(self):
+        merged_pairs = []
+        verts = sorted(self.path_words)
+        for i, u in enumerate(verts):
+            for v in verts[i + 1:]:
+                c = reduce_word(concat(self.path_words[u], invert(self.path_words[v])))
+                if any(self._wp(concat(c, invert(h))) == TRIVIAL
+                       for h in self._membership_candidates):
+                    merged_pairs.append((u, v))
+        if not merged_pairs:
+            return 0
+        before = len(self.vertices)
+        self._set_edges(*co.fold(self.edges, max(self.vertices) + 1, merged_pairs))
+        return before - len(self.vertices)
+
+
+def _cover_outcome(cls, T, gens):
+    """Merged pairs of every identification, rounds log, canonical form and
+    core rank (or the CoreError) of the cover of <gens> built by `cls`."""
+    merged = []
+    real = co.fold
+
+    def recording(edges, count, identify=()):
+        if identify:
+            merged.append(list(identify))
+        return real(edges, count, identify)
+
+    co.fold = recording
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            C = cls(T, gens)
+            rank = co.extract_core(C).rank
+    except co.CoreError as e:
+        return merged, str(e)
+    finally:
+        co.fold = real
+    return merged, C.rounds_log, C.canonical_form(), rank
+
+
+MERGING_COVERS = [("mixed", "u x a; y y; x^-1"), ("t2", "b t u^-1; t^-1; t u^-1 b^-1")]
+
+
+@pytest.mark.parametrize("name, gens", MERGING_COVERS)
+def test_keyed_identification_equals_unbucketed_loop_on_merging_covers(name, gens):
+    T = _corpus_tower(name)
+    words = [parse_word(g, T.alphabet()) for g in gens.split("; ")]
+    outcome = _cover_outcome(co.CoverGraph, T, words)
+    assert outcome == _cover_outcome(_UnbucketedCover, T, words)
+    merged, rounds_log = outcome[:2]
+    assert merged and rounds_log[0] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_keyed_identification_equals_unbucketed_loop(data):
+    T = _corpus_tower(data.draw(st.sampled_from(TALL_TOWERS)))
+    letters = st.tuples(st.sampled_from(T.alphabet().generators), st.sampled_from((1, -1)))
+    word = st.lists(letters, min_size=1, max_size=2).map(lambda w: reduce_word(tuple(w)))
+    gens = data.draw(st.lists(word.filter(bool), min_size=1, max_size=4))
+    assert _cover_outcome(co.CoverGraph, T, gens) == _cover_outcome(_UnbucketedCover, T, gens)
+
+
+def test_identify_round_word_problem_count(monkeypatch):
+    # Only the 37 candidates sharing the key of a pair's connecting word
+    # reach the word problem: 5 calls for the 6 vertex pairs of this
+    # round, where asking every candidate took 203.
+    T = _corpus_tower("mixed")
+    gens = [parse_word(g, T.alphabet()) for g in ("u x a", "y y", "x^-1")]
+    C = co.expand_cover(T, gens, depth_budget=0)
+    assert (len(C._membership_candidates), len(C.vertices)) == (37, 4)
+    real = tw.Tower.word_problem
+    calls = []
+
+    def counting(self, w, budget=8):
+        calls.append(w)
+        return real(self, w, budget)
+
+    monkeypatch.setattr(tw.Tower, "word_problem", counting)
+    assert C._identify_round() == 1
+    assert len(calls) == 5

@@ -501,6 +501,29 @@ def test_grouped_envelope_equals_pairwise_loop(radius):
     assert bullet.status == "refuted"
 
 
+def test_envelope_groups_by_exponent_sums_on_a_relator_base(monkeypatch):
+    # wide's stage 0 is a free product with an abelian and a surface
+    # summand; the rigid ball's images split by exponent sums, so 4 of the
+    # 136 pairs of the radius-2 ball reach the tower's word problem, where
+    # one group of the whole ball asked all 136
+    _, _, S, D, _ = next(p for p in _corpus_pairs() if p[:2] == ("wide", "double"))
+    gp = D.gamma_prime
+    assert not gp.free_base
+    real = tw.Tower.reduced_word_problem
+    calls = []
+
+    def counting(self, w, base, budget=8):
+        if self is gp:
+            calls.append(w)
+        return real(self, w, base, budget)
+
+    monkeypatch.setattr(tw.Tower, "reduced_word_problem", counting)
+    bullet = em.validate_strict_quotient(S, D, 2)[-1]
+    assert bullet.status == "verified"
+    assert len(enumerate_ball(S.L.vertices[S.L.base].alphabet, 2)) == 17
+    assert len(calls) == 4
+
+
 def test_envelope_radius6_is_fast():
     S, D, _ = _corpus_embedding("double")
     assert len(enumerate_ball(S.L.vertices[S.L.base].alphabet, 6)) == 1457

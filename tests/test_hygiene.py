@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no private module-level function or class is left unreferenced, and only
-the listed entry points reduce a word they were given.
+no private module-level function or class is left unreferenced, only
+`rft.tower` reads whether a tower's base is free, and only the listed
+entry points reduce a word they were given.
 
 Stdlib `ast` only.  A name counts as used when it is read anywhere in
 the module; names listed in the module's `__all__` are re-exports and
@@ -79,6 +80,20 @@ def test_one_function_assumes_obligations():
     # the obligation policy lives in tower.require alone
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     assert assumed_literals(trees) == ["tower.require"]
+
+
+def attribute_readers(trees: dict[str, ast.Module], attr: str) -> list[str]:
+    """Modules that read the attribute `attr` of some object."""
+    return sorted(module for module, tree in trees.items()
+                  if any(isinstance(node, ast.Attribute) and node.attr == attr
+                         for node in ast.walk(tree)))
+
+
+def test_only_the_tower_reads_free_base():
+    # `Tower.element_key` is the one rule that groups elements by their
+    # base images, so no second rule can grow beside it
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert attribute_readers(trees, "free_base") == ["tower"]
 
 
 # Where a word enters the engine, or the normal form that reduces the

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 import tracemalloc
@@ -13,6 +14,7 @@ from rft.graphgroups import NONTRIVIAL, TRIVIAL, UNKNOWN
 from rft.words import (
     GroupHom,
     SurfacePresentation,
+    abelianize,
     concat,
     enumerate_ball,
     format_word,
@@ -445,3 +447,69 @@ def test_stage_slot_labels_name_the_letter_they_move(name):
         assert images[moved] != base[moved], label
         lower = T.alphabet(int(stage) - 1).generators
         assert all(images[g] == base[g] for g in lower), label
+
+
+# -- element keys ---------------------------------------------------------------
+
+CORPUS_NAMES = sorted(p.stem for p in CORPUS.glob("*.twr"))
+_cached_tower = functools.cache(_corpus_tower)
+
+
+@pytest.mark.parametrize("summand", [
+    tw.free_summand("a", "b"), tw.abelian_summand("x"), tw.abelian_summand("x", "y", "z"),
+    tw.surface_summand(2), tw.surface_summand(3),
+], ids=lambda v: f"{v.kind}-{len(v.alphabet)}")
+def test_summand_relators_have_exponent_sum_zero(summand):
+    # the fact the exponent-sum element key rests on
+    assert all(not any(abelianize(r, summand.alphabet)) for r in summand.all_relators())
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_stage0_relators_have_exponent_sum_zero(name):
+    T = _cached_tower(name)
+    assert all(not any(abelianize(r, T.alphabet(0))) for r in T.presentation(0).relators)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_trivial_products_do_not_move_the_element_key(data):
+    T = _cached_tower(data.draw(st.sampled_from(CORPUS_NAMES)))
+    letters = st.tuples(st.sampled_from(T.alphabet().generators), st.sampled_from((1, -1)))
+    words = st.lists(letters, max_size=4).map(tuple)
+    factors = []
+    for r in data.draw(st.lists(st.sampled_from(T.presentation().relators), max_size=3)
+                       if T.presentation().relators else st.just([])):
+        g = data.draw(words)
+        factors.append(concat(g, r if data.draw(st.booleans()) else invert(r), invert(g)))
+    trivial = reduce_word(concat(*factors))
+    w = reduce_word(data.draw(words))
+    assert T.element_key(trivial) == T.element_key(())
+    assert T.element_key(reduce_word(concat(w, trivial))) == T.element_key(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_keyed_witness_classes_equal_unkeyed(data):
+    # a constant key asks the word problem about every pair and every word,
+    # as the classes were found before words were keyed
+    T = _cached_tower(data.draw(st.sampled_from(CORPUS_NAMES)))
+    letters = st.tuples(st.sampled_from(T.alphabet().generators), st.sampled_from((1, -1)))
+    short = st.lists(letters, max_size=3).map(tuple)
+    relators = T.presentation().relators
+    words = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        w = data.draw(short)
+        words.append(w)
+        # a twin equal to w in the group, trivial when w is empty
+        if relators and data.draw(st.booleans()):
+            g = data.draw(short)
+            words.append(concat(w, g, data.draw(st.sampled_from(relators)), invert(g)))
+    words += data.draw(st.lists(st.sampled_from(words), max_size=2))
+    keyed = tw.find_rf_witness(T, words, budget=2, max_attempts=30)
+    key = tw.Tower.element_key
+    try:
+        tw.Tower.element_key = lambda self, w, base=None: None
+        unkeyed = tw.find_rf_witness(T, words, budget=2, max_attempts=30)
+    finally:
+        tw.Tower.element_key = key
+    assert keyed == unkeyed
