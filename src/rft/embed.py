@@ -416,7 +416,9 @@ def certify_injectivity_on_ball(R: EmbeddingResult,
     both extended by one letter's image, so neither j nor r is applied to
     a whole word.  The tower decides j(w) from the two
     (`Tower.reduced_word_problem`): a nonempty base image on a free base
-    is Nontrivial at once, and only the rest reach a word problem.
+    is Nontrivial at once, so is a nonempty image under the tower's map
+    to a free group for the words the base image left open, and only
+    words that both maps send to 1 reach a Britton word problem.
 
     The tower is asked first.  When every `j-homomorphism` obligation is
     verified (vacuously so when L has no relators), j is a homomorphism,

@@ -16,6 +16,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Optional
 
 from . import graphgroups as gg
@@ -329,6 +330,20 @@ class Tower:
             base = self._retract_to_base(self.height, w)
         return base if self.free_base else abelianize(base, self.alphabet(0))
 
+    @cached_property
+    def free_map(self) -> Optional[GroupHom]:
+        """The `_WitnessFamily` member with every parameter 1, when it
+        maps every relator of the top presentation to the empty word, else
+        None.  A map that kills every defining relator is a homomorphism to
+        a free group, so a word with a nonempty reduced image under it is
+        nontrivial.  The check is free reduction, once per tower; it trusts
+        the presentation as far as `WitnessCertificate.recheck` does."""
+        family = _WitnessFamily(self)
+        hom = family.hom((1,) * family.dimension)
+        if any(hom.apply(r) for r in self.presentation().relators):
+            return None
+        return hom
+
     def word_problem(self, w: Word, budget: int = 8) -> str:
         return self._wp_at(self.height, reduce_word(w, self.alphabet()), budget)
 
@@ -337,11 +352,16 @@ class Tower:
         image under `retraction_to_base()` is `base`.  Neither word is
         reduced or checked again, and no retraction runs: callers that
         build both images letter by letter (the ball walks of `rft.embed`)
-        already have them."""
-        return self._wp_at(self.height, w, budget, base)
+        already have them.
+
+        When the base image does not decide, w's image under `free_map` is
+        asked next: a nonempty image is Nontrivial, and only words that
+        both maps send to 1 reach the Britton word problem.  The map is
+        applied only to those few words, never carried along a walk."""
+        return self._wp_at(self.height, w, budget, base, by_free_map=True)
 
     def _wp_at(self, stage: int, w: Word, budget: int,
-               base: Optional[Word] = None) -> str:
+               base: Optional[Word] = None, by_free_map: bool = False) -> str:
         """Triviality of w in the given stage.
 
         Above stage 0 the image of w in the base is asked first: `base`
@@ -349,8 +369,10 @@ class Tower:
         retraction is a homomorphism, so a nontrivial image proves w
         nontrivial.  The image is reduced, so on a free base a nonempty
         image is that proof already and no base word problem runs;
-        otherwise the stage-0 word problem decides it.  Every other case
-        goes to the stage's Britton/amalgam word problem."""
+        otherwise the stage-0 word problem decides it.  With `by_free_map`
+        (top stage only), a nonempty image under `free_map` is the next
+        proof.  Every other case goes to the stage's Britton/amalgam word
+        problem."""
         if not w:
             return TRIVIAL
         if stage > 0:
@@ -358,6 +380,8 @@ class Tower:
                 base = self._retract_to_base(stage, w)
             if base and (self.free_base or self._wp_at(0, base, budget) == NONTRIVIAL):
                 return NONTRIVIAL
+        if by_free_map and self.free_map is not None and self.free_map.apply(w):
+            return NONTRIVIAL
         return gg.word_problem(self.stages[stage].graph, w, budget)
 
     def _retract_to_base(self, stage: int, w: Word) -> Word:
@@ -628,6 +652,11 @@ class _WitnessFamily:
     `_build` compiles the family once; `images` then evaluates one member
     bottom-up as a plain dict, so an attempt costs the length of the
     images and builds no `GroupHom`.
+
+    A member is trusted only after every relator of the tower maps to the
+    empty word: `WitnessCertificate.recheck` checks the member a search
+    found, and `Tower.free_map` checks the member with every parameter 1
+    once per tower.  Only this module uses the family.
     """
 
     def __init__(self, tower: Tower):
@@ -809,31 +838,34 @@ def find_rf_witness(
         (classes[i] for i, w in enumerate(W)
          if keys[i] == one and tower.word_problem(w, wp_budget) == TRIVIAL), None)
 
+    # formatted once per search, not twice per failed attempt
+    names = [format_word(w) for w in W]
     attempts = 0
     for params in _parameter_shells(family.dimension, budget, seed):
         attempts += 1
         if attempts > max_attempts:
             break
         member = family.images(params)
-        images = [apply_map(member, w) for w in W]
+        images: list[Word] = []
         collision = None
         seen: dict[Word, int] = {}
-        for i, img in enumerate(images):
+        for i, w in enumerate(W):
+            img = apply_map(member, w)
+            images.append(img)
             if trivial_class is not None and classes[i] == trivial_class:
                 continue
-            if classes[i] != trivial_class and not img:
+            if not img:
                 collision = (i, i)
                 break
-            if img in seen and classes[seen[img]] != classes[i]:
-                collision = (seen[img], i)
+            first = seen.setdefault(img, i)
+            if classes[first] != classes[i]:
+                collision = (first, i)
                 break
-            seen.setdefault(img, i)
         if collision is None:
             trace.append((params, "valid"))
             hom = GroupHom(alph, family.target, member)
             return WitnessCertificate(family.target, hom, relators, W, images, "valid",
                                       "; ".join(family.slots), trace, seed, budget, classes)
-        trace.append((params, f"collision {format_word(W[collision[0]])} ~ "
-                              f"{format_word(W[collision[1]])}"))
+        trace.append((params, f"collision {names[collision[0]]} ~ {names[collision[1]]}"))
     return WitnessCertificate(family.target, None, relators, W, [], "failed",
                               "; ".join(family.slots), trace, seed, budget, classes)

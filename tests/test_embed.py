@@ -303,9 +303,11 @@ def test_assumed_j_asks_l_about_every_ball_element():
 
 def test_radius3_qh_certificate_call_counts(monkeypatch):
     # Counts, not time: with a verified j the tower decides every ball
-    # element, so L is asked only about the empty word, and on the free base
-    # a nonempty retraction image needs no base word problem.  Lower is the
-    # aim; a change that moves a count updates this pin.
+    # element, so L is asked only about the empty word; on the free base a
+    # nonempty retraction image needs no base word problem, and of the
+    # empty-base entries only those the tower's free map also sends to 1
+    # reach a Britton word problem.  Lower is the aim; a change that moves
+    # a count updates this pin.
     S, D, R = _corpus_embedding("qh")
     L_wp, L_calls = _counting_L(S)
     real = graphgroups.word_problem
@@ -318,7 +320,29 @@ def test_radius3_qh_certificate_call_counts(monkeypatch):
     monkeypatch.setattr(graphgroups, "word_problem", counting)
     cert = em.certify_injectivity_on_ball(R, L_wp, 3)
     assert len(cert.entries) == 456 and cert.status == "full"
-    assert (len(L_calls), len(gg_calls)) == (1, 8)
+    assert (len(L_calls), len(gg_calls)) == (1, 4)
+
+
+@pytest.mark.parametrize("name, l_calls, tower_calls", [
+    ("double", 1, 0), ("hnn", 9, 8), ("abelian", 73, 32), ("qh", 1, 48)])
+def test_radius4_certificate_call_counts(name, l_calls, tower_calls, monkeypatch):
+    # Tower-side Britton word problems per radius-4 certificate are only the
+    # entries that both the retraction and the free map send to 1; before
+    # the free map every empty-base entry took one (160, 32, 144, 160).
+    S, D, R = _corpus_embedding(name)
+    L_wp, L_calls = _counting_L(S)
+    real = graphgroups.word_problem
+    tower_side = []
+
+    def counting(G, w, budget=8):
+        if G is not S.L:
+            tower_side.append(w)
+        return real(G, w, budget)
+
+    monkeypatch.setattr(graphgroups, "word_problem", counting)
+    cert = em.certify_injectivity_on_ball(R, L_wp, 4)
+    assert cert.status == "full"
+    assert (len(L_calls), len(tower_side)) == (l_calls, tower_calls)
 
 
 def _envelope_L_calls(S, D, radius, monkeypatch):
@@ -548,9 +572,11 @@ def test_oversized_ball_is_refused_before_it_is_built():
 
 def test_radius3_qh_certificate_hom_and_reduction_counts(monkeypatch):
     # Each hom is applied once per generator and each image is extended by
-    # one letter's image, so the counts do not grow with the ball; the
-    # reductions left are the Britton work on the 8 empty-base entries.
-    # Applying j and the retractions to every ball word took 913 and 1,405.
+    # one letter's image, so the counts do not grow with the ball.  The
+    # tower's free map adds its build and relator check and one application
+    # per empty-base entry; the reductions left are those and the Britton
+    # work on the 4 entries it sends to 1.  Applying j and the retractions
+    # to every ball word took 913 and 1,405.
     S, D, R = _corpus_embedding("qh")
     graphgroups._subgroup_graph.cache_clear()
     counts = {"apply_map": 0, "reduce_word": 0}
@@ -568,4 +594,4 @@ def test_radius3_qh_certificate_hom_and_reduction_counts(monkeypatch):
                         monkeypatch.setattr(module, key, counting)
     cert = em.certify_injectivity_on_ball(R, lambda w, b: word_problem(S.L, w, b), 3)
     assert len(cert.entries) == 456
-    assert counts == {"apply_map": 16, "reduce_word": 51}
+    assert counts == {"apply_map": 27, "reduce_word": 51}

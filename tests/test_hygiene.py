@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no private module-level function or class is left unreferenced, only
-`rft.tower` reads whether a tower's base is free, and only the listed
-entry points reduce a word they were given.
+`rft.tower` reads whether a tower's base is free or uses its map to a
+free group, and only the listed entry points reduce a word they were
+given.
 
 Stdlib `ast` only.  A name counts as used when it is read anywhere in
 the module; names listed in the module's `__all__` are re-exports and
@@ -82,18 +83,33 @@ def test_one_function_assumes_obligations():
     assert assumed_literals(trees) == ["tower.require"]
 
 
-def attribute_readers(trees: dict[str, ast.Module], attr: str) -> list[str]:
-    """Modules that read the attribute `attr` of some object."""
+def referrers(trees: dict[str, ast.Module], name: str) -> list[str]:
+    """Modules that mention `name`: as a variable, as an attribute of some
+    object, or as a name they import."""
+    def mentions(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.ImportFrom)
+                and any(alias.name == name for alias in node.names))
     return sorted(module for module, tree in trees.items()
-                  if any(isinstance(node, ast.Attribute) and node.attr == attr
-                         for node in ast.walk(tree)))
+                  if any(mentions(node) for node in ast.walk(tree)))
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
 
 
 def test_only_the_tower_reads_free_base():
     # `Tower.element_key` is the one rule that groups elements by their
     # base images, so no second rule can grow beside it
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
-    assert attribute_readers(trees, "free_base") == ["tower"]
+    assert referrers(_trees(), "free_base") == ["tower"]
+
+
+@pytest.mark.parametrize("name", ["free_map", "_WitnessFamily"])
+def test_only_the_tower_uses_its_map_to_a_free_group(name):
+    # `Tower.reduced_word_problem` is the one place a word is proved
+    # nontrivial by a family member, so no second rule can grow beside it
+    assert referrers(_trees(), name) == ["tower"]
 
 
 # Where a word enters the engine, or the normal form that reduces the

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rft import cli
+from rft import cli, embed
 from rft import tower as tw
-from rft.graphgroups import NONTRIVIAL, TRIVIAL, UNKNOWN
+from rft.graphgroups import NONTRIVIAL, TRIVIAL, UNKNOWN, word_problem
 from rft.words import (
     GroupHom,
     SurfacePresentation,
@@ -513,3 +513,167 @@ def test_keyed_witness_classes_equal_unkeyed(data):
     finally:
         tw.Tower.element_key = key
     assert keyed == unkeyed
+
+
+# -- the tower's free map ------------------------------------------------------
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_free_map_kills_every_relator(name):
+    T = _corpus_tower(name)
+    hom = T.free_map
+    assert hom is not None and hom is T.free_map
+    assert hom.source == T.alphabet()
+    assert all(not hom.apply(r) for r in T.presentation().relators)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_nonempty_free_map_image_is_never_trivial(data):
+    # the Britton word problem never contradicts the free map's proof; the
+    # drawn words mix relator conjugates in, so some are trivial
+    T = _cached_tower(data.draw(st.sampled_from(CORPUS_NAMES)))
+    letters = st.tuples(st.sampled_from(T.alphabet().generators), st.sampled_from((1, -1)))
+    short = st.lists(letters, max_size=3).map(tuple)
+    relators = T.presentation().relators
+    factors = [data.draw(short)]
+    for _ in range(data.draw(st.integers(0, 2)) if relators else 0):
+        g = data.draw(short)
+        r = data.draw(st.sampled_from(relators))
+        factors += [g, r if data.draw(st.booleans()) else invert(r), invert(g)]
+    w = reduce_word(concat(*factors))
+    if T.free_map.apply(w):
+        assert T.word_problem(w, budget=2) != TRIVIAL
+    assert T.reduced_word_problem(w, T.retraction_to_base().apply(w), budget=2) in (
+        T.word_problem(w, budget=2), NONTRIVIAL)
+
+
+def _splitting_embedding(name):
+    S, D = cli.parse_splitting((CORPUS / f"{name}.spl").read_text(), _corpus_tower("f2"))
+    return S, embed.embed_step(S, D)
+
+
+@pytest.mark.parametrize("name", ["double", "hnn", "abelian", "qh"])
+def test_a_family_member_that_keeps_a_relator_is_no_free_map(name, monkeypatch):
+    # each generator goes to its own x^(i+1) y, so no commutator relator dies;
+    # without a free map the certificate is the one the Britton word
+    # problem alone gives
+    S, R = _splitting_embedding(name)
+    L_wp = lambda w, b: word_problem(S.L, w, b)
+    with_map = embed.certify_injectivity_on_ball(R, L_wp, 2)
+    assert R.gamma.free_map is not None
+
+    def not_a_homomorphism(self, params):
+        x, y = letter(self.target.generators[0]), letter(self.target.generators[-1])
+        return {g: concat(power(x, i + 1), y)
+                for i, g in enumerate(self.tower.alphabet().generators)}
+
+    monkeypatch.setattr(tw._WitnessFamily, "images", not_a_homomorphism)
+    S, R = _splitting_embedding(name)
+    assert R.gamma.free_map is None
+    assert embed.certify_injectivity_on_ball(R, L_wp, 2) == with_map
+
+
+# -- witness search: first collision, names formatted once ------------------------
+
+def _reference_find_rf_witness(tower, words, budget, seed=0, wp_budget=8,
+                               max_attempts=20000):
+    """The attempt loop as it was before it stopped at the first collision:
+    every word's image per attempt, and the collision's two words
+    formatted anew per failed attempt."""
+    alph = tower.alphabet()
+    relators = tower.presentation().relators
+    W = [reduce_word(w, alph) for w in words]
+    family = tw._WitnessFamily(tower)
+    trace = []
+    keys = [tower.element_key(w) for w in W]
+    classes = list(range(len(W)))
+    for i in range(len(W)):
+        for j in range(i + 1, len(W)):
+            if classes[j] != j or keys[i] != keys[j]:
+                continue
+            if W[i] == W[j] or tower.word_problem(
+                    concat(W[i], invert(W[j])), wp_budget) == TRIVIAL:
+                classes[j] = classes[i]
+    one = tower.element_key(())
+    trivial_class = next(
+        (classes[i] for i, w in enumerate(W)
+         if keys[i] == one and tower.word_problem(w, wp_budget) == TRIVIAL), None)
+    attempts = 0
+    for params in tw._parameter_shells(family.dimension, budget, seed):
+        attempts += 1
+        if attempts > max_attempts:
+            break
+        member = family.images(params)
+        images = [tw.apply_map(member, w) for w in W]
+        collision = None
+        seen = {}
+        for i, img in enumerate(images):
+            if trivial_class is not None and classes[i] == trivial_class:
+                continue
+            if classes[i] != trivial_class and not img:
+                collision = (i, i)
+                break
+            if img in seen and classes[seen[img]] != classes[i]:
+                collision = (seen[img], i)
+                break
+            seen.setdefault(img, i)
+        if collision is None:
+            trace.append((params, "valid"))
+            hom = GroupHom(alph, family.target, member)
+            return tw.WitnessCertificate(family.target, hom, relators, W, images, "valid",
+                                         "; ".join(family.slots), trace, seed, budget,
+                                         classes)
+        trace.append((params, f"collision {format_word(W[collision[0]])} ~ "
+                              f"{format_word(W[collision[1]])}"))
+    return tw.WitnessCertificate(family.target, None, relators, W, [], "failed",
+                                 "; ".join(family.slots), trace, seed, budget, classes)
+
+
+def _same_witness(T, words, **kw):
+    new = tw.find_rf_witness(T, words, **kw)
+    old = _reference_find_rf_witness(T, words, **kw)
+    assert (new.verdict, new.images, new.trace, new.classes) == (
+        old.verdict, old.images, old.trace, old.classes)
+    assert (new.hom and new.hom.images) == (old.hom and old.hom.images)
+    return new
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_witness_search_equals_the_reference_loop(data):
+    T = _cached_tower(data.draw(st.sampled_from(CORPUS_NAMES)))
+    letters = st.tuples(st.sampled_from(T.alphabet().generators), st.sampled_from((1, -1)))
+    short = st.lists(letters, max_size=3).map(tuple)
+    words = data.draw(st.lists(short, min_size=1, max_size=5))
+    words += data.draw(st.lists(st.sampled_from(words), max_size=2))
+    _same_witness(T, words, budget=2, seed=data.draw(st.integers(0, 3)),
+                  max_attempts=data.draw(st.integers(1, 40)))
+
+
+@pytest.mark.parametrize("name, text", [("closed2", "a1; t"), ("q1", "a; p; q"),
+                                        ("gamma", "a; b; t; a b")])
+def test_witness_search_equals_the_reference_loop_on_corpus_words(name, text):
+    T = _cached_tower(name)
+    words = [parse_word(s, T.alphabet()) for s in text.split(";")]
+    cert = _same_witness(T, words, budget=8, max_attempts=60)
+    assert cert.verdict == ("valid" if name == "gamma" else "failed")
+
+
+def test_witness_search_formats_each_word_once(monkeypatch):
+    # a failing search formats each word once, however many attempts it makes;
+    # the family's slot labels are the only other calls
+    T = _cached_tower("closed2")
+    words = [parse_word(s, T.alphabet()) for s in ("a1", "t", "a1 t")]
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return format_word(w)
+
+    monkeypatch.setattr(tw, "format_word", counting)
+    tw._WitnessFamily(T)
+    family_calls = len(calls)
+    calls.clear()
+    cert = tw.find_rf_witness(T, words, budget=8, max_attempts=200)
+    assert cert.verdict == "failed" and len(cert.trace) == 200
+    assert len(calls) == family_calls + len(words)
