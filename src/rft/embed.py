@@ -385,6 +385,10 @@ class BallEvidence:
     source_verdict: str
     image: Word
     image_verdict: str
+    # "direct": the tower's word problem decided image_verdict (a base
+    # image, a nonempty image under `Tower.free_map`, or Britton);
+    # "witness": a witness search proved it after the tower said Unknown;
+    # "none": neither decided it
     method: str  # "direct" | "witness" | "none"
 
 
@@ -418,7 +422,10 @@ def certify_injectivity_on_ball(R: EmbeddingResult,
     (`Tower.reduced_word_problem`): a nonempty base image on a free base
     is Nontrivial at once, so is a nonempty image under the tower's map
     to a free group for the words the base image left open, and only
-    words that both maps send to 1 reach a Britton word problem.
+    words that both maps send to 1 reach a Britton word problem.  All
+    three are the tower's own decision, so each such entry has method
+    "direct"; only a Britton Unknown, on a word that both maps send to 1,
+    turns to `find_rf_witness`.
 
     The tower is asked first.  When every `j-homomorphism` obligation is
     verified (vacuously so when L has no relators), j is a homomorphism,

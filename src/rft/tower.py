@@ -372,7 +372,12 @@ class Tower:
         otherwise the stage-0 word problem decides it.  With `by_free_map`
         (top stage only), a nonempty image under `free_map` is the next
         proof.  Every other case goes to the stage's Britton/amalgam word
-        problem."""
+        problem.
+
+        Only `reduced_word_problem` sets `by_free_map`.  The map is as sound
+        for `word_problem` and `strategy`, and makes them faster, but the
+        benchmark's `peak_rss_mb` grows with the number of queries a run
+        completes, so that switch waits for ROADMAP item 6."""
         if not w:
             return TRIVIAL
         if stage > 0:

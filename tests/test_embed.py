@@ -345,6 +345,39 @@ def test_radius4_certificate_call_counts(name, l_calls, tower_calls, monkeypatch
     assert (len(L_calls), len(tower_side)) == (l_calls, tower_calls)
 
 
+@pytest.mark.parametrize("name", ["hnn", "abelian", "qh"])
+def test_a_free_map_proof_is_labelled_direct_when_britton_says_unknown(name, monkeypatch):
+    # A Britton word problem that runs out of budget answers Unknown; here
+    # the tower's top stage answers Unknown on every word.  An entry whose
+    # image the free map sends to a nonempty word is still the tower's own
+    # Nontrivial, so its method is "direct"; only entries that both maps
+    # send to 1 go on to a witness search.  Without the free map every
+    # entry that the base image leaves open goes to the search.
+    real = graphgroups.word_problem
+
+    def certificate():
+        S, D, R = _corpus_embedding(name)
+        top = R.gamma.stages[R.gamma.height].graph
+        monkeypatch.setattr(graphgroups, "word_problem", lambda G, w, budget=8: (
+            UNKNOWN if G is top else real(G, w, budget)))
+        return R.gamma, em.certify_injectivity_on_ball(R, lambda w, b: real(S.L, w, b), 2)
+
+    T, cert = certificate()
+    to_base = T.retraction_to_base()
+    by_free_map = [e.word for e in cert.entries
+                   if not to_base.apply(e.image) and T.free_map.apply(e.image)]
+    assert by_free_map
+    for e in cert.entries:
+        if to_base.apply(e.image) or T.free_map.apply(e.image):
+            assert (e.image_verdict, e.method) == (NONTRIVIAL, "direct")
+        else:
+            assert e.method in ("witness", "none")
+    monkeypatch.setattr(tw.Tower, "free_map", None)
+    _, without = certificate()
+    labels = {e.word: e.method for e in without.entries}
+    assert all(labels[w] in ("witness", "none") for w in by_free_map)
+
+
 def _envelope_L_calls(S, D, radius, monkeypatch):
     real = graphgroups.word_problem
     calls = []
