@@ -11,7 +11,6 @@ maximal abelian subgroup U it attaches along is only budget-limited.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -519,6 +518,8 @@ def parse_splitting(text: str, gamma_prime: tower_mod.Tower):
 
 
 def _digest(text: str) -> str:
+    # imported here: hashlib loads OpenSSL, which only rendered reports need
+    import hashlib
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

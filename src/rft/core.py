@@ -173,7 +173,6 @@ class CoreReport:
     exact: bool
     stabilization: dict
     cover: CoverGraph
-    required: frozenset = frozenset()
 
     def canonical_form(self) -> tuple:
         return self.cover.canonical_form()
@@ -251,7 +250,7 @@ def extract_core(C: CoverGraph, required: Optional[set] = None) -> CoreReport:
         stab["evidence"] = "two further identification rounds added nothing"
 
     return CoreReport(sorted(used_vertices), sorted(used_edges), C.base, loops,
-                      rank, C.exact, stab, C, frozenset(required))
+                      rank, C.exact, stab, C)
 
 
 def classify_edge_pieces(R: CoreReport) -> list[PieceClass]:

@@ -128,7 +128,9 @@ def maximal_abelian_containing(tower: Tower, w: Word, budget: int = 8) -> Abelia
     """Maximal abelian subgroup of the tower group containing <w>.
 
     Exact on free loci (centralizers are cyclic on the root) and on
-    recorded torus lattices; otherwise a budget-limited cyclic candidate.
+    recorded torus lattices whose stages, and every stage below them,
+    verified all their obligations; a lattice that rests on an assumed
+    obligation is budget-limited, and so is any other cyclic candidate.
     """
     pres = tower.presentation()
     w = reduce_word(w, pres.alphabet)
@@ -142,8 +144,13 @@ def maximal_abelian_containing(tower: Tower, w: Word, budget: int = 8) -> Abelia
         return AbelianLocus((gen,), "verified", "free locus: cyclic on the root")
     rec = tower.centralizing_lattice(w, budget)
     if rec is not None:
-        return AbelianLocus(tuple(rec.generators), "verified",
-                            "centralized by a recorded torus lattice")
+        if all(ob.status == "verified" for s in tower.stages[1:rec.stage + 1]
+               for ob in s.obligations):
+            return AbelianLocus(tuple(rec.generators), "verified",
+                                "centralized by a recorded torus lattice")
+        return AbelianLocus(tuple(rec.generators), "budget-limited",
+                            "centralized by a recorded torus lattice built on an "
+                            "assumed obligation")
     return AbelianLocus((w,), "budget-limited",
                         "composite locus: cyclic candidate, maximality unresolved")
 

@@ -44,7 +44,6 @@ class FlatClass:
     rank: int
     lattice: tuple[Word, ...]
     block_index: int
-    representative: Word
     origin: str
 
     def __post_init__(self):
@@ -64,8 +63,7 @@ def flat_inventory(T: Tower, budget: int = 8) -> list[FlatClass]:
                 raise FlatsError(
                     f"lattice generators {format_word(u)}, {format_word(v)} "
                     f"do not commute")
-        out.append(FlatClass(len(rec.generators), rec.generators, rec.stage,
-                             rec.generators[0], rec.origin))
+        out.append(FlatClass(len(rec.generators), rec.generators, rec.stage, rec.origin))
     return out
 
 

@@ -6,8 +6,12 @@ obligation ledger for every validity check that could not be settled
 exactly.
 
 `Tower.word_problem`, `attach_block` and `find_rf_witness` reduce and
-check the words they are given; `Tower._wp_at` and the stage strategies
-that composite vertices call take their words as given.
+check the words they are given; `Tower._wp_at`, which composite vertices
+also call, takes its words as given.
+
+Every tower word problem runs one chain: the retraction to stage 0, then
+`Tower.free_map`, a relator-checked map to a free group (towers are
+residually free), and only then the top stage's Britton word problem.
 """
 
 from __future__ import annotations
@@ -327,7 +331,7 @@ class Tower:
         homomorphism to Z^n.  The key trusts the retraction exactly as far
         as `_wp_at`'s nonempty-base-image proof does."""
         if base is None:
-            base = self._retract_to_base(self.height, w)
+            base = self._base_map.apply(w)
         return base if self.free_base else abelianize(base, self.alphabet(0))
 
     @cached_property
@@ -344,66 +348,54 @@ class Tower:
             return None
         return hom
 
+    @cached_property
+    def _base_map(self) -> GroupHom:
+        hom = GroupHom.identity(self.alphabet())
+        for k in range(self.height, 0, -1):
+            hom = hom.then(self.stages[k].retraction)
+        return hom
+
+    def retraction_to_base(self) -> GroupHom:
+        """The composite retraction from the top stage to stage 0, built
+        once per tower."""
+        return self._base_map
+
     def word_problem(self, w: Word, budget: int = 8) -> str:
-        return self._wp_at(self.height, reduce_word(w, self.alphabet()), budget)
+        return self._wp_at(reduce_word(w, self.alphabet()), budget)
 
     def reduced_word_problem(self, w: Word, base: Word, budget: int = 8) -> str:
         """Triviality of a reduced word w of the top stage whose reduced
         image under `retraction_to_base()` is `base`.  Neither word is
         reduced or checked again, and no retraction runs: callers that
         build both images letter by letter (the ball walks of `rft.embed`)
-        already have them.
+        already have them."""
+        return self._wp_at(w, budget, base)
 
-        When the base image does not decide, w's image under `free_map` is
-        asked next: a nonempty image is Nontrivial, and only words that
-        both maps send to 1 reach the Britton word problem.  The map is
-        applied only to those few words, never carried along a walk."""
-        return self._wp_at(self.height, w, budget, base, by_free_map=True)
-
-    def _wp_at(self, stage: int, w: Word, budget: int,
-               base: Optional[Word] = None, by_free_map: bool = False) -> str:
-        """Triviality of w in the given stage.
+    def _wp_at(self, w: Word, budget: int, base: Optional[Word] = None) -> str:
+        """Triviality of w in the top stage, the one chain behind
+        `word_problem`, `reduced_word_problem` and the composite vertex
+        that stands for this tower in the next stage's graph.
 
         Above stage 0 the image of w in the base is asked first: `base`
-        when the caller has it, else the retractions build it.  The
-        retraction is a homomorphism, so a nontrivial image proves w
-        nontrivial.  The image is reduced, so on a free base a nonempty
-        image is that proof already and no base word problem runs;
-        otherwise the stage-0 word problem decides it.  With `by_free_map`
-        (top stage only), a nonempty image under `free_map` is the next
-        proof.  Every other case goes to the stage's Britton/amalgam word
-        problem.
-
-        Only `reduced_word_problem` sets `by_free_map`.  The map is as sound
-        for `word_problem` and `strategy`, and makes them faster, but the
-        benchmark's `peak_rss_mb` grows with the number of queries a run
-        completes, so that switch waits for ROADMAP item 6."""
+        when the caller has it, else w's image under
+        `retraction_to_base()`.  The retraction is a homomorphism, so a
+        nontrivial image proves w nontrivial.  The image is reduced, so on
+        a free base a nonempty image is that proof already and no base
+        word problem runs; otherwise the stage-0 word problem decides it.
+        A height-0 tower skips this step.  Next, a nonempty image under
+        `free_map` is Nontrivial, so only words that both maps send to 1
+        reach the top stage's Britton/amalgam word problem."""
         if not w:
             return TRIVIAL
-        if stage > 0:
+        if self.height:
             if base is None:
-                base = self._retract_to_base(stage, w)
-            if base and (self.free_base or self._wp_at(0, base, budget) == NONTRIVIAL):
+                base = self._base_map.apply(w)
+            if base and (self.free_base or gg.word_problem(
+                    self.stages[0].graph, base, budget) == NONTRIVIAL):
                 return NONTRIVIAL
-        if by_free_map and self.free_map is not None and self.free_map.apply(w):
+        if self.free_map is not None and self.free_map.apply(w):
             return NONTRIVIAL
-        return gg.word_problem(self.stages[stage].graph, w, budget)
-
-    def _retract_to_base(self, stage: int, w: Word) -> Word:
-        for k in range(stage, 0, -1):
-            w = self.stages[k].retraction.apply(w)
-        return w
-
-    def retraction_to_base(self) -> GroupHom:
-        hom = GroupHom.identity(self.alphabet())
-        for k in range(self.height, 0, -1):
-            hom = hom.then(self.stages[k].retraction)
-        return hom
-
-    def strategy(self, stage: Optional[int] = None):
-        """Word-problem strategy callable for the given stage."""
-        n = self.height if stage is None else stage
-        return lambda w, budget: self._wp_at(n, w, budget)
+        return gg.word_problem(self.stages[-1].graph, w, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +464,7 @@ def _prev_vertex(tower: Tower, label: str) -> VertexGroup:
         v = next(iter(g.vertices.values()))
         return VertexGroup(label, v.kind, v.alphabet, surface=v.surface,
                            relators=v.relators, strategy=v.strategy)
-    return composite_vertex(label, pres.alphabet, pres.relators, tower.strategy())
+    return composite_vertex(label, pres.alphabet, pres.relators, tower._wp_at)
 
 
 def _check_maximal_cyclic(tower: Tower, w: Word) -> tuple[Optional[bool], str]:
@@ -815,8 +807,7 @@ def _parameter_shells(dim: int, max_norm: int, seed: int):
 
 
 def find_rf_witness(
-    tower: Tower, words: list[Word], budget: int, seed: int = 0, wp_budget: int = 8,
-    max_attempts: int = 20000,
+    tower: Tower, words: list[Word], budget: int, seed: int = 0, max_attempts: int = 20000,
 ) -> WitnessCertificate:
     """Search the parametrized family for a homomorphism to a free group
     that is injective on the given finite word set."""
@@ -834,14 +825,12 @@ def find_rf_witness(
         for j in range(i + 1, len(W)):
             if classes[j] != j or keys[i] != keys[j]:
                 continue
-            if W[i] == W[j] or tower.word_problem(
-                concat(W[i], invert(W[j])), wp_budget
-            ) == TRIVIAL:
+            if W[i] == W[j] or tower.word_problem(concat(W[i], invert(W[j]))) == TRIVIAL:
                 classes[j] = classes[i]
     one = tower.element_key(())
     trivial_class = next(
         (classes[i] for i, w in enumerate(W)
-         if keys[i] == one and tower.word_problem(w, wp_budget) == TRIVIAL), None)
+         if keys[i] == one and tower.word_problem(w) == TRIVIAL), None)
 
     # formatted once per search, not twice per failed attempt
     names = [format_word(w) for w in W]

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from rft import cli, graphgroups
+from rft import cli, graphgroups, tower
 
 GAMMA_DSL = """\
 tower gamma {
@@ -128,7 +128,8 @@ def test_wp_exit_codes_match_verdicts(gamma_file):
 def test_inconsistent_trivial_verdict_is_an_error(gamma_file, monkeypatch):
     # a normal form that wrongly answers Trivial trips the abelianization
     # cross-check, which the CLI reports as an error, not a traceback; t
-    # retracts to the empty word, so its word problem reaches normal_form
+    # retracts to the empty word, and with the tower's map to a free group
+    # switched off its word problem reaches normal_form
     real = graphgroups.normal_form
 
     def wrong_for_t(G, w, budget=8):
@@ -137,6 +138,7 @@ def test_inconsistent_trivial_verdict_is_an_error(gamma_file, monkeypatch):
         return real(G, w, budget)
 
     monkeypatch.setattr(graphgroups, "normal_form", wrong_for_t)
+    monkeypatch.setattr(tower.Tower, "free_map", None)
     # a failed cross-check is never remembered: asking again raises again
     for _ in range(2):
         code, text = cli.run_command(["wp", gamma_file, "--word", "t"])

@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no private module-level function or class is left unreferenced, only
 `rft.tower` reads whether a tower's base is free or uses its map to a
-free group, and only the listed entry points reduce a word they were
-given.
+free group, only the listed entry points reduce a word they were given,
+and importing the CLI loads no `hashlib`.
 
 Stdlib `ast` only.  A name counts as used when it is read anywhere in
 the module; names listed in the module's `__all__` are re-exports and
@@ -10,6 +10,8 @@ exempt.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,9 +109,21 @@ def test_only_the_tower_reads_free_base():
 
 @pytest.mark.parametrize("name", ["free_map", "_WitnessFamily"])
 def test_only_the_tower_uses_its_map_to_a_free_group(name):
-    # `Tower.reduced_word_problem` is the one place a word is proved
-    # nontrivial by a family member, so no second rule can grow beside it
+    # `Tower._wp_at`, the one chain behind every tower word problem, is the
+    # one place a word is proved nontrivial by a family member, so no
+    # second rule can grow beside it
     assert referrers(_trees(), name) == ["tower"]
+
+
+def test_importing_the_cli_loads_no_hashlib():
+    # hashlib loads OpenSSL, a few MB of resident memory that only a
+    # rendered report's digest needs; a fresh interpreter shows whether an
+    # import pulled it in
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import rft.cli; "
+            "print('hashlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 # Where a word enters the engine, or the normal form that reduces the

@@ -201,10 +201,9 @@ def test_retraction_to_base(gamma):
 def test_retraction_kills_stage_relators(gamma):
     # every top-stage relator maps to a trivial word one stage down
     r = gamma.stages[1].retraction
-    prev = gamma.stages[0]
     for rel in gamma.presentation().relators:
         img = r.apply(rel)
-        assert gamma._wp_at(0, img, 8) == TRIVIAL
+        assert word_problem(gamma.stages[0].graph, img, 8) == TRIVIAL
 
 
 def test_two_stage_retraction_composes(gamma):
@@ -212,6 +211,7 @@ def test_two_stage_retraction_composes(gamma):
     t2 = tw.attach_block(
         gamma, tw.BlockT((parse_word("[a,b]"), parse_word("t", al)), 3, ("u",)))
     r = t2.retraction_to_base()
+    assert r is t2.retraction_to_base()
     stagewise = t2.stages[2].retraction.then(t2.stages[1].retraction)
     for w in enumerate_ball(t2.alphabet(), 2):
         assert r.apply(w) == stagewise.apply(w)
@@ -529,8 +529,8 @@ def test_free_map_kills_every_relator(name):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_a_nonempty_free_map_image_is_never_trivial(data):
-    # the Britton word problem never contradicts the free map's proof; the
-    # drawn words mix relator conjugates in, so some are trivial
+    # the top stage's Britton word problem never contradicts the free map's
+    # proof; the drawn words mix relator conjugates in, so some are trivial
     T = _cached_tower(data.draw(st.sampled_from(CORPUS_NAMES)))
     letters = st.tuples(st.sampled_from(T.alphabet().generators), st.sampled_from((1, -1)))
     short = st.lists(letters, max_size=3).map(tuple)
@@ -542,9 +542,24 @@ def test_a_nonempty_free_map_image_is_never_trivial(data):
         factors += [g, r if data.draw(st.booleans()) else invert(r), invert(g)]
     w = reduce_word(concat(*factors))
     if T.free_map.apply(w):
-        assert T.word_problem(w, budget=2) != TRIVIAL
-    assert T.reduced_word_problem(w, T.retraction_to_base().apply(w), budget=2) in (
-        T.word_problem(w, budget=2), NONTRIVIAL)
+        assert word_problem(T.stages[-1].graph, w, 2) != TRIVIAL
+    assert T.reduced_word_problem(w, T.retraction_to_base().apply(w), budget=2) == (
+        T.word_problem(w, budget=2))
+
+
+def test_the_free_map_decides_before_the_top_stage_is_asked(gamma, monkeypatch):
+    # t retracts to the empty word, but the free map sends it to [a,b]^1,
+    # so no word problem of the top stage's graph runs
+    real = tw.gg.word_problem
+    asked = []
+
+    def counting(G, w, budget=8):
+        asked.append(G)
+        return real(G, w, budget)
+
+    monkeypatch.setattr(tw.gg, "word_problem", counting)
+    assert gamma.word_problem(parse_word("t", gamma.alphabet())) == NONTRIVIAL
+    assert gamma.stages[-1].graph not in asked
 
 
 def _splitting_embedding(name):
@@ -575,8 +590,7 @@ def test_a_family_member_that_keeps_a_relator_is_no_free_map(name, monkeypatch):
 
 # -- witness search: first collision, names formatted once ------------------------
 
-def _reference_find_rf_witness(tower, words, budget, seed=0, wp_budget=8,
-                               max_attempts=20000):
+def _reference_find_rf_witness(tower, words, budget, seed=0, max_attempts=20000):
     """The attempt loop as it was before it stopped at the first collision:
     every word's image per attempt, and the collision's two words
     formatted anew per failed attempt."""
@@ -591,13 +605,12 @@ def _reference_find_rf_witness(tower, words, budget, seed=0, wp_budget=8,
         for j in range(i + 1, len(W)):
             if classes[j] != j or keys[i] != keys[j]:
                 continue
-            if W[i] == W[j] or tower.word_problem(
-                    concat(W[i], invert(W[j])), wp_budget) == TRIVIAL:
+            if W[i] == W[j] or tower.word_problem(concat(W[i], invert(W[j]))) == TRIVIAL:
                 classes[j] = classes[i]
     one = tower.element_key(())
     trivial_class = next(
         (classes[i] for i, w in enumerate(W)
-         if keys[i] == one and tower.word_problem(w, wp_budget) == TRIVIAL), None)
+         if keys[i] == one and tower.word_problem(w) == TRIVIAL), None)
     attempts = 0
     for params in tw._parameter_shells(family.dimension, budget, seed):
         attempts += 1
