@@ -65,9 +65,6 @@ class Token:
     col: int
 
 
-_PUNCT = ("->", "{", "}", "(", ")", "=", ";", ",", ":")
-
-
 def _tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
     line, col, i = 1, 1, 0

@@ -38,7 +38,6 @@ class CoverGraph:
     def __init__(self, source: Tower, subgens: list[Word],
                  depth_budget: int = 2, budget: int = 8):
         self.source = source
-        self.budget = budget
         pres = source.presentation()
         self._wp = lambda w: source.word_problem(w, budget)
         self.alphabet: Alphabet = pres.alphabet

@@ -56,8 +56,6 @@ def flat_inventory(T: Tower, budget: int = 8) -> list[FlatClass]:
     construction, after torus-extension deduplication."""
     out: list[FlatClass] = []
     for rec in T.lattice_records():
-        if rec.superseded or len(rec.generators) < 2:
-            continue
         for u, v in itertools.combinations(rec.generators, 2):
             if T.word_problem(commutator(u, v), budget) == NONTRIVIAL:
                 raise FlatsError(
@@ -222,7 +220,6 @@ N_TYPE = "N-type"
 
 @dataclass
 class ColoredCore:
-    report: CoreReport
     top_block: Block
     vertex_types: dict[int, str]
     colors: dict[int, str]
@@ -258,7 +255,7 @@ def color_vertices(R: CoreReport, T: Tower) -> ColoredCore:
         colors = {v: (G_COLOR if t == N_TYPE else B_COLOR) for v, t in types.items()}
     else:
         colors = {v: (G_COLOR if t == M_TYPE else B_COLOR) for v, t in types.items()}
-    return ColoredCore(R, top, types, colors)
+    return ColoredCore(top, types, colors)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ given; unreduced words get the same answers, only more slowly.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -374,6 +373,20 @@ def _quotient_coefficients(alph, relators, subgens, w):
     return ("candidate", sol[: len(cols)])
 
 
+def _exponent_shell(k: int, r: int):
+    """The k-tuples of max-abs exactly r, in lexicographic order, each
+    made only when it is asked for."""
+    for x in range(-r, r + 1):
+        if abs(x) == r:
+            tails = itertools.product(range(-r, r + 1), repeat=k - 1)
+        elif k > 1:
+            tails = _exponent_shell(k - 1, r)
+        else:
+            continue
+        for tail in tails:
+            yield (x,) + tail
+
+
 def subgroup_membership(
     V: VertexGroup, subgens: list[Word], w: Word, budget: int
 ) -> MembershipResult:
@@ -405,11 +418,8 @@ def subgroup_membership(
             # subgroup when the generators commute (edge groups are
             # free-abelian); bounded |ki| <= budget, small first.
             if len(subgens) <= 3:
-                tuples = sorted(
-                    itertools.product(range(-budget, budget + 1), repeat=len(subgens)),
-                    key=lambda ks: (max(map(abs, ks)), ks),
-                )
-                for ks in tuples:
+                shells = (_exponent_shell(len(subgens), r) for r in range(budget + 1))
+                for ks in itertools.chain.from_iterable(shells):
                     cand = concat(*(power(g, k) for g, k in zip(subgens, ks)))
                     if V.triviality(reduce_word(concat(w, invert(cand))), budget) == TRIVIAL:
                         return MembershipResult(MEMBER, [(i, k) for i, k in enumerate(ks) if k])
@@ -574,39 +584,15 @@ def normal_form(G: GraphOfGroups, w: Word, budget: int = 8) -> NormalForm:
     return NormalForm(items, TRIVIAL if not items else NONTRIVIAL if definite else UNKNOWN)
 
 
-# Verdicts decided during the current top-level word problem, keyed by
-# (graph, word as given, budget); graphs hash by identity, and the engine
-# passes reduced words.  A tower word problem re-enters lower stages
-# through composite vertices and asks the same subproblems many times
-# over.  The memo lives only as long as the outermost call, so no verdict
-# state outlives it.
-_verdicts: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
-    "rft_verdicts", default=None)
-
-
 def word_problem(G: GraphOfGroups, w: Word, budget: int = 8) -> str:
     """Triviality verdict; Trivial verdicts are cross-checked against the
-    presentation's abelianization oracle.  Each (G, w, budget) is decided
-    at most once inside one top-level call."""
-    memo = _verdicts.get()
-    token = None
-    if memo is None:
-        memo = {}
-        token = _verdicts.set(memo)
-    try:
-        key = (G, w, budget)
-        verdict = memo.get(key)
-        if verdict is None:
-            verdict = normal_form(G, w, budget).verdict
-            if verdict == TRIVIAL:
-                pres = G.presentation()
-                vec = abelianize(w, pres.alphabet)
-                if any(vec) and solve_int_linear(pres.relator_columns(), vec) is None:
-                    raise InconsistencyError(
-                        "internal inconsistency: Trivial verdict contradicts the "
-                        "abelianization oracle")
-            memo[key] = verdict
-        return verdict
-    finally:
-        if token is not None:
-            _verdicts.reset(token)
+    presentation's abelianization oracle."""
+    verdict = normal_form(G, w, budget).verdict
+    if verdict == TRIVIAL:
+        pres = G.presentation()
+        vec = abelianize(w, pres.alphabet)
+        if any(vec) and solve_int_linear(pres.relator_columns(), vec) is None:
+            raise InconsistencyError(
+                "internal inconsistency: Trivial verdict contradicts the "
+                "abelianization oracle")
+    return verdict

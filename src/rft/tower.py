@@ -5,6 +5,11 @@ the word problem, the retraction to the previous stage, and an
 obligation ledger for every validity check that could not be settled
 exactly.
 
+A, Q and T blocks are attached by one path, `attach_block`: the block's
+new generator names are claimed, its own checks run, and one builder
+assembles the stage from the stage below (as one vertex), the block
+vertex and its edges, and a retraction that fixes the old generators.
+
 `Tower.word_problem`, `attach_block` and `find_rf_witness` reduce and
 check the words they are given; `Tower._wp_at`, which composite vertices
 also call, takes its words as given.
@@ -104,6 +109,11 @@ class BlockQ:
             if g not in self.retraction:
                 raise BlockError(f"retraction image missing for surface generator {g!r}")
 
+    @property
+    def attaching(self) -> tuple[Word, ...]:
+        """One attaching word per boundary circle."""
+        return self.boundary_attach
+
 
 @dataclass(frozen=True)
 class BlockT:
@@ -185,14 +195,13 @@ def noncommuting_pair(target: Tower, hom: GroupHom, gens, budget: int):
     return holds, None
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatticeRecord:
     """A rank >= 2 free-abelian lattice created during construction."""
 
     stage: int
     generators: tuple[Word, ...]
     origin: str  # "summand" | "A" | "T"
-    superseded: bool = False
 
 
 @dataclass
@@ -276,33 +285,31 @@ class Tower:
         return self.height >= 1 and all(ob.status == "verified" for ob in below + top)
 
     def lattice_records(self) -> list[LatticeRecord]:
-        records: list[LatticeRecord] = []
-        for i, s in enumerate(self.stages):
-            if i == 0:
-                for v in self.summands:
-                    if v.kind == "abelian" and len(v.alphabet) >= 2:
-                        records.append(
-                            LatticeRecord(0, tuple(letter(g) for g in v.alphabet), "summand")
-                        )
-                continue
+        """The live torus lattices, in construction order: a lattice that a
+        later A/T block extends is superseded by that block's lattice."""
+        return list(self._lattices)
+
+    @cached_property
+    def _lattices(self) -> tuple[LatticeRecord, ...]:
+        records = [LatticeRecord(0, tuple(letter(g) for g in v.alphabet), "summand")
+                   for v in self.summands if v.kind == "abelian" and len(v.alphabet) >= 2]
+        for i, s in enumerate(self.stages[1:], 1):
             b = s.block
             if isinstance(b, (BlockA, BlockT)):
                 gens = tuple(reduce_word(w) for w in b.attaching) + tuple(
-                    letter(t) for t in b.letters
-                )
+                    letter(t) for t in b.letters)
+                # old lattices hold no new letter: the block extends a
+                # lattice when its reduced attaching words cover it
+                records = [r for r in records if not set(r.generators) <= set(gens)]
                 records.append(LatticeRecord(i, gens, "A" if isinstance(b, BlockA) else "T"))
-                # a block extending an earlier lattice supersedes it
-                for r in records[:-1]:
-                    if not r.superseded and set(r.generators) <= set(b.attaching):
-                        r.superseded = True
-        return records
+        return tuple(records)
 
     def centralizing_lattice(self, w: Word, budget: int,
                              below: Optional[int] = None) -> Optional[LatticeRecord]:
-        """The first non-superseded torus lattice, of a stage below `below`
-        when given, whose generators all provably commute with w."""
+        """The first live torus lattice, of a stage below `below` when
+        given, whose generators all provably commute with w."""
         for rec in self.lattice_records():
-            if rec.superseded or (below is not None and rec.stage >= below):
+            if below is not None and rec.stage >= below:
                 continue
             if all(self.word_problem(commutator(w, g), budget) == TRIVIAL
                    for g in rec.generators):
@@ -492,8 +499,6 @@ def _check_maximal_cyclic(tower: Tower, w: Word) -> tuple[Optional[bool], str]:
     vec = abelianize(w, pres.alphabet)
     rel_cols = pres.relator_columns()
     for rec in tower.lattice_records():
-        if rec.superseded:
-            continue
         cols = [abelianize(g_, pres.alphabet) for g_ in rec.generators]
         if solve_int_linear(cols + rel_cols, vec) is not None:
             return None, "abelianization is consistent with a torus lattice; maximality unresolved"
@@ -503,88 +508,37 @@ def _check_maximal_cyclic(tower: Tower, w: Word) -> tuple[Optional[bool], str]:
 def attach_block(tower: Tower, block: Block, budget: int = 8, assume: bool = False) -> Tower:
     """Attach one A/Q/T block; validity obligations are checked here.
 
-    Every check goes through `require`: a refuted one rejects the block
-    naming the check; an undecided one is accepted only with assume=True
-    and recorded as assumed.
+    Every block takes one path.  Its new generator names are claimed
+    first.  Its own checks run next, each through `require`: a refuted one
+    rejects the block naming the check; an undecided one is accepted only
+    with assume=True and recorded as assumed.  Then the stage is built:
+    the stage below as one vertex, the block vertex and its edges, the old
+    generators and relators followed by the new ones, and a retraction
+    that fixes the old generators.  A Q block's retraction is checked last.
     """
     if isinstance(block, BlockQ):
-        return _attach_q(tower, block, budget, assume)
-    if isinstance(block, (BlockA, BlockT)):
-        return _attach_t(tower, block, budget, assume)
-    raise BlockError(f"unknown block type {type(block).__name__}")
-
-
-def _attach_q(tower: Tower, block: BlockQ, budget: int, assume: bool) -> Tower:
+        names, what = block.surface.generators, "surface generator"
+    elif isinstance(block, (BlockA, BlockT)):
+        names, what = block.letters, "new letter"
+    else:
+        raise BlockError(f"unknown block type {type(block).__name__}")
     n = len(tower.stages)
     pres = tower.presentation()
-    obligations: list[Obligation] = []
-    surf = block.surface
-    used = set(pres.alphabet.generators)
-    for g in surf.generators:
+    old = pres.alphabet.generators
+    used = set(old)
+    for g in names:
         if g in used:
-            raise BlockError(f"surface generator {g!r} collides with an existing generator")
+            raise BlockError(f"{what} {g!r} collides with an existing generator")
         used.add(g)
 
-    attach = [reduce_word(w, pres.alphabet) for w in block.boundary_attach]
-    for i, w in enumerate(attach):
-        verdict = tower.word_problem(w, budget)
-        require(obligations, "attach-nontrivial", decided(verdict, NONTRIVIAL),
-                f"boundary {i + 1} verdict {verdict}", assume)
-
-    v1 = _prev_vertex(tower, f"st{n - 1}")
-    v2 = free_vertex(f"blk{n}", surf.alphabet())
-    boundaries = surf.boundary_words()
-    stable = tuple(_fresh(f"s{n}_{i}", used) for i in range(1, surf.punctures))
-    edges = [
-        EdgeGroup(f"e{n}_0", 1, (v2.label, (boundaries[0],)), (v1.label, (attach[0],)))
-    ]
-    for i in range(1, surf.punctures):
-        edges.append(
-            EdgeGroup(f"e{n}_{i}", 1, (v2.label, (boundaries[i],)),
-                      (v1.label, (attach[i],)), stable_letter=stable[i - 1])
-        )
-    graph = GraphOfGroups([v1, v2], edges, v1.label)
-
-    new_alph = Alphabet(pres.alphabet.generators + surf.generators + stable)
-    relators = list(pres.relators)
-    relators.append(reduce_word(concat(boundaries[0], invert(attach[0]))))
-    for i in range(1, surf.punctures):
-        t = letter(stable[i - 1])
-        relators.append(reduce_word(concat(t, boundaries[i], invert(t), invert(attach[i]))))
-    new_pres = Presentation(new_alph, tuple(relators))
-
-    images = {g: letter(g) for g in pres.alphabet.generators}
-    for g in surf.generators:
-        images[g] = reduce_word(block.retraction[g], pres.alphabet)
-    for t in stable:
-        images[t] = ()
-    retraction = GroupHom(new_alph, pres.alphabet, images)
-
-    # retraction homomorphism check: every new relator dies one stage down
-    require_homomorphism(obligations, "retraction", retraction,
-                         new_pres.relators[len(pres.relators):], tower, budget, assume)
-
-    # nonabelian image: some pair of surface generators has noncommuting
-    # images; refuted only when every pair provably commutes
-    holds, pair = noncommuting_pair(tower, retraction, surf.generators, budget)
-    detail = (f"witness pair {pair[0]}, {pair[1]}" if holds
-              else "every surface generator pair has commuting images" if holds is False
-              else "no surface generator pair with noncommuting images found")
-    require(obligations, "retraction-nonabelian", holds, detail, assume)
-
-    stage = Stage(new_pres, graph, retraction, block, obligations)
-    return Tower(tower.summands, tower.stages + [stage])
-
-
-def _attach_t(tower: Tower, block: BlockA | BlockT, budget: int, assume: bool) -> Tower:
-    """Torus extension along the attaching tuple; an A block is the k = 1 case."""
-    n = len(tower.stages)
-    pres = tower.presentation()
     attach = tuple(reduce_word(w, pres.alphabet) for w in block.attaching)
     obligations: list[Obligation] = []
-    k = len(attach)
-
-    if k == 1:
+    if isinstance(block, BlockQ):
+        for i, w in enumerate(attach):
+            verdict = tower.word_problem(w, budget)
+            require(obligations, "attach-nontrivial", decided(verdict, NONTRIVIAL),
+                    f"boundary {i + 1} verdict {verdict}", assume)
+    elif len(attach) == 1:
         verdict = tower.word_problem(attach[0], budget)
         require(obligations, "attach-nontrivial", decided(verdict, NONTRIVIAL),
                 f"word problem verdict {verdict}", assume)
@@ -594,43 +548,67 @@ def _attach_t(tower: Tower, block: BlockA | BlockT, budget: int, assume: bool) -
             verdict = tower.word_problem(commutator(u, v), budget)
             require(obligations, "attach-lattice-commutes", decided(verdict, TRIVIAL),
                     f"[{format_word(u)}, {format_word(v)}]", assume)
-        if any(not rec.superseded and set(rec.generators) == set(attach)
-               for rec in tower.lattice_records()):
-            require(obligations, "attach-lattice", True,
-                    "attaching tuple generates an existing torus lattice", assume)
-        else:
-            require(obligations, "attach-lattice", None,
-                    "attaching tuple is not the generator tuple of a recorded torus lattice",
-                    assume)
+        known = any(set(rec.generators) == set(attach) for rec in tower.lattice_records())
+        require(obligations, "attach-lattice", known or None,
+                "attaching tuple generates an existing torus lattice" if known else
+                "attaching tuple is not the generator tuple of a recorded torus lattice", assume)
 
-    used = set(pres.alphabet.generators)
-    for t in block.letters:
-        if t in used:
-            raise BlockError(f"new letter {t!r} collides with an existing generator")
-        used.add(t)
-    us = tuple(_fresh(f"_u{n}_{i}", used) for i in range(k))
-
-    v1 = _prev_vertex(tower, f"st{n - 1}")
-    v2 = abelian_vertex(f"blk{n}", Alphabet(us + block.letters))
-    edge = EdgeGroup(f"e{n}", k, (v2.label, tuple(letter(u) for u in us)),
-                     (v1.label, attach))
-    graph = GraphOfGroups([v1, v2], [edge], v1.label)
-
-    new_alph = Alphabet(pres.alphabet.generators + block.letters)
-    relators = list(pres.relators)
-    ts = [letter(t) for t in block.letters]
-    for w in attach:
-        for t in ts:
-            relators.append(reduce_word(commutator(w, t)))
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            relators.append(reduce_word(commutator(ts[i], ts[j])))
-    retraction = GroupHom(
-        new_alph, pres.alphabet,
-        {g: letter(g) for g in pres.alphabet.generators} | {t: () for t in block.letters},
-    )
-    stage = Stage(Presentation(new_alph, tuple(relators)), graph, retraction, block, obligations)
+    below = _prev_vertex(tower, f"st{n - 1}")
+    piece = _surface_piece if isinstance(block, BlockQ) else _torus_piece
+    vertex, edges, new, relators, images = piece(block, attach, below.label, n, used)
+    alph = Alphabet(old + new)
+    retraction = GroupHom(alph, pres.alphabet, {g: letter(g) for g in old} | {
+        g: reduce_word(w, pres.alphabet) for g, w in images.items()})
+    graph = GraphOfGroups([below, vertex], edges, below.label)
+    if isinstance(block, BlockQ):
+        # every new relator dies one stage down, and some pair of surface
+        # generators has noncommuting images; refuted only when every pair
+        # provably commutes
+        require_homomorphism(obligations, "retraction", retraction, relators, tower, budget,
+                             assume)
+        holds, pair = noncommuting_pair(tower, retraction, block.surface.generators, budget)
+        detail = (f"witness pair {pair[0]}, {pair[1]}" if holds
+                  else "every surface generator pair has commuting images" if holds is False
+                  else "no surface generator pair with noncommuting images found")
+        require(obligations, "retraction-nonabelian", holds, detail, assume)
+    stage = Stage(Presentation(alph, pres.relators + relators), graph, retraction, block,
+                  obligations)
     return Tower(tower.summands, tower.stages + [stage])
+
+
+def _surface_piece(block: BlockQ, attach: tuple[Word, ...], below: str, n: int,
+                   used: set[str]):
+    """A Q block's vertex, edges, new generators, new relators and the
+    retraction images of its new generators, as the block gives them.
+    Boundary 1 is glued to its attaching word; boundary i > 1 is glued
+    through a fresh stable letter `s{n}_{i-1}`, which retracts to 1."""
+    surf = block.surface
+    vertex = free_vertex(f"blk{n}", surf.alphabet())
+    boundaries = surf.boundary_words()
+    stable = tuple(_fresh(f"s{n}_{i}", used) for i in range(1, surf.punctures))
+    edges = [EdgeGroup(f"e{n}_{i}", 1, (vertex.label, (b,)), (below, (w,)), stable_letter=t)
+             for i, (b, w, t) in enumerate(zip(boundaries, attach, (None,) + stable))]
+    ts = [()] + [letter(t) for t in stable]
+    relators = tuple(reduce_word(concat(t, b, invert(t), invert(w)))
+                     for t, b, w in zip(ts, boundaries, attach))
+    images = {g: block.retraction[g] for g in surf.generators} | dict.fromkeys(stable, ())
+    return vertex, edges, surf.generators + stable, relators, images
+
+
+def _torus_piece(block: BlockA | BlockT, attach: tuple[Word, ...], below: str, n: int,
+                 used: set[str]):
+    """The same parts for a torus extension along k attaching words; an A
+    block is the case k = 1.  The block vertex is free abelian on k fresh
+    edge letters `_u{n}_{i}` and the new letters, which commute with the
+    attaching words and with each other, and retract to 1."""
+    us = tuple(_fresh(f"_u{n}_{i}", used) for i in range(len(attach)))
+    vertex = abelian_vertex(f"blk{n}", Alphabet(us + block.letters))
+    edge = EdgeGroup(f"e{n}", len(attach), (vertex.label, tuple(letter(u) for u in us)),
+                     (below, attach))
+    ts = [letter(t) for t in block.letters]
+    relators = tuple(reduce_word(commutator(w, t)) for w in attach for t in ts) + tuple(
+        reduce_word(commutator(x, y)) for x, y in itertools.combinations(ts, 2))
+    return vertex, [edge], block.letters, relators, dict.fromkeys(block.letters, ())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -180,7 +182,7 @@ def test_amalgam_verdict_respects_abelianization(w):
         assert abelianize(w, al) == (0, 0, 0, 0)
 
 
-# -- call-scoped verdict memo -------------------------------------------------
+# -- subproblems of one tower word problem ------------------------------------
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 TALL = CORPUS / "tall.twr"
@@ -190,7 +192,7 @@ TALL = CORPUS / "tall.twr"
                                            ("[[a,t]^12,s]", UNKNOWN)])
 def test_each_subproblem_is_normalized_once_per_call(monkeypatch, text, verdict):
     # [w^n, t] on the height-3 tower re-enters the lower stages through
-    # composite vertices; every (graph, word, budget) is decided once
+    # composite vertices, yet no (graph, word, budget) is decided twice
     T = build_tower(parse_tower_dsl(TALL.read_text()))
     w = parse_word(text, T.alphabet())
     seen: Counter = Counter()
@@ -203,17 +205,16 @@ def test_each_subproblem_is_normalized_once_per_call(monkeypatch, text, verdict)
     monkeypatch.setattr(graphgroups, "normal_form", counting)
     assert T.word_problem(w) == verdict
     assert seen and max(seen.values()) == 1
-    # a second top-level call starts from an empty memo
+    # nor in a second top-level call
     seen.clear()
     assert T.word_problem(w) == verdict
     assert seen and max(seen.values()) == 1
 
 
-def test_memo_is_dropped_after_each_call(monkeypatch):
+def test_an_inconsistent_trivial_raises_on_every_call(monkeypatch):
     G = _amalgam()
     al = G.presentation().alphabet
     assert word_problem(G, parse_word("[a,b] [d,c]", al)) == TRIVIAL
-    assert graphgroups._verdicts.get() is None
 
     def wrong(G, w, budget=8):
         return graphgroups.NormalForm([], TRIVIAL)
@@ -221,9 +222,45 @@ def test_memo_is_dropped_after_each_call(monkeypatch):
     monkeypatch.setattr(graphgroups, "normal_form", wrong)
     with pytest.raises(InconsistencyError):
         word_problem(G, parse_word("c", al))
-    assert graphgroups._verdicts.get() is None
     with pytest.raises(InconsistencyError):
         word_problem(G, parse_word("c", al))
+
+
+# -- budgeted exponent search -------------------------------------------------
+
+
+def test_exponent_shells_keep_the_sorted_order():
+    # the order the search used to make by sorting the whole exponent box
+    for k in (1, 2, 3):
+        for budget in range(6):
+            box = sorted(itertools.product(range(-budget, budget + 1), repeat=k),
+                         key=lambda ks: (max(map(abs, ks)), ks))
+            shells = (graphgroups._exponent_shell(k, r) for r in range(budget + 1))
+            assert list(itertools.chain.from_iterable(shells)) == box
+
+
+def test_exponent_search_memory_does_not_grow_with_the_budget(monkeypatch):
+    # the candidate is found at max-abs 3, so a budget of 200 must not
+    # build the 401^k tuples of the box
+    T = build_tower(parse_tower_dsl((CORPUS / "t2.twr").read_text()))
+    w = parse_word("[[a,b]^3 t^2,u]", T.alphabet())
+    assert T.word_problem(w, 8) == TRIVIAL  # builds the tower's cached maps
+    shells = Counter()
+    real = graphgroups._exponent_shell
+
+    def counting(k, r):
+        shells[r] += 1
+        return real(k, r)
+
+    monkeypatch.setattr(graphgroups, "_exponent_shell", counting)
+    tracemalloc.start()
+    try:
+        assert T.word_problem(w, 200) == TRIVIAL
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shells and max(shells) <= 3
+    assert peak < 1_000_000
 
 
 def test_amalgam_over_three_vertices_is_refused():

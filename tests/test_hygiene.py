@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no private module-level function or class is left unreferenced, only
-`rft.tower` reads whether a tower's base is free or uses its map to a
-free group, only the listed entry points reduce a word they were given,
-and importing the CLI loads no `hashlib`.
+no private module-level function, class or assignment is left
+unreferenced, only `rft.tower` reads whether a tower's base is free or
+uses its map to a free group, only the listed entry points reduce a word
+they were given, and importing the CLI loads no `hashlib`.
 
 Stdlib `ast` only.  A name counts as used when it is read anywhere in
 the module; names listed in the module's `__all__` are re-exports and
@@ -49,11 +49,18 @@ def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
     referenced: set[str] = set()
     for name, tree in trees.items():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                defined[node.name] = name
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for n in names:
+                if n.startswith("_") and not n.startswith("__"):
+                    defined[n] = name
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
@@ -66,6 +73,12 @@ def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
 def test_no_unreferenced_private_definitions():
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     assert unreferenced_privates(trees) == []
+
+
+def test_an_unread_private_assignment_is_caught():
+    # assigning a name is not reading it
+    tree = ast.parse("_UNREAD = (1, 2)\n_READ: int = 3\nx = _READ\n")
+    assert unreferenced_privates({"m": tree}) == ["m._UNREAD"]
 
 
 def assumed_literals(trees: dict[str, ast.Module]) -> list[str]:
@@ -138,8 +151,7 @@ REDUCING_ENTRY_POINTS = {
     "graphgroups.VertexGroup.normalize",
     "graphgroups.normal_form",
     "tower.Tower.word_problem",
-    "tower._attach_q",
-    "tower._attach_t",
+    "tower.attach_block",
     "tower.find_rf_witness",
     "core.CoverGraph.__init__",
     "embed.maximal_abelian_containing",

@@ -98,8 +98,42 @@ def test_attach_t_extends_lattice(gamma):
     al2 = t2.alphabet()
     assert t2.word_problem(parse_word("[u,t]", al2)) == TRIVIAL
     assert t2.word_problem(parse_word("[u,a]", al2)) == NONTRIVIAL
-    recs = [r for r in t2.lattice_records() if not r.superseded]
+    # the T block's lattice supersedes gamma's [a,b], t lattice
+    recs = t2.lattice_records()
     assert len(recs) == 1 and len(recs[0].generators) == 3
+
+
+def test_the_lattice_ledger_lists_the_live_lattices(gamma):
+    # wide's T block extends the (x, y) summand lattice, which drops out
+    wide = _corpus_tower("wide")
+    recs = wide.lattice_records()
+    assert [(r.stage, r.origin, len(r.generators)) for r in recs] == [(1, "A", 2), (2, "T", 3)]
+    # one ledger per tower, handed out as a fresh list
+    recs.clear()
+    assert len(wide.lattice_records()) == 2
+    assert [r.origin for r in gamma.lattice_records()] == ["A"]
+    # an unreduced attaching word extends the same lattice
+    doc = cli.parse_tower_dsl("""tower w { base { free(a); abelian(rank=2: x, y) }
+      block T { attach=("x a a^-1", "y"); rank=3; letters=u; } }""")
+    assert [r.origin for r in cli.build_tower(doc).lattice_records()] == ["T"]
+
+
+@pytest.mark.parametrize("kind", ["A", "Q", "T"])
+def test_a_colliding_name_fails_before_any_word_problem(monkeypatch, free2, kind):
+    def no_word_problem(self, w, budget=8):
+        raise AssertionError("word problem asked")
+
+    monkeypatch.setattr(tw.Tower, "word_problem", no_word_problem)
+    al = free2.alphabet()
+    block, message = {
+        "A": (tw.BlockA((), 2, ("a",)), "new letter 'a' collides"),
+        "T": (tw.BlockT((parse_word("a", al), parse_word("b", al)), 3, ("b",)),
+              "new letter 'b' collides"),
+        "Q": (tw.BlockQ(SurfacePresentation(1, 1, ("x", "a")), ((),),
+                        {"x": (), "a": ()}), "surface generator 'a' collides"),
+    }[kind]
+    with pytest.raises(tw.BlockError, match=message):
+        tw.attach_block(free2, block)
 
 
 def test_attach_t_rejects_noncommuting(gamma):
