@@ -783,6 +783,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Options that bound a search or a radius: 0 is a valid bound, a negative
+# value is a usage error.
+BOUND_OPTIONS = ("budget", "power_budget", "depth", "ball")
+
+
 def run_command(argv: list[str]) -> tuple[int, str]:
     parser = _build_parser()
     try:
@@ -790,6 +795,10 @@ def run_command(argv: list[str]) -> tuple[int, str]:
     except SystemExit as exc:
         return (EXIT_USAGE if exc.code else EXIT_OK), ""
     try:
+        for name in BOUND_OPTIONS:
+            value = getattr(args, name, 0)
+            if value < 0:
+                raise ValueError(f"--{name.replace('_', '-')} must be at least 0, got {value}")
         if args.command == "selftest":
             code, rep = _cmd_selftest(args)
         else:

@@ -428,11 +428,11 @@ def certify_injectivity_on_ball(R: EmbeddingResult,
     a whole word.  The tower decides j(w) from the two
     (`Tower.reduced_word_problem`): a nonempty base image on a free base
     is Nontrivial at once, so is a nonempty image under the tower's map
-    to a free group for the words the base image left open, and only
-    words that both maps send to 1 reach a Britton word problem.  All
-    three are the tower's own decision, so each such entry has method
-    "direct"; only a Britton Unknown, on a word that both maps send to 1,
-    turns to `find_rf_witness`.
+    to a free group for the words the base image left open, a conjugate
+    of a defining relator is Trivial, and only the words that both maps
+    send to 1 and that are no relator conjugate reach a Britton word
+    problem.  All are the tower's own decision, so each such entry has
+    method "direct"; only a Britton Unknown turns to `find_rf_witness`.
 
     The tower is asked first.  When every `j-homomorphism` obligation is
     verified (vacuously so when L has no relators), j is a homomorphism,

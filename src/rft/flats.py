@@ -53,7 +53,15 @@ class FlatClass:
 
 def flat_inventory(T: Tower, budget: int = 8) -> list[FlatClass]:
     """One class per rank >= 2 abelian lattice created during
-    construction, after torus-extension deduplication."""
+    construction, after torus-extension deduplication.
+
+    Each pair of lattice generators is checked to commute by a tower word
+    problem.  The block that made a lattice added the commutators of its
+    new letters as relators, and a torus extension of a recorded lattice
+    finds that lattice's commutators among the relators already.  So
+    these word problems end at the relator step of the chain, without a
+    Britton word problem, on every corpus tower; a commutator whose
+    lattice was only assumed may still take the full chain."""
     out: list[FlatClass] = []
     for rec in T.lattice_records():
         for u, v in itertools.combinations(rec.generators, 2):

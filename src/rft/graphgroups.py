@@ -207,6 +207,9 @@ class GraphOfGroups:
         self.tree_edges = self._spanning_tree()
         self._stable_names = self._assign_stable_letters()
         self._symbol_home = self._index_symbols()
+        # the presentation's generators; words are checked against these
+        # without building its relators
+        self.alphabet = Alphabet(tuple(self._symbol_home))
         self._presentation: Optional[Presentation] = None
 
     # -- construction checks ----------------------------------------------
@@ -294,12 +297,6 @@ class GraphOfGroups:
 
     def presentation(self) -> Presentation:
         if self._presentation is None:
-            gens: list[str] = []
-            for v in self.vertices.values():
-                gens.extend(v.alphabet.generators)
-            for e in self.edges:
-                if e.label not in self.tree_edges:
-                    gens.append(self._stable_names[e.label])
             relators: list[Word] = []
             for v in self.vertices.values():
                 relators.extend(v.all_relators())
@@ -314,7 +311,7 @@ class GraphOfGroups:
                         relators.append(
                             reduce_word(concat(t, li, invert(t), invert(ri)))
                         )
-            self._presentation = Presentation(Alphabet(tuple(gens)), tuple(relators))
+            self._presentation = Presentation(self.alphabet, tuple(relators))
         return self._presentation
 
     def stable_letter(self, edge_label: str) -> str:
@@ -579,7 +576,7 @@ def _reduce_items(G: GraphOfGroups, items: list, budget: int):
 def normal_form(G: GraphOfGroups, w: Word, budget: int = 8) -> NormalForm:
     """Britton/amalgam reduction of a word over the fundamental
     presentation; reduces and checks w first."""
-    w = reduce_word(w, G.presentation().alphabet)
+    w = reduce_word(w, G.alphabet)
     items, definite = _reduce_items(G, G.decompose(w), budget)
     return NormalForm(items, TRIVIAL if not items else NONTRIVIAL if definite else UNKNOWN)
 

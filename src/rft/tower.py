@@ -16,7 +16,9 @@ also call, takes its words as given.
 
 Every tower word problem runs one chain: the retraction to stage 0, then
 `Tower.free_map`, a relator-checked map to a free group (towers are
-residually free), and only then the top stage's Britton word problem.
+residually free), then a lookup among the cyclic cores of the defining
+relators (`Tower.relator_cores`), and only then the top stage's Britton
+word problem.
 """
 
 from __future__ import annotations
@@ -52,9 +54,11 @@ from .words import (
     apply_map,
     commutator,
     concat,
+    cyclic_core,
     format_word,
     invert,
     is_proper_power,
+    least_rotation,
     letter,
     power,
     reduce_word,
@@ -356,6 +360,31 @@ class Tower:
         return hom
 
     @cached_property
+    def relator_cores(self) -> dict[int, frozenset[Word]]:
+        """The cyclically reduced cores of the defining relators of the top
+        presentation and of their inverses, each as its `least_rotation`,
+        grouped by length, for `_relator_conjugate`.  The stored relators
+        are reduced, so the cores are cut from them by slicing alone.
+        Least rotations keep this linear in the relators' length: the set
+        of all rotations grows with its square."""
+        cores: dict[int, set[Word]] = {}
+        for r in self.presentation().relators:
+            core, _ = cyclic_core(r)
+            cores.setdefault(len(core), set()).update(
+                (least_rotation(core), least_rotation(invert(core))))
+        return {n: frozenset(c) for n, c in cores.items()}
+
+    def _relator_conjugate(self, w: Word) -> bool:
+        """Whether w is a relator conjugate: its cyclically reduced core
+        is a rotation of the core of a defining relator of the top
+        presentation or of its inverse.  Then w is a conjugate of that
+        relator, so it is trivial.  Stage 0's relators
+        are among the top's, and stage 0 embeds in the top stage, so this
+        holds for words of stage 0 too."""
+        core, _ = cyclic_core(w)
+        return least_rotation(core) in self.relator_cores.get(len(core), ())
+
+    @cached_property
     def _base_map(self) -> GroupHom:
         hom = GroupHom.identity(self.alphabet())
         for k in range(self.height, 0, -1):
@@ -388,20 +417,24 @@ class Tower:
         `retraction_to_base()`.  The retraction is a homomorphism, so a
         nontrivial image proves w nontrivial.  The image is reduced, so on
         a free base a nonempty image is that proof already and no base
-        word problem runs; otherwise the stage-0 word problem decides it.
+        word problem runs; otherwise the stage-0 word problem decides it,
+        unless the image is a relator conjugate (below), which is trivial.
         A height-0 tower skips this step.  Next, a nonempty image under
         `free_map` is Nontrivial, so only words that both maps send to 1
-        reach the top stage's Britton/amalgam word problem."""
+        reach the relator step: a relator conjugate is Trivial.  Only the
+        words left reach the top stage's Britton/amalgam word problem."""
         if not w:
             return TRIVIAL
         if self.height:
             if base is None:
                 base = self._base_map.apply(w)
-            if base and (self.free_base or gg.word_problem(
-                    self.stages[0].graph, base, budget) == NONTRIVIAL):
+            if base and (self.free_base or not self._relator_conjugate(base)
+                         and gg.word_problem(self.stages[0].graph, base, budget) == NONTRIVIAL):
                 return NONTRIVIAL
         if self.free_map is not None and self.free_map.apply(w):
             return NONTRIVIAL
+        if self._relator_conjugate(w):
+            return TRIVIAL
         return gg.word_problem(self.stages[-1].graph, w, budget)
 
 

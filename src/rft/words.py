@@ -7,7 +7,8 @@ and Dehn's algorithm for closed hyperbolic surface groups.
 
 Free reduction happens once per word: where a word enters the engine,
 or where the engine builds it.  Here `reduce_word`, `cyclic_reduce` and
-`dehn_reduce` reduce their input; `apply_map` and `GroupHom.apply`
+`dehn_reduce` reduce their input (`cyclic_core` is `cyclic_reduce`
+for a word already reduced); `apply_map` and `GroupHom.apply`
 reduce the image they build; `join_reduced` and `walk_ball` take reduced
 words and keep them reduced, cancelling only where two of them meet;
 `concat`, `invert`, `power` and `commutator` do not reduce.
@@ -36,6 +37,8 @@ __all__ = [
     "power",
     "reduce_word",
     "cyclic_reduce",
+    "cyclic_core",
+    "least_rotation",
     "is_proper_power",
     "abelianize",
     "enumerate_ball",
@@ -153,12 +156,38 @@ def reduce_word(w: Word, alph: Optional[Alphabet] = None) -> Word:
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Return (core, conjugator) with w = conjugator * core * conjugator^-1."""
-    w = reduce_word(w)
+    return cyclic_core(reduce_word(w))
+
+
+def cyclic_core(w: Word) -> tuple[Word, Word]:
+    """`cyclic_reduce` of a word that is already reduced: the core and
+    conjugator are cut from w by slicing alone."""
     i, j = 0, len(w)
     while j - i >= 2 and w[i][0] == w[j - 1][0] and w[i][1] == -w[j - 1][1]:
         i += 1
         j -= 1
     return w[i:j], w[:i]
+
+
+def least_rotation(w: Word) -> Word:
+    """The lexicographically least cyclic rotation of w, found in linear
+    time by a two-candidate scan (Shiloach 1981).  Two words are
+    rotations of each other exactly when their least rotations are
+    equal."""
+    n = len(w)
+    ww = w + w
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = ww[i + k], ww[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j + 1, i + k + 1)
+        else:
+            j += k + 1
+        k = 0
+    return ww[i:i + n]
 
 
 def _divisors(n: int) -> Iterator[int]:

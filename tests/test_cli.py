@@ -152,6 +152,25 @@ def test_oversized_word_is_a_usage_error(gamma_file):
     assert text.startswith("error: word too long")
 
 
+@pytest.mark.parametrize("command, option", [
+    (["wp", "gamma.twr", "--word", "a"], "--budget"),
+    (["witness", "gamma.twr", "--words", "a; t"], "--budget"),
+    (["embed", "f2.twr", "--splitting", "hnn.spl"], "--ball"),
+    (["embed", "f2.twr", "--splitting", "hnn.spl"], "--budget"),
+    (["core", "gamma.twr", "--gens", "a"], "--depth"),
+    (["core", "gamma.twr", "--gens", "a"], "--budget"),
+    (["flats", "gamma.twr"], "--budget"),
+    (["flats", "gamma.twr"], "--power-budget")])
+def test_a_negative_bound_is_a_usage_error(command, option):
+    corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+    argv = [str(corpus / a) if a.endswith((".twr", ".spl")) else a for a in command]
+    code, text = cli.run_command(argv + [option, "-5"])
+    assert (code, text) == (1, f"error: {option} must be at least 0, got -5\n")
+    # zero is a valid bound
+    code, text = cli.run_command(argv + [option, "0"])
+    assert code != 1 and not text.startswith("error:")
+
+
 @pytest.mark.parametrize("word", ["[" * 500 + ",]" * 500, "[" * 3000])
 def test_deeply_nested_word_is_a_usage_error(gamma_file, word):
     code, text = cli.run_command(["wp", gamma_file, "--word", word])

@@ -221,6 +221,20 @@ def _corpus_tower(name):
     return cli.build_tower(cli.parse_tower_dsl((CORPUS / f"{name}.twr").read_text()))
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.twr")))
+def test_inventory_proves_commutation_without_britton(name, monkeypatch):
+    # each lattice commutator is a defining relator, or the conjugate of
+    # one, of a stage at or below the top, so the tower's relator step
+    # settles it and no graph-of-groups word problem runs
+    T = _corpus_tower(name)
+    calls = []
+    real = tw.gg.word_problem
+    monkeypatch.setattr(tw.gg, "word_problem", lambda G, w, budget=8:
+                        calls.append(w) or real(G, w, budget))
+    fl.flat_inventory(T)
+    assert calls == []
+
+
 def _colored(T):
     al = T.alphabet()
     R = co.extract_core(co.expand_cover(T, [parse_word(g, al) for g in al.generators]))

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no private module-level function, class or assignment is left
-unreferenced, only `rft.tower` reads whether a tower's base is free or
-uses its map to a free group, only the listed entry points reduce a word
-they were given, and importing the CLI loads no `hashlib`.
+unreferenced, only `rft.tower` reads whether a tower's base is free,
+uses its map to a free group or looks a word up among its relator
+cores, only the listed entry points reduce a word they were given, and
+importing the CLI loads no `hashlib`.
 
 Stdlib `ast` only.  A name counts as used when it is read anywhere in
 the module; names listed in the module's `__all__` are re-exports and
@@ -125,6 +126,14 @@ def test_only_the_tower_uses_its_map_to_a_free_group(name):
     # `Tower._wp_at`, the one chain behind every tower word problem, is the
     # one place a word is proved nontrivial by a family member, so no
     # second rule can grow beside it
+    assert referrers(_trees(), name) == ["tower"]
+
+
+@pytest.mark.parametrize("name", ["relator_cores", "_relator_conjugate"])
+def test_only_the_tower_reads_its_relator_cores(name):
+    # the relator step of `Tower._wp_at` is the one place a word is proved
+    # trivial as a conjugate of a defining relator, so no module grows a
+    # shortcut beside the one chain
     assert referrers(_trees(), name) == ["tower"]
 
 

@@ -16,6 +16,7 @@ from rft.words import (
     SurfacePresentation,
     abelianize,
     concat,
+    cyclic_core,
     enumerate_ball,
     format_word,
     invert,
@@ -594,6 +595,67 @@ def test_the_free_map_decides_before_the_top_stage_is_asked(gamma, monkeypatch):
     monkeypatch.setattr(tw.gg, "word_problem", counting)
     assert gamma.word_problem(parse_word("t", gamma.alphabet())) == NONTRIVIAL
     assert gamma.stages[-1].graph not in asked
+
+
+# -- the relator step ----------------------------------------------------------
+
+RELATOR_NAMES = [name for name in CORPUS_NAMES if _cached_tower(name).presentation().relators]
+
+
+def _relator_rotations(T: tw.Tower):
+    """Each defining relator, its inverse, and every rotation of either
+    one's cyclically reduced core."""
+    for r in T.presentation().relators:
+        for u in (r, invert(r)):
+            core, _ = cyclic_core(u)
+            yield u
+            yield from (core[k:] + core[:k] for k in range(len(core)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_relator_conjugates_are_trivial_without_britton(data):
+    # a rotation of a relator's core, or of its inverse's, conjugated by
+    # any word, is Trivial before any graph-of-groups word problem runs
+    T = _cached_tower(data.draw(st.sampled_from(RELATOR_NAMES)))
+    w = data.draw(st.sampled_from(list(_relator_rotations(T))))
+    letters = st.tuples(st.sampled_from(T.alphabet().generators), st.sampled_from((1, -1)))
+    g = data.draw(st.lists(letters, max_size=3).map(tuple))
+    w = reduce_word(concat(g, w, invert(g)))
+
+    def no_britton(G, w, budget=8):
+        raise AssertionError("a graph-of-groups word problem ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tw.gg, "word_problem", no_britton)
+        assert T.word_problem(w) == TRIVIAL
+
+
+@pytest.mark.parametrize("name", RELATOR_NAMES)
+def test_britton_never_refutes_the_relator_step(name):
+    # the relator step answers Trivial on these words without asking the
+    # top stage; its Britton word problem agrees or gives up, never refutes
+    T = _cached_tower(name)
+    top = T.stages[-1].graph
+    words = set(_relator_rotations(T))
+    assert all(T._relator_conjugate(w) for w in words)
+    assert all(word_problem(top, w, 8) != NONTRIVIAL for w in words)
+
+
+def test_relator_cores_stay_linear_in_the_relator_length(free2):
+    # an A block along a 4,001-letter word has one 8,004-letter relator;
+    # every rotation of its core and of its inverse's would be ~128
+    # million letters, where the least rotations are two words
+    T = tw.attach_block(free2, tw.BlockA(parse_word("[a,b]^1000 a"), 2, ("t",)))
+    r = T.presentation().relators[0]
+    tracemalloc.start()
+    try:
+        assert T.word_problem(r[3:] + r[:3]) == TRIVIAL
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(c) for c in T.relator_cores.values()) == 2
+    assert peak < 2_000_000
 
 
 def _splitting_embedding(name):

@@ -17,12 +17,14 @@ from rft.words import (
     ball_size,
     commutator,
     concat,
+    cyclic_core,
     cyclic_reduce,
     dehn_reduce,
     enumerate_ball,
     format_word,
     invert,
     is_proper_power,
+    least_rotation,
     letter,
     parse_word,
     power,
@@ -86,6 +88,27 @@ def test_cyclic_reduce():
     # w == conj core conj^-1
     w = parse_word("b a b^-1", AB)
     assert reduce_word(concat(conj, core, invert(conj))) == reduce_word(w)
+
+
+@given(words_over(AB))
+def test_cyclic_core_is_cyclic_reduce_of_a_reduced_word(w):
+    w = reduce_word(w)
+    assert cyclic_core(w) == cyclic_reduce(w)
+
+
+@given(words_over(AB), st.integers(min_value=0, max_value=11))
+def test_least_rotation_is_the_least_of_all_rotations(w, k):
+    rotations = [w[i:] + w[:i] for i in range(len(w))]
+    assert least_rotation(w) == min(rotations, default=())
+    # every rotation of w has the same least rotation
+    if w:
+        assert least_rotation(rotations[k % len(w)]) == least_rotation(w)
+
+
+def test_least_rotation_of_a_periodic_word():
+    w = power(parse_word("a b^-1 a", AB), 4)
+    assert least_rotation(w[5:] + w[:5]) == least_rotation(w) == power(
+        parse_word("a a b^-1", AB), 4)
 
 
 # -- proper powers -----------------------------------------------------------
