@@ -11,6 +11,7 @@ maximal abelian subgroup U it attaches along is only budget-limited.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -65,66 +66,40 @@ class Token:
     col: int
 
 
+# One alternative per token kind, tried in order; `other` takes any single
+# character that starts no token.
+_TOKEN = re.compile(r"""
+    (?P<skip>[^\S\n]+|\#[^\n]*)
+  | (?P<newline>\n)
+  | "(?P<string>[^"\n]*)"
+  | (?P<unterminated>")
+  | (?P<punct>->|[{}()=;,:])
+  | (?P<int>-?\d+)
+  | (?P<name>[^\W\d]\w*)
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+
+
 def _tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if c.isspace():
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise DslError("unterminated string", line, col)
-                j += 1
-            if j >= n:
-                raise DslError("unterminated string", line, col)
-            toks.append(Token("string", text[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        two = text[i:i + 2]
-        if two == "->":
-            toks.append(Token("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "{}()=;,:":
-            toks.append(Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise DslError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        pos = m.start()
+        col = pos - line_start + 1
+        if kind == "unterminated":
+            raise DslError("unterminated string", line, col)
+        # \w also holds digits and numerals that are not decimal; a name
+        # starts with a letter or "_"
+        if kind == "other" or (kind == "name" and not (text[pos].isalpha() or text[pos] == "_")):
+            raise DslError(f"unexpected character {text[pos]!r}", line, col)
+        toks.append(Token(kind, m[kind], line, col))
+    toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -404,19 +379,16 @@ def parse_splitting(text: str, gamma_prime: tower_mod.Tower):
     s.expect("name", "splitting")
     s.expect("name")  # document name, unused beyond round-trip context
     s.expect("punct", "{")
-    kind = None
+    fields: dict[str, Optional[str]] = dict.fromkeys(("kind", "base", "special", "stable"))
     vertices: list = []
-    base = None
     edge = None
     nu_pairs: tuple[tuple[str, str], ...] = ()
     surface_decl = None
-    special = None
-    stable = None
     while not s.accept("punct", "}"):
         key = s.expect("name")
-        if key.value == "kind":
+        if key.value in fields:
             s.expect("punct", "=")
-            kind = s.expect("name").value
+            fields[key.value] = s.expect("name").value
             s.expect("punct", ";")
         elif key.value == "vertex":
             label = s.expect("name").value
@@ -424,10 +396,6 @@ def parse_splitting(text: str, gamma_prime: tower_mod.Tower):
             sm = _parse_summand(s)
             s.expect("punct", "}")
             vertices.append((label, sm))
-        elif key.value == "base":
-            s.expect("punct", "=")
-            base = s.expect("name").value
-            s.expect("punct", ";")
         elif key.value == "edge":
             elabel = s.expect("name").value
             s.expect("punct", "{")
@@ -452,19 +420,11 @@ def parse_splitting(text: str, gamma_prime: tower_mod.Tower):
             s.expect("punct", "=")
             surface_decl = _parse_surface_spec(s)
             s.expect("punct", ";")
-        elif key.value == "special":
-            s.expect("punct", "=")
-            special = s.expect("name").value
-            s.expect("punct", ";")
-        elif key.value == "stable":
-            s.expect("punct", "=")
-            stable = s.expect("name").value
-            s.expect("punct", ";")
         else:
             raise DslError(f"unknown splitting field {key.value!r}",
                            key.line, key.col)
     s.expect("eof")
-    if kind is None or edge is None or not vertices:
+    if fields["kind"] is None or edge is None or not vertices:
         raise WordError("splitting document needs kind, vertices, and an edge")
 
     vgroups = []
@@ -485,8 +445,8 @@ def parse_splitting(text: str, gamma_prime: tower_mod.Tower):
     e = EdgeGroup(elabel, 1,
                   (lv, (parse_word(lw, by_label[lv].alphabet),)),
                   (rv, (parse_word(rw, by_label[rv].alphabet),)),
-                  stable_letter=stable)
-    L = GraphOfGroups(vgroups, [e], base or vgroups[0].label)
+                  stable_letter=fields["stable"])
+    L = GraphOfGroups(vgroups, [e], fields["base"] or vgroups[0].label)
     L_alph = L.presentation().alphabet
     gp_alph = gamma_prime.alphabet()
     given = dict(nu_pairs)
@@ -504,8 +464,8 @@ def parse_splitting(text: str, gamma_prime: tower_mod.Tower):
     if surface_decl is not None:
         surf = SurfacePresentation(surface_decl.genus, surface_decl.punctures,
                                    surface_decl.generators)
-    S = embed_mod.SplittingData(kind, L, elabel, surface=surf,
-                                special_vertex=special)
+    S = embed_mod.SplittingData(fields["kind"], L, elabel, surface=surf,
+                                special_vertex=fields["special"])
     return S, D
 
 
@@ -543,49 +503,43 @@ def _obligation_lines(rep: Report, obligations, key: str = "obligation"):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each handler adds its lines after the `tower:` line of `rep`
+# and returns the exit code
 # ---------------------------------------------------------------------------
 
 
-def _cmd_present(args, text: str) -> tuple[int, Report]:
-    doc = parse_tower_dsl(text)
-    T = build_tower(doc)
+def _word_list(text: str, T: tower_mod.Tower) -> list:
+    """The words of a `;`-separated option, over the tower's alphabet."""
+    alph = T.alphabet()
+    return [parse_word(w, alph) for w in text.split(";") if w.strip()]
+
+
+def _cmd_present(args, T: tower_mod.Tower, rep: Report) -> int:
     stage = args.stage if args.stage is not None else T.height
     if not (0 <= stage <= T.height):
         raise WordError(f"stage {stage} out of range 0..{T.height}")
     pres = T.presentation(stage)
-    rep = Report("present", text)
-    rep.add("tower", doc.name)
     rep.add("height", T.height)
     rep.add("stage", stage)
     rep.add("generators", " ".join(pres.alphabet.generators))
     for i, r in enumerate(pres.relators):
         rep.add(f"relator-{i}", format_word(r))
     _obligation_lines(rep, T.obligations())
-    return EXIT_OK, rep
+    return EXIT_OK
 
 
-def _cmd_wp(args, text: str) -> tuple[int, Report]:
-    doc = parse_tower_dsl(text)
-    T = build_tower(doc)
+def _cmd_wp(args, T: tower_mod.Tower, rep: Report) -> int:
     w = parse_word(args.word, T.alphabet())
     verdict = T.word_problem(w, args.budget)
-    rep = Report("wp", text)
-    rep.add("tower", doc.name)
     rep.add("word", format_word(w) or "1")
     rep.add("budget", args.budget)
     rep.add("verdict", verdict)
-    return (EXIT_OK if verdict != UNKNOWN else EXIT_BUDGET), rep
+    return EXIT_OK if verdict != UNKNOWN else EXIT_BUDGET
 
 
-def _cmd_witness(args, text: str) -> tuple[int, Report]:
-    doc = parse_tower_dsl(text)
-    T = build_tower(doc)
-    alph = T.alphabet()
-    words = [parse_word(w, alph) for w in args.words.split(";") if w.strip()]
-    cert = tower_mod.find_rf_witness(T, words, args.budget, seed=args.seed)
-    rep = Report("witness", text)
-    rep.add("tower", doc.name)
+def _cmd_witness(args, T: tower_mod.Tower, rep: Report) -> int:
+    cert = tower_mod.find_rf_witness(T, _word_list(args.words, T), args.budget,
+                                     seed=args.seed)
     rep.add("budget", args.budget)
     rep.add("seed", args.seed)
     rep.add("family", cert.family or "identity")
@@ -596,28 +550,22 @@ def _cmd_witness(args, text: str) -> tuple[int, Report]:
             rep.add(f"image-{g}", format_word(cert.hom.images[g]) or "1")
         for w, img in zip(cert.words, cert.images):
             rep.add(f"word-image {format_word(w) or '1'}", format_word(img) or "1")
-        return EXIT_OK, rep
+        return EXIT_OK
     rep.add("attempts", len(cert.trace))
     if cert.trace:
         rep.add("last-collision", cert.trace[-1][1])
-    return EXIT_BUDGET, rep
+    return EXIT_BUDGET
 
 
-def _cmd_embed(args, text: str) -> tuple[int, Report]:
-    doc = parse_tower_dsl(text)
-    T = build_tower(doc)
-    with open(args.splitting, encoding="utf-8") as f:
-        spl_text = f.read()
+def _cmd_embed(args, T: tower_mod.Tower, rep: Report, spl_text: str) -> int:
     S, D = parse_splitting(spl_text, T)
-    rep = Report("embed", text + spl_text)
-    rep.add("tower", doc.name)
     rep.add("kind", S.kind)
     try:
         R = embed_mod.embed_step(S, D, args.budget, assume=args.assume)
     except tower_mod.RefutedError as exc:
         rep.add("verdict", "refuted")
         rep.add("witness", str(exc))
-        return EXIT_REFUTED, rep
+        return EXIT_REFUTED
     rep.add("gamma-generators", " ".join(R.gamma.alphabet().generators))
     for i, r in enumerate(R.gamma.presentation().relators):
         rep.add(f"gamma-relator-{i}", format_word(r))
@@ -636,19 +584,12 @@ def _cmd_embed(args, text: str) -> tuple[int, Report]:
     rep.add("certificate", cert.status)
     if cert.status == "refuted":
         rep.add("witness", format_word(cert.refutations[0].word))
-        return EXIT_REFUTED, rep
-    if cert.status == "partial":
-        return EXIT_BUDGET, rep
-    return EXIT_OK, rep
+        return EXIT_REFUTED
+    return EXIT_BUDGET if cert.status == "partial" else EXIT_OK
 
 
-def _cmd_core(args, text: str) -> tuple[int, Report]:
-    doc = parse_tower_dsl(text)
-    T = build_tower(doc)
-    alph = T.alphabet()
-    gens = [parse_word(w, alph) for w in args.gens.split(";") if w.strip()]
-    rep = Report("core", text)
-    rep.add("tower", doc.name)
+def _cmd_core(args, T: tower_mod.Tower, rep: Report) -> int:
+    gens = _word_list(args.gens, T)
     try:
         C = core_mod.expand_cover(T, gens, depth_budget=args.depth,
                                   budget=args.budget)
@@ -659,7 +600,7 @@ def _cmd_core(args, text: str) -> tuple[int, Report]:
     except core_mod.CoreError as exc:
         rep.add("verdict", "budget-limited")
         rep.add("detail", str(exc))
-        return EXIT_BUDGET, rep
+        return EXIT_BUDGET
     rep.add("vertices", len(R.vertices))
     rep.add("edges", len(R.edges))
     rep.add("rank", R.rank)
@@ -671,14 +612,10 @@ def _cmd_core(args, text: str) -> tuple[int, Report]:
         path = " ".join(f"{a}-{sym}{'' if sg == 1 else chr(39)}-{b}"
                         for a, sym, sg, b in loop.steps)
         rep.add(f"loop-{i}", f"{format_word(loop.generator)} : {path}")
-    return EXIT_OK, rep
+    return EXIT_OK
 
 
-def _cmd_flats(args, text: str) -> tuple[int, Report]:
-    doc = parse_tower_dsl(text)
-    T = build_tower(doc)
-    rep = Report("flats", text)
-    rep.add("tower", doc.name)
+def _cmd_flats(args, T: tower_mod.Tower, rep: Report) -> int:
     inventory = flats_mod.flat_inventory(T, args.budget)
     rep.add("flat-classes", len(inventory))
     for i, f in enumerate(inventory):
@@ -688,8 +625,8 @@ def _cmd_flats(args, text: str) -> tuple[int, Report]:
     code = EXIT_OK
     if T.height >= 1:
         alph = T.alphabet()
-        gens = ([parse_word(w, alph) for w in args.gens.split(";") if w.strip()]
-                if args.gens else [parse_word(g, alph) for g in alph.generators])
+        gens = (_word_list(args.gens, T) if args.gens
+                else [parse_word(g, alph) for g in alph.generators])
         C = core_mod.expand_cover(T, gens, budget=args.budget)
         R = core_mod.extract_core(C)
         colored = flats_mod.color_vertices(R, T)
@@ -706,10 +643,10 @@ def _cmd_flats(args, text: str) -> tuple[int, Report]:
             code = EXIT_REFUTED
         elif "verified-to-budget" in statuses:
             code = EXIT_BUDGET
-    return code, rep
+    return code
 
 
-def _cmd_selftest(args) -> tuple[int, Report]:
+def _cmd_selftest() -> tuple[int, Report]:
     from .words import reduce_word, is_proper_power, enumerate_ball
     rep = Report("selftest", "")
     ab = Alphabet(("a", "b"))
@@ -783,9 +720,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_COMMANDS = {"present": _cmd_present, "wp": _cmd_wp, "witness": _cmd_witness,
+             "embed": _cmd_embed, "core": _cmd_core, "flats": _cmd_flats}
+
 # Options that bound a search or a radius: 0 is a valid bound, a negative
 # value is a usage error.
 BOUND_OPTIONS = ("budget", "power_budget", "depth", "ball")
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def run_command(argv: list[str]) -> tuple[int, str]:
@@ -800,19 +745,17 @@ def run_command(argv: list[str]) -> tuple[int, str]:
             if value < 0:
                 raise ValueError(f"--{name.replace('_', '-')} must be at least 0, got {value}")
         if args.command == "selftest":
-            code, rep = _cmd_selftest(args)
+            code, rep = _cmd_selftest()
         else:
-            with open(args.file, encoding="utf-8") as f:
-                text = f.read()
-            handler = {
-                "present": _cmd_present,
-                "wp": _cmd_wp,
-                "witness": _cmd_witness,
-                "embed": _cmd_embed,
-                "core": _cmd_core,
-                "flats": _cmd_flats,
-            }[args.command]
-            code, rep = handler(args, text)
+            text = _read(args.file)
+            doc = parse_tower_dsl(text)
+            T = build_tower(doc)
+            # the splitting is read once the tower is built, so a bad tower
+            # is the error reported first; the digest covers both texts
+            extra = (_read(args.splitting),) if args.command == "embed" else ()
+            rep = Report(args.command, text + "".join(extra))
+            rep.add("tower", doc.name)
+            code = _COMMANDS[args.command](args, T, rep, *extra)
     except (DslError, WordError, ValueError, OSError) as exc:
         return EXIT_USAGE, f"error: {exc}\n"
     return code, rep.render()

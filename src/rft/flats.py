@@ -289,7 +289,7 @@ class IsolationReport:
         return next(v for v in self.verdicts if v.name == name)
 
 
-def _edge_generators_at_g(C: ColoredCore, T: Tower) -> list[Word]:
+def _edge_generators_at_g(T: Tower) -> list[Word]:
     """Edge-group generators incident to extended G vertex spaces,
     including conjugated copies by single-generator conjugators."""
     graph = T.stages[-1].graph
@@ -328,29 +328,22 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
     pair_log: list[str] = []
     graph = T.stages[-1].graph
 
-    # (0) rank-1 edges touch a G vertex
-    touched = True
-    witness0 = None
+    # (0) rank-1 edges touch a G vertex: an edge lift joins an M-type entry
+    # to an N-type entry, and at least one of the two sides must be colored
+    # G under the current rule.  That test does not depend on the edge, so
+    # it is made once; the witness is the last rank-1 edge.
+    rank1 = [e.label for e in graph.edges if e.rank == 1]
     types = C.vertex_types
-    for e in graph.edges:
-        if e.rank != 1:
-            continue
-        # an edge lift joins an M-type entry to an N-type entry; at least
-        # one of the two sides must be colored G under the current rule
-        g_types = {t for v, t in types.items() if C.colors[v] == G_COLOR}
-        if isinstance(C.top_block, BlockQ):
-            ok = N_TYPE in g_types or not types
-        else:
-            ok = M_TYPE in g_types or not types
-        if not ok:
-            touched = False
-            witness0 = e.label
+    g_types = {t for v, t in types.items() if C.colors[v] == G_COLOR}
+    needed = N_TYPE if isinstance(C.top_block, BlockQ) else M_TYPE
+    touched = not rank1 or not types or needed in g_types
+    witness0 = None if touched else rank1[-1]
     verdicts.append(HypothesisVerdict(
         "hypothesis-0", "verified" if touched else "refuted", witness=witness0,
         detail="every rank-1 edge meets a G vertex" if touched else ""))
 
     # (1) power coincidences between distinct edge generators (no two equal)
-    gens = _edge_generators_at_g(C, T)
+    gens = _edge_generators_at_g(T)
     exact = T.prev_stage_csa()
     status1, witness1, detail1 = "verified", None, ""
     for u, v in itertools.combinations(gens, 2):

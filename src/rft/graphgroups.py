@@ -471,9 +471,9 @@ def _definite(stack: list) -> bool:
 def _segment_membership(
     G: GraphOfGroups, segment: list, vlab: str, images: tuple[Word, ...], budget: int
 ) -> MembershipResult:
-    """Membership of a reduced stable-free segment in <images> inside vertex vlab."""
-    if not segment:
-        return MembershipResult(MEMBER, [])
+    """Membership of a reduced stable-free segment in <images> inside vertex vlab.
+    The segment is never empty: a stable letter directly above its inverse
+    cancels before any pinch is tested."""
     if len(segment) >= 2:
         return MembershipResult(NONMEMBER if _definite(segment) else UNKNOWN)
     (s,) = segment

@@ -91,6 +91,51 @@ def test_syntax_error_has_position():
     assert "attach" in str(err) or "word" in str(err)
 
 
+F2_DSL = "tower f2 {\n  base { free(a, b) }\n}\n"
+
+
+# (tower text, splitting text or None for `present`, exact output); "MISSING"
+# names a splitting file that does not exist
+@pytest.mark.parametrize("tower_text, splitting_text, output", [
+    pytest.param(GAMMA_DSL.replace('"[a,b]";', '"[a,b];'), None,
+                 "error: 4:12: unterminated string\n", id="unterminated-string"),
+    pytest.param(GAMMA_DSL.replace("rank=2;", "rank=2; @"), None,
+                 "error: 5:13: unexpected character '@'\n", id="unexpected-character"),
+    pytest.param(GAMMA_DSL.replace("rank=2;", "rnak=2;"), None,
+                 "error: 5:5: unknown block field 'rnak'\n", id="unknown-block-field"),
+    pytest.param(F2_DSL, SPLITTING.replace("base=vA;", "base=vA;\n  colour=red;"),
+                 "error: 6:3: unknown splitting field 'colour'\n",
+                 id="unknown-splitting-field"),
+    pytest.param(F2_DSL, SPLITTING.replace("right = vB", "middle = vB"),
+                 "error: 6:32: unknown edge side 'middle'\n", id="bad-edge-side"),
+    pytest.param("tower t {\n  base { free(a) }\n", None,
+                 "error: 3:1: expected '}', got ''\n", id="missing-brace"),
+    pytest.param(GAMMA_DSL.replace("rank=2;", "rank=12 letters=t;"), None,
+                 "error: 5:13: expected ';', got 'letters'\n", id="multi-digit-int"),
+    pytest.param("# a comment line\ntower t {  # and a trailing one\n"
+                 "  base { free(a) }\n  blok A { }\n}\n", None,
+                 "error: 4:3: expected '}', got 'blok'\n", id="comment-line"),
+    pytest.param("tower t { base { free(a, b); } block B { } }\n", None,
+                 "error: 1:38: unknown block kind 'B'\n", id="trailing-semicolon-in-base"),
+    # end of file is at column 32, past the comment that starts at column 29
+    pytest.param("tower t { base { free(a) }  # x", None,
+                 "error: 1:32: expected '}', got ''\n", id="comment-at-eof"),
+    # the tower is read and built before the splitting file is opened
+    pytest.param(GAMMA_DSL.replace("rank=2;", "rnak=2;"), "MISSING",
+                 "error: 5:5: unknown block field 'rnak'\n", id="bad-tower-missing-splitting"),
+])
+def test_malformed_input_error_bytes(tmp_path, tower_text, splitting_text, output):
+    twr = tmp_path / "t.twr"
+    twr.write_text(tower_text)
+    argv = ["present", str(twr)]
+    if splitting_text is not None:
+        spl = tmp_path / "s.spl"
+        if splitting_text != "MISSING":
+            spl.write_text(splitting_text)
+        argv = ["embed", str(twr), "--splitting", str(spl)]
+    assert cli.run_command(argv) == (1, output)
+
+
 def test_unknown_field_rejected():
     bad = GAMMA_DSL.replace("rank=2;", "rnak=2;")
     with pytest.raises(cli.DslError, match="rnak"):
@@ -333,6 +378,32 @@ def test_nu_refutation_exits_2(tmp_path):
     assert code == 2
     assert "verdict: refuted" in text
     assert "witness: nu is not a homomorphism" in text
+
+
+@pytest.mark.parametrize("image_verdict, tail, code", [
+    (graphgroups.TRIVIAL, "ball-refutations: 8\ncertificate: refuted\nwitness: a\n", 2),
+    (graphgroups.UNKNOWN, "ball-unknowns: 8\nball-refutations: 0\ncertificate: partial\n", 3),
+])
+def test_embed_certificate_exit_codes(monkeypatch, image_verdict, tail, code):
+    # every image gets the forced verdict, and the witness search that
+    # follows an Unknown one is allowed no attempt
+    real_search = tower.find_rf_witness
+    monkeypatch.setattr(tower.Tower, "reduced_word_problem",
+                        lambda self, w, base, budget=8: image_verdict)
+    monkeypatch.setattr(tower, "find_rf_witness",
+                        lambda T, words, budget, seed=0:
+                        real_search(T, words, budget, seed, max_attempts=0))
+    got, text = _embed("f2", str(CORPUS / "double.spl"), "--ball", "1")
+    assert got == code
+    assert text.endswith(tail)
+
+
+def test_core_outside_the_cover_is_budget_limited():
+    code, text = cli.run_command(["core", str(CORPUS / "gamma.twr"), "--gens", "a; t",
+                                  "--require", "99"])
+    assert code == 3
+    assert text.endswith("tower: gamma\nverdict: budget-limited\n"
+                         "detail: required cell 99 is outside the generated cover\n")
 
 
 def test_assume_never_covers_a_refuted_block(tmp_path):

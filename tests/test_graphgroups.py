@@ -263,6 +263,41 @@ def test_exponent_search_memory_does_not_grow_with_the_budget(monkeypatch):
     assert peak < 1_000_000
 
 
+def _pinch_graph(amalgam: bool) -> GraphOfGroups:
+    """A = F(a,c) and B = F(b,d), joined along a = b (or, without amalgam,
+    by a rank-0 tree edge), and a stable letter t at A with t a^2 t^-1 = a^2."""
+    ac, bd = alphabet("a", "c"), alphabet("b", "d")
+    tree = (EdgeGroup("E", 1, ("vA", (parse_word("a", ac),)), ("vB", (parse_word("b", bd),)))
+            if amalgam else EdgeGroup("E", 0, ("vA", ()), ("vB", ())))
+    a2 = (parse_word("a^2", ac),)
+    loop = EdgeGroup("F", 1, ("vA", a2), ("vA", a2), stable_letter="t")
+    return GraphOfGroups([free_vertex("vA", ac), free_vertex("vB", bd)], [tree, loop], "vA")
+
+
+@pytest.mark.parametrize("amalgam, text, segment", [
+    # two syllables between t and t^-1: never in a vertex group
+    (True, "t c d t^-1", ["vA", "vB"]),
+    # a syllable at B, which is not in <b>, so never reaches A's edge group
+    (True, "t d t^-1", ["vB"]),
+    # a syllable at B across a rank-0 tree edge: B meets A only in 1
+    (False, "t d t^-1", ["vB"]),
+])
+def test_a_pinch_segment_outside_the_edge_group(monkeypatch, amalgam, text, segment):
+    G = _pinch_graph(amalgam)
+    assert (graphgroups._amalgam_edge(G) is not None) == amalgam
+    real = graphgroups._segment_membership
+    seen = []
+
+    def spy(G, seg, vlab, images, budget):
+        res = real(G, seg, vlab, images, budget)
+        seen.append(([e.name for e in seg], vlab, res.status))
+        return res
+
+    monkeypatch.setattr(graphgroups, "_segment_membership", spy)
+    assert word_problem(G, parse_word(text, G.alphabet)) == NONTRIVIAL
+    assert seen == [(segment, "vA", NONMEMBER)]
+
+
 def test_amalgam_over_three_vertices_is_refused():
     vs = [free_vertex("vA", AB), free_vertex("vB", alphabet("c")), free_vertex("vC", alphabet("d"))]
     es = [EdgeGroup("E", 1, ("vA", (parse_word("a", AB),)), ("vB", (parse_word("c", alphabet("c")),))),
