@@ -223,15 +223,24 @@ def _parse_arrow_map(s: _Stream) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
+def _claim_field(seen: set[str], key: Token, where: str) -> None:
+    """Record a field name, refusing one already given."""
+    if key.value in seen:
+        raise DslError(f"repeated {where} field {key.value!r}", key.line, key.col)
+    seen.add(key.value)
+
+
 def _parse_block(s: _Stream) -> BlockDecl:
     kind_tok = s.expect("name")
     kind = kind_tok.value
     if kind not in ("A", "Q", "T"):
         raise DslError(f"unknown block kind {kind!r}", kind_tok.line, kind_tok.col)
     decl = BlockDecl(kind)
+    seen: set[str] = set()
     s.expect("punct", "{")
     while not s.accept("punct", "}"):
         key = s.expect("name")
+        _claim_field(seen, key, "block")
         s.expect("punct", "=")
         if key.value == "attach":
             if s.accept("punct", "("):
@@ -285,51 +294,6 @@ def parse_tower_dsl(text: str) -> TowerDocument:
     return TowerDocument(name, summands, blocks)
 
 
-def _surface_spec(sm: SummandDecl) -> str:
-    spec = f"genus={sm.genus}"
-    if sm.punctures:
-        spec += f", punctures={sm.punctures}"
-    if sm.generators:
-        spec += f": {', '.join(sm.generators)}"
-    return spec
-
-
-def print_tower_dsl(doc: TowerDocument) -> str:
-    """Canonical printer; parse(print(doc)) == doc."""
-    out = [f"tower {doc.name} {{"]
-    parts = []
-    for sm in doc.summands:
-        if sm.kind == "free":
-            parts.append(f"free({', '.join(sm.generators)})")
-        elif sm.kind == "abelian":
-            parts.append(f"abelian(rank={sm.rank}: {', '.join(sm.generators)})")
-        else:
-            parts.append(f"surface({_surface_spec(sm)})")
-    out.append("  base { " + "; ".join(parts) + " }")
-    for b in doc.blocks:
-        lines = [f"  block {b.kind} {{"]
-        if b.kind in ("A", "T"):
-            if len(b.attach) == 1 and b.kind == "A":
-                lines.append(f'    attach="{b.attach[0]}";')
-            else:
-                quoted = ", ".join(f'"{w}"' for w in b.attach)
-                lines.append(f"    attach=({quoted});")
-            lines.append(f"    rank={b.rank};")
-            lines.append(f"    letters={', '.join(b.letters)};")
-        else:
-            lines.append(f"    surface=({_surface_spec(b.surface)});")
-            bnd = ", ".join(f'{k} -> "{v}"' for k, v in b.boundary)
-            lines.append(f"    boundary={{ {bnd} }};")
-            ret = ", ".join(f'{k} -> "{v}"' for k, v in b.retract)
-            lines.append(f"    retract={{ {ret} }};")
-        if b.assume:
-            lines.append("    assume=true;")
-        lines.append("  }")
-        out.extend(lines)
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
 def build_tower(doc: TowerDocument, budget: int = 8) -> tower_mod.Tower:
     summands = []
     for sm in doc.summands:
@@ -377,15 +341,18 @@ def parse_splitting(text: str, gamma_prime: tower_mod.Tower):
     StrictQuotientData against the given target tower."""
     s = _Stream(_tokenize(text))
     s.expect("name", "splitting")
-    s.expect("name")  # document name, unused beyond round-trip context
+    s.expect("name")  # document name, unused
     s.expect("punct", "{")
     fields: dict[str, Optional[str]] = dict.fromkeys(("kind", "base", "special", "stable"))
     vertices: list = []
     edge = None
     nu_pairs: tuple[tuple[str, str], ...] = ()
     surface_decl = None
+    seen: set[str] = set()
     while not s.accept("punct", "}"):
         key = s.expect("name")
+        if key.value != "vertex":  # vertex blocks repeat; the edge and each field do not
+            _claim_field(seen, key, "splitting")
         if key.value in fields:
             s.expect("punct", "=")
             fields[key.value] = s.expect("name").value

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional
 
@@ -225,7 +226,7 @@ def embed_step(S: SplittingData, D: StrictQuotientData, budget: int = 8,
         c = sol[0]
         v = abelianize(side_b[1][0], V.alphabet)
         M = unimodular_with_first_row_image(v)
-        g = sum(M[0][j] * v[j] for j in range(n))
+        g = math.gcd(*v)
         if c % g != 0:
             raise RefutedError("edge exponents incompatible with the vertex lattice")
         new_letters = tuple(_fresh_name("s", used) for _ in range(n - 1))

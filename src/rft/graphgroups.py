@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .folding import SubgroupGraph
-from .intlinalg import lattice_rank, solve_int_linear
+from .intlinalg import lattice_rank, solve_int_linear, solve_with_relations
 from .words import (
     Alphabet,
     AlphabetError,
@@ -351,25 +351,6 @@ def _expression_word(images: tuple[Word, ...], expr: Expression) -> Word:
     return reduce_word(concat(*(power(images[i], e) for i, e in expr)))
 
 
-def _quotient_coefficients(alph, relators, subgens, w):
-    """Candidate coefficients of w over subgens in the abelianized quotient.
-
-    Returns ("nonmember", None), ("candidate", coeffs) when the subgens'
-    abelianizations are independent modulo the relator lattice (so the
-    candidate is unique), or ("indeterminate", None).
-    """
-    cols = [abelianize(g, alph) for g in subgens]
-    rels = [abelianize(r, alph) for r in relators]
-    sol = solve_int_linear(cols + rels, abelianize(w, alph))
-    if sol is None:
-        # sound regardless of independence: membership would force a
-        # solution in the abelianized quotient
-        return ("nonmember", None)
-    if lattice_rank(rels + cols) != lattice_rank(rels) + len(cols):
-        return ("indeterminate", None)
-    return ("candidate", sol[: len(cols)])
-
-
 def _exponent_shell(k: int, r: int):
     """The k-tuples of max-abs exactly r, in lexicographic order, each
     made only when it is asked for."""
@@ -400,20 +381,27 @@ def subgroup_membership(
         if V.kind == "free":
             expr = _subgroup_graph(V.alphabet, tuple(subgens)).express(w)
             return MembershipResult(NONMEMBER if expr is None else MEMBER, expr)
+        cols = [abelianize(g, V.alphabet) for g in subgens]
         if V.kind == "abelian":
-            cols = [abelianize(g, V.alphabet) for g in subgens]
             sol = solve_int_linear(cols, abelianize(w, V.alphabet))
             if sol is None:
                 return MembershipResult(NONMEMBER)
             return MembershipResult(MEMBER, [(i, k) for i, k in enumerate(sol) if k])
-        # surface (closed) and composite vertices share the quotient logic
-        status, coeffs = _quotient_coefficients(V.alphabet, V.all_relators(), subgens, w)
-        if status == "nonmember":
+        # surface (closed) and composite vertices: one elimination of
+        # [subgens | relators] in the abelianized quotient
+        rels = [abelianize(r, V.alphabet) for r in V.all_relators()]
+        found = solve_with_relations(cols + rels, abelianize(w, V.alphabet))
+        if found is None:
+            # sound regardless of independence: membership would force a
+            # solution in the abelianized quotient
             return MembershipResult(NONMEMBER)
-        if status == "indeterminate":
-            # budgeted exponent search.  Products g1^k1 ... gn^kn cover the
-            # subgroup when the generators commute (edge groups are
-            # free-abelian); bounded |ki| <= budget, small first.
+        sol, relations = found
+        if any(any(r[: len(cols)]) for r in relations):
+            # a relation involves the subgens: they are dependent modulo
+            # the relators and the candidate is not unique.  Budgeted
+            # exponent search: products g1^k1 ... gn^kn cover the subgroup
+            # when the generators commute (edge groups are free-abelian);
+            # bounded |ki| <= budget, small first.
             if len(subgens) <= 3:
                 shells = (_exponent_shell(len(subgens), r) for r in range(budget + 1))
                 for ks in itertools.chain.from_iterable(shells):
@@ -422,7 +410,7 @@ def subgroup_membership(
                         return MembershipResult(MEMBER, [(i, k) for i, k in enumerate(ks) if k])
             return MembershipResult(UNKNOWN)
         # the unique candidate: w is a member exactly when w / candidate is trivial
-        expr = [(i, k) for i, k in enumerate(coeffs) if k]
+        expr = [(i, k) for i, k in enumerate(sol[: len(cols)]) if k]
         w = reduce_word(concat(w, invert(_expression_word(tuple(subgens), expr))))
     verdict = V.triviality(w, budget)
     if verdict == TRIVIAL:

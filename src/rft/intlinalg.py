@@ -1,7 +1,9 @@
 """Exact integer linear algebra for exponent-lattice questions.
 
 Hand-rolled rather than numpy/sympy: the lattices here are tiny and the
-arithmetic must be exact over arbitrary-size integers.
+arithmetic must be exact over arbitrary-size integers.  One elimination,
+`_column_hermite`, is behind solving, rank, relations and unimodular
+completion.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ def _column_hermite(cols: list[list[int]], m: int) -> list[tuple[int, int]]:
     Column operations act on whole columns, so rows stacked below row m
     (an identity block) record each work column as an integer
     combination of the input columns.  Returns the pivots as
-    (row, column index).
+    (row, column index); every other column ends zero in rows 0..m-1, so
+    its tracked combination is a relation of the input columns.
     """
     pivots: list[tuple[int, int]] = []
     used: set[int] = set()
@@ -38,32 +41,51 @@ def _column_hermite(cols: list[list[int]], m: int) -> list[tuple[int, int]]:
     return pivots
 
 
-def solve_int_linear(columns: Sequence[Vector], target: Vector) -> Optional[tuple[int, ...]]:
-    """Solve sum_j x_j * columns[j] == target over the integers.
-
-    Returns one solution vector x, or None when target is outside the
-    lattice spanned by the columns.  Column-style Hermite reduction with
-    the transformation matrix tracked below the columns.
-    """
-    n = len(columns)
-    m = len(target)
+def _eliminate(columns: Sequence[Vector], target: Vector):
+    """One tracked elimination of the columns: the reduced columns with
+    their tracked combinations below row m, the pivots, and a solution x of
+    sum_j x_j * columns[j] == target or None."""
+    n, m = len(columns), len(target)
     for c in columns:
         if len(c) != m:
             raise ValueError("column/target dimension mismatch")
     cols = [list(c) + [1 if i == j else 0 for i in range(n)] for j, c in enumerate(columns)]
+    pivots = _column_hermite(cols, m)
     t = list(target)
     x = [0] * n
-    for row, j in _column_hermite(cols, m):
+    for row, j in pivots:
         if t[row] % cols[j][row] != 0:
-            return None
+            return cols, pivots, None
         f = t[row] // cols[j][row]
         for r in range(m):
             t[r] -= f * cols[j][r]
         for r in range(n):
             x[r] += f * cols[j][m + r]
-    if any(t):
+    return cols, pivots, None if any(t) else tuple(x)
+
+
+def solve_int_linear(columns: Sequence[Vector], target: Vector) -> Optional[tuple[int, ...]]:
+    """Solve sum_j x_j * columns[j] == target over the integers.
+
+    Returns one solution vector x, or None when target is outside the
+    lattice spanned by the columns.
+    """
+    return _eliminate(columns, target)[2]
+
+
+def solve_with_relations(
+    columns: Sequence[Vector], target: Vector
+) -> Optional[tuple[Vector, list[Vector]]]:
+    """A solution x of sum_j x_j * columns[j] == target and a basis of the
+    relations r, sum_j r_j * columns[j] == 0 (n - rank of them), read off
+    one elimination; None when target is outside the lattice.
+    """
+    cols, pivots, x = _eliminate(columns, target)
+    if x is None:
         return None
-    return tuple(x)
+    pivot_cols = {j for _, j in pivots}
+    m = len(target)
+    return x, [tuple(c[m:]) for j, c in enumerate(cols) if j not in pivot_cols]
 
 
 def lattice_rank(columns: Sequence[Vector]) -> int:
@@ -74,41 +96,23 @@ def lattice_rank(columns: Sequence[Vector]) -> int:
 
 
 def unimodular_with_first_row_image(v: Vector) -> list[list[int]]:
-    """A unimodular matrix M with M @ v == (g, 0, ..., 0), g = gcd(v).
+    """A unimodular matrix M with M @ v == (g, 0, ..., 0), g = gcd(v) > 0,
+    and det M = +1 when len(v) >= 2 (for len(v) == 1, M = [[sign of v]]).
 
-    Used to complete a primitive vector to a lattice basis.
+    Used to complete a primitive vector to a lattice basis.  One
+    elimination of v as a one-row matrix: row 0 is the pivot's tracked
+    combination, the other rows are the relations of v.
     """
     n = len(v)
     if n == 0 or all(c == 0 for c in v):
         raise ValueError("need a nonzero vector")
-    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    w = list(v)
-
-    # Euclid: while two entries are nonzero, subtract a multiple of the
-    # min-abs entry from the others (a unimodular row operation).
-    while True:
-        nz = [i for i in range(n) if w[i] != 0]
-        if len(nz) == 1:
-            break
-        p = min(nz, key=lambda i: abs(w[i]))
-        for q in nz:
-            if q == p:
-                continue
-            f = w[q] // w[p]
-            for k in range(n):
-                M[q][k] -= f * M[p][k]
-            w[q] -= f * w[p]
-    p = next(i for i in range(n) if w[i] != 0)
-    if p != 0:
-        M[0], M[p] = M[p], M[0]
-        w[0], w[p] = w[p], w[0]
-        for k in range(n):
-            M[p][k] = -M[p][k]  # keep det = +1 after the swap
-    if w[0] < 0:
-        for k in range(n):
-            M[0][k] = -M[0][k]
-        if n >= 2:
-            # compensate so the determinant stays +1
-            for k in range(n):
-                M[1][k] = -M[1][k]
+    cols, [(_, p)], _ = _eliminate([(c,) for c in v], (0,))
+    M = [cols[p][1:]] + [cols[j][1:] for j in range(n) if j != p]
+    # the reduction only adds multiples of columns, so det M is the sign
+    # of moving row p to the front; turning g positive flips it once more
+    negative = cols[p][0] < 0
+    if negative:
+        M[0] = [-x for x in M[0]]
+    if n >= 2 and (p % 2 == 1) != negative:
+        M[1] = [-x for x in M[1]]
     return M

@@ -2,8 +2,9 @@
 no private module-level function, class or assignment is left
 unreferenced, only `rft.tower` reads whether a tower's base is free,
 uses its map to a free group or looks a word up among its relator
-cores, only the listed entry points reduce a word they were given, and
-importing the CLI loads no `hashlib`.
+cores, only the listed entry points reduce a word they were given, only
+`intlinalg._column_hermite` runs an integer elimination, and importing
+the CLI loads no `hashlib`.
 
 Stdlib `ast` only.  A name counts as used when it is read anywhere in
 the module; names listed in the module's `__all__` are re-exports and
@@ -135,6 +136,21 @@ def test_only_the_tower_reads_its_relator_cores(name):
     # trivial as a conjugate of a defining relator, so no module grows a
     # shortcut beside the one chain
     assert referrers(_trees(), name) == ["tower"]
+
+
+def while_loops(tree: ast.Module) -> list[str]:
+    """The functions of a module whose own body has a `while` loop."""
+    return sorted(name for name, func in _functions(tree)
+                  if any(isinstance(node, ast.While) for node in _own_nodes(func)))
+
+
+def test_one_integer_elimination():
+    # `_column_hermite` is the one elimination loop: solving, rank,
+    # relations and unimodular completion all read its result, so no
+    # second Euclid loop grows beside it, inside `rft.intlinalg` or out
+    trees = _trees()
+    assert while_loops(trees["intlinalg"]) == ["_column_hermite"]
+    assert referrers(trees, "_column_hermite") == ["intlinalg"]
 
 
 def test_importing_the_cli_loads_no_hashlib():

@@ -1,8 +1,14 @@
 from fractions import Fraction
+from math import gcd
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from rft.intlinalg import lattice_rank, solve_int_linear, unimodular_with_first_row_image
+from rft.intlinalg import (
+    lattice_rank,
+    solve_int_linear,
+    solve_with_relations,
+    unimodular_with_first_row_image,
+)
 
 
 def _det(m):
@@ -69,16 +75,66 @@ def test_lattice_rank_bounds(cols):
     assert 0 <= r <= min(len(cols), 3)
 
 
-nonzero_vectors = vectors.filter(lambda v: any(v))
+def _combine(coeffs, cols):
+    return tuple(sum(k * c[i] for k, c in zip(coeffs, cols)) for i in range(3))
 
 
-@given(nonzero_vectors)
+@st.composite
+def column_sets(draw):
+    """Up to four columns of length 3, often with a zero column or one
+    that is a combination of the others."""
+    cols = draw(st.lists(vectors, max_size=4))
+    extra = draw(st.sampled_from(["none", "zero", "combination"]))
+    if extra == "zero":
+        cols.insert(draw(st.integers(0, len(cols))), (0, 0, 0))
+    elif extra == "combination" and cols:
+        ks = draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
+        cols.append(_combine(ks, cols))
+    return cols
+
+
+@given(column_sets())
+def test_relations_are_relations(cols):
+    _, relations = solve_with_relations(cols, (0, 0, 0))
+    for r in relations:
+        assert len(r) == len(cols)
+        assert _combine(r, cols) == (0, 0, 0)
+
+
+@given(column_sets())
+def test_relations_count_is_columns_minus_rank(cols):
+    _, relations = solve_with_relations(cols, (0, 0, 0))
+    assert len(relations) == len(cols) - lattice_rank(cols)
+
+
+@given(column_sets(), column_sets(), vectors)
+def test_solve_with_relations_solves(cols, rels, target):
+    found = solve_with_relations(cols + rels, target)
+    assert (found is None) == (solve_int_linear(cols + rels, target) is None)
+    if found is not None:
+        assert _combine(found[0], cols + rels) == target
+
+
+@given(column_sets(), column_sets())
+def test_independence_from_one_elimination(subgens, rels):
+    # the subgens are independent modulo the relator lattice when no
+    # relation of [subgens | relators] involves a subgen; the reference
+    # is the two-rank formula that took three eliminations
+    _, relations = solve_with_relations(subgens + rels, (0, 0, 0))
+    one_elimination = not any(any(r[: len(subgens)]) for r in relations)
+    two_ranks = lattice_rank(rels + subgens) == lattice_rank(rels) + len(subgens)
+    assert one_elimination == two_ranks
+
+
+@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=5)
+       .filter(any))
+@example([-3])
+@example([0, 3, 0])
+@example([4, 6, -2])
 def test_unimodular_completion(v):
-    from math import gcd
-    from functools import reduce
-    M = unimodular_with_first_row_image(v)
+    M = unimodular_with_first_row_image(tuple(v))
     n = len(v)
-    img = [sum(M[i][j] * v[j] for j in range(n)) for i in range(n)]
-    g = reduce(gcd, (abs(c) for c in v))
-    assert img == [g] + [0] * (n - 1)
-    assert _det(M) == 1  # n >= 2 here, so the sign can always be fixed
+    assert [sum(M[i][j] * v[j] for j in range(n)) for i in range(n)] == [gcd(*v)] + [0] * (n - 1)
+    # det +1 whenever a relation row is free to flip; for n = 1 the only
+    # choice is M = [[sign of v]]
+    assert _det(M) == (1 if n >= 2 else (1 if v[0] > 0 else -1))
