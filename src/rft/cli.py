@@ -210,23 +210,27 @@ def _parse_summand(s: _Stream) -> SummandDecl:
     raise DslError(f"unknown summand kind {t.value!r}", t.line, t.col)
 
 
-def _parse_arrow_map(s: _Stream) -> tuple[tuple[str, str], ...]:
+def _parse_arrow_map(s: _Stream, field: str) -> tuple[tuple[str, str], ...]:
+    """The `key -> "word"` pairs of the map given for `field`; a key given
+    twice is refused at its second occurrence."""
     s.expect("punct", "{")
     pairs = []
+    seen: set[str] = set()
     while not s.accept("punct", "}"):
-        key = s.expect("name").value
+        key = s.expect("name")
+        _claim(seen, key, f"{field} key")
         s.expect("punct", "->")
         val = s.expect("string").value
-        pairs.append((key, val))
+        pairs.append((key.value, val))
         s.accept("punct", ",")
         s.accept("punct", ";")
     return tuple(pairs)
 
 
-def _claim_field(seen: set[str], key: Token, where: str) -> None:
-    """Record a field name, refusing one already given."""
+def _claim(seen: set[str], key: Token, what: str) -> None:
+    """Record a field or key name, refusing one already given."""
     if key.value in seen:
-        raise DslError(f"repeated {where} field {key.value!r}", key.line, key.col)
+        raise DslError(f"repeated {what} {key.value!r}", key.line, key.col)
     seen.add(key.value)
 
 
@@ -240,7 +244,7 @@ def _parse_block(s: _Stream) -> BlockDecl:
     s.expect("punct", "{")
     while not s.accept("punct", "}"):
         key = s.expect("name")
-        _claim_field(seen, key, "block")
+        _claim(seen, key, "block field")
         s.expect("punct", "=")
         if key.value == "attach":
             if s.accept("punct", "("):
@@ -262,11 +266,15 @@ def _parse_block(s: _Stream) -> BlockDecl:
         elif key.value == "surface":
             decl.surface = _parse_surface_spec(s)
         elif key.value == "boundary":
-            decl.boundary = _parse_arrow_map(s)
+            decl.boundary = _parse_arrow_map(s, "boundary")
         elif key.value == "retract":
-            decl.retract = _parse_arrow_map(s)
+            decl.retract = _parse_arrow_map(s, "retract")
         elif key.value == "assume":
-            decl.assume = s.expect("name").value == "true"
+            tok = s.expect("name")
+            if tok.value not in ("true", "false"):
+                raise DslError(f"expected 'true' or 'false', got {tok.value!r}",
+                               tok.line, tok.col)
+            decl.assume = tok.value == "true"
         else:
             raise DslError(f"unknown block field {key.value!r}", key.line, key.col)
         s.expect("punct", ";")
@@ -352,7 +360,7 @@ def parse_splitting(text: str, gamma_prime: tower_mod.Tower):
     while not s.accept("punct", "}"):
         key = s.expect("name")
         if key.value != "vertex":  # vertex blocks repeat; the edge and each field do not
-            _claim_field(seen, key, "splitting")
+            _claim(seen, key, "splitting field")
         if key.value in fields:
             s.expect("punct", "=")
             fields[key.value] = s.expect("name").value
@@ -371,6 +379,8 @@ def parse_splitting(text: str, gamma_prime: tower_mod.Tower):
                 which = s.expect("name")
                 if which.value not in ("left", "right"):
                     raise DslError(f"unknown edge side {which.value!r}", which.line, which.col)
+                if which.value in sides:
+                    raise DslError(f"repeated edge side {which.value!r}", which.line, which.col)
                 s.expect("punct", "=")
                 vlab = s.expect("name").value
                 s.expect("punct", ":")
@@ -382,7 +392,7 @@ def parse_splitting(text: str, gamma_prime: tower_mod.Tower):
                                key.line, key.col)
             edge = (elabel, sides)
         elif key.value == "nu":
-            nu_pairs = _parse_arrow_map(s)
+            nu_pairs = _parse_arrow_map(s, "nu")
         elif key.value == "surface":
             s.expect("punct", "=")
             surface_decl = _parse_surface_spec(s)

@@ -652,10 +652,14 @@ def _torus_piece(block: BlockA | BlockT, attach: tuple[Word, ...], below: str, n
 class _WitnessFamily:
     """Parametrized homomorphisms tower -> free group.
 
-    Per A/T block letter: t -> attach^N.  Per Q block handle: a twist
-    power along the a-curve.  Height 0: free summands map by identity,
+    Per A/T block letter: t -> attach^N.  Per Q block handle: the twist
+    b -> b a^N, then the twist a -> a b^N; both fix [a, b], so they fix
+    every boundary word.  Height 0: free summands map by identity,
     abelian summands to powers of one fresh letter, closed surfaces by
-    handle-killing after twist powers.
+    twists b_h -> b_h a_h^N and then handle-pair folding: handles 2i-1
+    and 2i go to a_{2i-1} -> x, b_{2i-1} -> y, a_{2i} -> y, b_{2i} -> x,
+    so the relator goes to [x,y][y,x] = 1 while [a1,b1] stays alive; an
+    odd genus's last handle goes to a_g -> z, b_g -> 1.
 
     `_build` compiles the family once; `images` then evaluates one member
     bottom-up as a plain dict, so an attempt costs the length of the
@@ -690,6 +694,7 @@ class _WitnessFamily:
                     a = b.surface.generators[2 * h]
                     bgen = b.surface.generators[2 * h + 1]
                     self.slots.append(f"stage {i}: twist {bgen} -> {bgen} {a}^N")
+                    self.slots.append(f"stage {i}: twist {a} -> {a} {bgen}^N")
         self.summand_slot = len(self.slots)
         # height-0 resolution slots
         target_gens: list[str] = []
@@ -714,8 +719,6 @@ class _WitnessFamily:
                     a = v.surface.generators[2 * h]
                     bgen = v.surface.generators[2 * h + 1]
                     self.slots.append(f"summand {v.label}: twist {bgen} -> {bgen} {a}^N")
-                for g in v.surface.generators[:2]:
-                    self.slots.append(f"summand {v.label}: {g} -> {names[0]}^N")
                 target_gens.extend(names)
                 self.summand_plan.append(("surface", v, names))
         self.target = Alphabet(tuple(target_gens))
@@ -739,15 +742,13 @@ class _WitnessFamily:
                 for g in gens:
                     img[g] = power(letter(names[0]), next(it))
             else:
-                # twist b_h -> b_h a_h^N_h, then kill handles: a1 -> x^p,
-                # b1 -> x^q, and a_h -> y_h, b_h -> 1 for h >= 2
-                twists = [next(it) for _ in names]
-                p, q = next(it), next(it)
-                img[gens[0]] = power(letter(names[0]), p)
-                img[gens[1]] = power(letter(names[0]), q + p * twists[0])
-                for h in range(1, len(names)):
-                    img[gens[2 * h]] = letter(names[h])
-                    img[gens[2 * h + 1]] = power(letter(names[h]), twists[h])
+                # twist b_h -> b_h a_h^N_h, then fold handle pairs: a_h goes
+                # to its own letter, and b_h to its pair partner's (h ^ 1),
+                # or to 1 for an odd genus's last handle
+                for h, x in enumerate(names):
+                    partner = letter(names[h ^ 1]) if h ^ 1 < len(names) else ()
+                    img[gens[2 * h]] = letter(x)
+                    img[gens[2 * h + 1]] = partner + power(letter(x), next(it))
         for first, s, new in self.stage_plan:
             b = s.block
             if isinstance(b, (BlockA, BlockT)):
@@ -755,14 +756,15 @@ class _WitnessFamily:
                 for j, lt in enumerate(b.letters):
                     img[lt] = reduce_word(power(u, params[first + j]))
             else:
-                # the twist b_h -> b_h a_h^N, then the retraction; its
-                # stable letters map to 1
+                # the twists b_h -> b_h a_h^N and then a_h -> a_h b_h^M, then
+                # the retraction; its stable letters map to 1
                 for g in new:
                     img[g] = apply_map(img, s.retraction.images[g])
                 gens = b.surface.generators
                 for h in range(b.surface.genus):
                     a, bg = gens[2 * h], gens[2 * h + 1]
-                    img[bg] = reduce_word(img[bg] + power(img[a], params[first + h]))
+                    img[bg] = reduce_word(img[bg] + power(img[a], params[first + 2 * h]))
+                    img[a] = reduce_word(img[a] + power(img[bg], params[first + 2 * h + 1]))
         return img
 
     def hom(self, params: tuple[int, ...]) -> GroupHom:

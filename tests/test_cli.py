@@ -127,6 +127,19 @@ SECOND_EDGE = '  edge F { left = vA: "a"; right = vB: "c"; }'
                  "error: 7:3: repeated splitting field 'edge'\n", id="second-edge"),
     pytest.param(F2_DSL, SPLITTING.replace("base=vA;", "base=vA;\n  kind=hnn;"),
                  "error: 6:3: repeated splitting field 'kind'\n", id="repeated-splitting-field"),
+    # so is a repeated map key or edge side, which was overwritten
+    pytest.param(F2_DSL, SPLITTING.replace('nu { a -> "a",', 'nu { a -> "b", a -> "a",'),
+                 "error: 7:18: repeated nu key 'a'\n", id="repeated-nu-key"),
+    pytest.param(QT_DSL.replace('p -> "a", q', 'p -> "a", p -> "b", q'), None,
+                 "error: 6:25: repeated retract key 'p'\n", id="repeated-retract-key"),
+    pytest.param(QT_DSL.replace('{ b1 -> "[a,b]" }', '{ b1 -> "[a,b]", b1 -> "a" }'), None,
+                 "error: 5:31: repeated boundary key 'b1'\n", id="repeated-boundary-key"),
+    pytest.param(F2_DSL, SPLITTING.replace('right = vB: "[c,d]";',
+                                           'left = vA: "a"; right = vB: "[c,d]";'),
+                 "error: 6:32: repeated edge side 'left'\n", id="repeated-edge-side"),
+    # assume= takes true or false, nothing else
+    pytest.param(GAMMA_DSL.replace("letters=t;", "letters=t;\n    assume=ture;"), None,
+                 "error: 7:12: expected 'true' or 'false', got 'ture'\n", id="bad-assume"),
 ])
 def test_malformed_input_error_bytes(tmp_path, tower_text, splitting_text, output):
     twr = tmp_path / "t.twr"
@@ -268,10 +281,13 @@ def test_witness_failure_budget_limited(gamma_file):
 
 
 def test_witness_attempt_cap_on_a_hopeless_search():
-    # every member of closed2's family sends t to 1, so the search runs to
-    # its cap of 20,000 attempts without building any parameter shell
-    closed2 = Path(__file__).resolve().parent.parent / "bench" / "corpus" / "closed2.twr"
-    code, text = cli.run_command(["witness", str(closed2), "--words", "a1; t"])
+    # every member of wide's family sends x and y into one cyclic <f>, to
+    # exponents Nx, Ny of norm <= 3, so x^Ny y^-Nx is among the words and
+    # maps to 1; the search runs to its cap of 20,000 attempts without
+    # building any parameter shell
+    wide = Path(__file__).resolve().parent.parent / "bench" / "corpus" / "wide.twr"
+    words = "; ".join(f"x^{i} y^{j}" for i in range(-3, 4) for j in range(-3, 4) if i or j)
+    code, text = cli.run_command(["witness", str(wide), "--words", words, "--budget", "3"])
     assert code == 3
     assert "attempts: 20000" in text.splitlines()
 
