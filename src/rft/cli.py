@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -34,6 +33,7 @@ from .graphgroups import word_problem as graph_word_problem
 from .words import (
     Alphabet,
     GroupHom,
+    Record,
     SurfacePresentation,
     WordError,
     format_word,
@@ -58,12 +58,12 @@ class DslError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "name" | "int" | "string" | "punct" | "eof"
-    value: str
-    line: int
-    col: int
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        self.kind = kind  # "name" | "int" | "string" | "punct" | "eof"
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 # One alternative per token kind, tried in order; `other` takes any single
@@ -136,32 +136,36 @@ class _Stream:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SummandDecl:
-    kind: str  # "free" | "abelian" | "surface"
-    generators: tuple[str, ...] = ()
-    rank: int = 0
-    genus: int = 0
-    punctures: int = 0
+class SummandDecl(Record):
+    def __init__(self, kind: str, generators: tuple[str, ...] = (), rank: int = 0,
+                 genus: int = 0, punctures: int = 0):
+        self.kind = kind  # "free" | "abelian" | "surface"
+        self.generators = generators
+        self.rank = rank
+        self.genus = genus
+        self.punctures = punctures
 
 
-@dataclass
-class BlockDecl:
-    kind: str  # "A" | "Q" | "T"
-    attach: tuple[str, ...] = ()  # word texts
-    rank: int = 0
-    letters: tuple[str, ...] = ()
-    surface: Optional[SummandDecl] = None
-    boundary: tuple[tuple[str, str], ...] = ()  # (circle name, word text)
-    retract: tuple[tuple[str, str], ...] = ()  # (generator, word text)
-    assume: bool = False
+class BlockDecl(Record):
+    def __init__(self, kind: str, attach: tuple[str, ...] = (), rank: int = 0,
+                 letters: tuple[str, ...] = (), surface: Optional[SummandDecl] = None,
+                 boundary: tuple[tuple[str, str], ...] = (),
+                 retract: tuple[tuple[str, str], ...] = (), assume: bool = False):
+        self.kind = kind  # "A" | "Q" | "T"
+        self.attach = attach  # word texts
+        self.rank = rank
+        self.letters = letters
+        self.surface = surface
+        self.boundary = boundary  # (circle name, word text)
+        self.retract = retract  # (generator, word text)
+        self.assume = assume
 
 
-@dataclass
-class TowerDocument:
-    name: str
-    summands: list[SummandDecl]
-    blocks: list[BlockDecl]
+class TowerDocument(Record):
+    def __init__(self, name: str, summands: list[SummandDecl], blocks: list[BlockDecl]):
+        self.name = name
+        self.summands = summands
+        self.blocks = blocks
 
 
 def _parse_name_list(s: _Stream) -> tuple[str, ...]:

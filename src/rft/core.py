@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass
 from typing import Hashable, Optional
 
 from .folding import Delta, Edge, Labelled, fold, petal, walk
@@ -147,31 +146,33 @@ class CoverGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class LoopExpression:
-    generator: Word
-    steps: list[tuple[int, str, int, int]]  # (from-vertex, sym, sign, to-vertex)
+    def __init__(self, generator: Word, steps: list[tuple[int, str, int, int]]):
+        self.generator = generator
+        self.steps = steps  # (from-vertex, sym, sign, to-vertex)
 
 
-@dataclass
 class PieceClass:
-    edge_label: str
-    rank: int
-    kind: str  # "Strip" | "Annulus" | "TorusTube"
-    lifts: int
-    note: str = ""
+    def __init__(self, edge_label: str, rank: int, kind: str, lifts: int, note: str = ""):
+        self.edge_label = edge_label
+        self.rank = rank
+        self.kind = kind  # "Strip" | "Annulus" | "TorusTube"
+        self.lifts = lifts
+        self.note = note
 
 
-@dataclass
 class CoreReport:
-    vertices: list[int]
-    edges: list[Edge]
-    base: int
-    loop_expressions: list[LoopExpression]
-    rank: int
-    exact: bool
-    stabilization: dict
-    cover: CoverGraph
+    def __init__(self, vertices: list[int], edges: list[Edge], base: int,
+                 loop_expressions: list[LoopExpression], rank: int, exact: bool,
+                 stabilization: dict, cover: CoverGraph):
+        self.vertices = vertices
+        self.edges = edges
+        self.base = base
+        self.loop_expressions = loop_expressions
+        self.rank = rank
+        self.exact = exact
+        self.stabilization = stabilization
+        self.cover = cover
 
     def canonical_form(self) -> tuple:
         return self.cover.canonical_form()

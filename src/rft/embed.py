@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional
 
 from . import graphgroups as gg
@@ -30,6 +29,7 @@ from .tower import (
 )
 from .words import (
     GroupHom,
+    Record,
     SurfacePresentation,
     Word,
     abelianize,
@@ -55,18 +55,18 @@ class EmbedError(ValueError):
     """Malformed or unsupported splitting/quotient data."""
 
 
-@dataclass(frozen=True)
 class SplittingData:
     """A one-edge splitting of L, supplied as a graph of groups so L's
     own word problem is available."""
 
-    kind: str
-    L: GraphOfGroups
-    edge_label: str
-    surface: Optional[SurfacePresentation] = None  # qh: the surface vertex
-    special_vertex: Optional[str] = None  # qh/abelian: label of that vertex
-
-    def __post_init__(self):
+    def __init__(self, kind: str, L: GraphOfGroups, edge_label: str,
+                 surface: Optional[SurfacePresentation] = None,
+                 special_vertex: Optional[str] = None):
+        self.kind = kind
+        self.L = L
+        self.edge_label = edge_label
+        self.surface = surface  # qh: the surface vertex
+        self.special_vertex = special_vertex  # qh/abelian: label of that vertex
         if self.kind not in (AMALGAM, HNN, ABELIAN, QH):
             raise EmbedError(f"unknown splitting kind {self.kind!r}")
         if self.edge_label not in {e.label for e in self.L.edges}:
@@ -93,36 +93,37 @@ class SplittingData:
         return next(e for e in self.L.edges if e.label == self.edge_label)
 
 
-@dataclass(frozen=True)
 class StrictQuotientData:
     """rho: L -> L' followed by an inclusion i: L' -> tower alphabet."""
 
-    rho: GroupHom
-    i: GroupHom
-    gamma_prime: Tower
+    def __init__(self, rho: GroupHom, i: GroupHom, gamma_prime: Tower):
+        self.rho = rho
+        self.i = i
+        self.gamma_prime = gamma_prime
 
     @property
     def nu(self) -> GroupHom:
         return self.rho.then(self.i)
 
 
-@dataclass
 class AbelianLocus:
     """The maximal abelian subgroup of the target that contains the
     edge-group image; `status` records how maximality was certified."""
 
-    generators: tuple[Word, ...]
-    status: str  # "verified" | "budget-limited"
-    detail: str = ""
+    def __init__(self, generators: tuple[Word, ...], status: str, detail: str = ""):
+        self.generators = generators
+        self.status = status  # "verified" | "budget-limited"
+        self.detail = detail
 
 
-@dataclass
 class EmbeddingResult:
-    gamma: Tower
-    j: GroupHom
-    U: AbelianLocus
-    new_letter: str
-    obligations: list[Obligation] = field(default_factory=list)
+    def __init__(self, gamma: Tower, j: GroupHom, U: AbelianLocus, new_letter: str,
+                 obligations: Optional[list[Obligation]] = None):
+        self.gamma = gamma
+        self.j = j
+        self.U = U
+        self.new_letter = new_letter
+        self.obligations = [] if obligations is None else obligations
 
 
 def maximal_abelian_containing(tower: Tower, w: Word, budget: int = 8) -> AbelianLocus:
@@ -260,12 +261,13 @@ def embed_step(S: SplittingData, D: StrictQuotientData, budget: int = 8,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BulletVerdict:
-    name: str
-    status: str  # "verified" | "refuted" | "budget-limited" | "not-applicable"
-    witness: Optional[str] = None
-    detail: str = ""
+class BulletVerdict(Record):
+    def __init__(self, name: str, status: str, witness: Optional[str] = None,
+                 detail: str = ""):
+        self.name = name
+        self.status = status  # "verified" | "refuted" | "budget-limited" | "not-applicable"
+        self.witness = witness
+        self.detail = detail
 
 
 def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
@@ -387,24 +389,25 @@ def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BallEvidence:
-    word: Word
-    source_verdict: str
-    image: Word
-    image_verdict: str
-    # "direct": the tower's word problem decided image_verdict (a base
-    # image, a nonempty image under `Tower.free_map`, or Britton);
-    # "witness": a witness search proved it after the tower said Unknown;
-    # "none": neither decided it
-    method: str  # "direct" | "witness" | "none"
+class BallEvidence(Record):
+    def __init__(self, word: Word, source_verdict: str, image: Word, image_verdict: str,
+                 method: str):
+        self.word = word
+        self.source_verdict = source_verdict
+        self.image = image
+        self.image_verdict = image_verdict
+        # "direct": the tower's word problem decided image_verdict (a base
+        # image, a nonempty image under `Tower.free_map`, or Britton);
+        # "witness": a witness search proved it after the tower said Unknown;
+        # "none": neither decided it
+        self.method = method  # "direct" | "witness" | "none"
 
 
-@dataclass
-class BallCertificate:
-    radius: int
-    status: str  # "full" | "partial" | "refuted"
-    entries: list[BallEvidence]
+class BallCertificate(Record):
+    def __init__(self, radius: int, status: str, entries: list[BallEvidence]):
+        self.radius = radius
+        self.status = status  # "full" | "partial" | "refuted"
+        self.entries = entries
 
     @property
     def refutations(self):

@@ -11,7 +11,6 @@ transform.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .core import CoreReport
@@ -39,16 +38,14 @@ class FlatsError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FlatClass:
-    rank: int
-    lattice: tuple[Word, ...]
-    block_index: int
-    origin: str
-
-    def __post_init__(self):
-        if self.rank < 2:
+    def __init__(self, rank: int, lattice: tuple[Word, ...], block_index: int, origin: str):
+        if rank < 2:
             raise FlatsError("a flat class needs rank >= 2")
+        self.rank = rank
+        self.lattice = lattice
+        self.block_index = block_index
+        self.origin = origin
 
 
 def flat_inventory(T: Tower, budget: int = 8) -> list[FlatClass]:
@@ -103,9 +100,9 @@ class SymbolicBound:
         return val(k) if callable(val) else val
 
 
-@dataclass(frozen=True)
 class Num(SymbolicBound):
-    value: int
+    def __init__(self, value: int):
+        self.value = value
 
     def evaluate(self, k, atoms=None):
         return self.value
@@ -114,7 +111,6 @@ class Num(SymbolicBound):
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class K(SymbolicBound):
     def evaluate(self, k, atoms=None):
         return k
@@ -123,9 +119,9 @@ class K(SymbolicBound):
         return karg
 
 
-@dataclass(frozen=True)
 class Atom(SymbolicBound):
-    name: str
+    def __init__(self, name: str):
+        self.name = name
 
     def evaluate(self, k, atoms=None):
         return self._lookup(atoms, self.name, k)
@@ -134,11 +130,11 @@ class Atom(SymbolicBound):
         return f"{self.name}({karg})"
 
 
-@dataclass(frozen=True)
 class ConstAtom(SymbolicBound):
     """A named constant (independent of k), e.g. an edge-space diameter."""
 
-    name: str
+    def __init__(self, name: str):
+        self.name = name
 
     def evaluate(self, k, atoms=None):
         return self._lookup(atoms, self.name, 0)
@@ -147,10 +143,10 @@ class ConstAtom(SymbolicBound):
         return self.name
 
 
-@dataclass(frozen=True)
 class Plus(SymbolicBound):
-    left: SymbolicBound
-    right: SymbolicBound
+    def __init__(self, left: SymbolicBound, right: SymbolicBound):
+        self.left = left
+        self.right = right
 
     def evaluate(self, k, atoms=None):
         return self.left.evaluate(k, atoms) + self.right.evaluate(k, atoms)
@@ -159,10 +155,10 @@ class Plus(SymbolicBound):
         return f"{self.left.render(karg)} + {self.right.render(karg)}"
 
 
-@dataclass(frozen=True)
 class Times(SymbolicBound):
-    left: SymbolicBound
-    right: SymbolicBound
+    def __init__(self, left: SymbolicBound, right: SymbolicBound):
+        self.left = left
+        self.right = right
 
     def evaluate(self, k, atoms=None):
         return self.left.evaluate(k, atoms) * self.right.evaluate(k, atoms)
@@ -171,9 +167,9 @@ class Times(SymbolicBound):
         return f"{self.left.render(karg)}*{self.right.render(karg)}"
 
 
-@dataclass(frozen=True)
 class Max(SymbolicBound):
-    terms: tuple[SymbolicBound, ...]
+    def __init__(self, terms: tuple[SymbolicBound, ...]):
+        self.terms = terms
 
     def evaluate(self, k, atoms=None):
         if not self.terms:
@@ -184,11 +180,11 @@ class Max(SymbolicBound):
         return "max(" + ", ".join(t.render(karg) for t in self.terms) + ")"
 
 
-@dataclass(frozen=True)
 class Doubled(SymbolicBound):
     """D(f)(k) = f(2k) + 2k."""
 
-    inner: SymbolicBound
+    def __init__(self, inner: SymbolicBound):
+        self.inner = inner
 
     def evaluate(self, k, atoms=None):
         return self.inner.evaluate(2 * k, atoms) + 2 * k
@@ -226,11 +222,11 @@ M_TYPE = "M-type"
 N_TYPE = "N-type"
 
 
-@dataclass
 class ColoredCore:
-    top_block: Block
-    vertex_types: dict[int, str]
-    colors: dict[int, str]
+    def __init__(self, top_block: Block, vertex_types: dict[int, str], colors: dict[int, str]):
+        self.top_block = top_block
+        self.vertex_types = vertex_types
+        self.colors = colors
 
 
 def _vertex_types(R: CoreReport, T: Tower) -> dict[int, str]:
@@ -271,19 +267,20 @@ def color_vertices(R: CoreReport, T: Tower) -> ColoredCore:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class HypothesisVerdict:
-    name: str
-    status: str  # "verified" | "verified-to-budget" | "refuted"
-    budget: Optional[int] = None
-    witness: Optional[str] = None
-    detail: str = ""
+    def __init__(self, name: str, status: str, budget: Optional[int] = None,
+                 witness: Optional[str] = None, detail: str = ""):
+        self.name = name
+        self.status = status  # "verified" | "verified-to-budget" | "refuted"
+        self.budget = budget
+        self.witness = witness
+        self.detail = detail
 
 
-@dataclass
 class IsolationReport:
-    verdicts: list[HypothesisVerdict]
-    pair_log: list[str] = field(default_factory=list)
+    def __init__(self, verdicts: list[HypothesisVerdict], pair_log: Optional[list[str]] = None):
+        self.verdicts = verdicts
+        self.pair_log = [] if pair_log is None else pair_log
 
     def verdict(self, name: str) -> HypothesisVerdict:
         return next(v for v in self.verdicts if v.name == name)

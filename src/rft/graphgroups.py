@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .folding import SubgroupGraph
@@ -24,6 +23,7 @@ from .intlinalg import lattice_rank, solve_int_linear, solve_with_relations
 from .words import (
     Alphabet,
     AlphabetError,
+    Record,
     SurfacePresentation,
     Word,
     abelianize,
@@ -60,22 +60,22 @@ Strategy = Callable[[Word, int], str]
 Expression = list[tuple[int, int]]
 
 
-@dataclass(frozen=True)
 class VertexGroup:
-    label: str
-    kind: str  # "free" | "abelian" | "surface" | "composite"
-    alphabet: Alphabet
-    surface: Optional[SurfacePresentation] = None
-    relators: tuple[Word, ...] = ()
-    strategy: Optional[Strategy] = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in ("free", "abelian", "surface", "composite"):
-            raise GraphError(f"unknown vertex kind {self.kind!r}")
-        if self.kind == "surface" and self.surface is None:
+    def __init__(self, label: str, kind: str, alphabet: Alphabet,
+                 surface: Optional[SurfacePresentation] = None,
+                 relators: tuple[Word, ...] = (), strategy: Optional[Strategy] = None):
+        if kind not in ("free", "abelian", "surface", "composite"):
+            raise GraphError(f"unknown vertex kind {kind!r}")
+        if kind == "surface" and surface is None:
             raise GraphError("surface vertex needs a SurfacePresentation")
-        if self.kind == "composite" and self.strategy is None:
+        if kind == "composite" and strategy is None:
             raise GraphError("composite vertex needs a word-problem strategy")
+        self.label = label
+        self.kind = kind  # "free" | "abelian" | "surface" | "composite"
+        self.alphabet = alphabet
+        self.surface = surface
+        self.relators = relators
+        self.strategy = strategy
 
     def all_relators(self) -> tuple[Word, ...]:
         if self.kind == "free":
@@ -126,7 +126,6 @@ def composite_vertex(
     return VertexGroup(label, "composite", alph, relators=relators, strategy=strategy)
 
 
-@dataclass(frozen=True)
 class EdgeGroup:
     """Free-abelian edge group with monomorphism images at both endpoints.
 
@@ -134,29 +133,27 @@ class EdgeGroup:
     torus tubes.
     """
 
-    label: str
-    rank: int
-    left: tuple[str, tuple[Word, ...]]  # (vertex label, generator images)
-    right: tuple[str, tuple[Word, ...]]
-    stable_letter: Optional[str] = None
-
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, label: str, rank: int, left: tuple[str, tuple[Word, ...]],
+                 right: tuple[str, tuple[Word, ...]], stable_letter: Optional[str] = None):
+        if rank < 0:
             raise GraphError("edge rank must be >= 0")
-        for _, images in (self.left, self.right):
-            if len(images) != self.rank:
-                raise GraphError(f"edge {self.label!r}: expected {self.rank} images")
+        for _, images in (left, right):
+            if len(images) != rank:
+                raise GraphError(f"edge {label!r}: expected {rank} images")
+        self.label = label
+        self.rank = rank
+        self.left = left  # (vertex label, generator images)
+        self.right = right
+        self.stable_letter = stable_letter
 
     def side(self, which: int):
         return self.left if which == 0 else self.right
 
 
-@dataclass(frozen=True)
 class Presentation:
-    alphabet: Alphabet
-    relators: tuple[Word, ...]
-
-    def __post_init__(self):
+    def __init__(self, alphabet: Alphabet, relators: tuple[Word, ...]):
+        self.alphabet = alphabet
+        self.relators = relators
         for r in self.relators:
             if not reduce_word(r, self.alphabet):
                 raise GraphError("relators must be nontrivial")
@@ -165,26 +162,24 @@ class Presentation:
         return [abelianize(r, self.alphabet) for r in self.relators]
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    status: str  # member / nonmember / unknown
-    expression: Optional[Expression] = None
-
-    def __post_init__(self):
-        if self.status == MEMBER and self.expression is None:
+class MembershipResult(Record):
+    def __init__(self, status: str, expression: Optional[Expression] = None):
+        if status == MEMBER and expression is None:
             raise ValueError("a member needs an expression in the subgenerators")
+        self.status = status  # member / nonmember / unknown
+        self.expression = expression
 
     @property
     def definite(self) -> bool:
         return self.status != UNKNOWN
 
 
-@dataclass
-class NormalForm:
+class NormalForm(Record):
     """Alternating vertex-syllable / stable-letter sequence with a verdict."""
 
-    items: list  # ("syl", vertex label, Word) | ("stable", letter, sign)
-    verdict: str
+    def __init__(self, items: list, verdict: str):
+        self.items = items  # ("syl", vertex label, Word) | ("stable", letter, sign)
+        self.verdict = verdict
 
 
 class GraphOfGroups:
@@ -423,15 +418,17 @@ def subgroup_membership(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _Entry:
     """An item on the reduction stack with the verdicts already decided for it."""
 
-    kind: str  # "syl" | "stable"
-    name: str  # vertex label or stable letter
-    value: object  # Word of a syllable, sign of a stable letter
-    unknown: bool = False  # syllable triviality, or the pinch this letter closes, is Unknown
-    member: Optional[str] = None  # edge membership, asked once a syllable neighbour arrives
+    def __init__(self, kind: str, name: str, value: object, unknown: bool = False):
+        self.kind = kind  # "syl" | "stable"
+        self.name = name  # vertex label or stable letter
+        self.value = value  # Word of a syllable, sign of a stable letter
+        # syllable triviality, or the pinch this letter closes, is Unknown
+        self.unknown = unknown
+        # edge membership, asked once a syllable neighbour arrives
+        self.member: Optional[str] = None
 
 
 def _amalgam_edge(G: GraphOfGroups) -> Optional[EdgeGroup]:

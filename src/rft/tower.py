@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Optional
 
@@ -48,6 +47,7 @@ from .intlinalg import solve_int_linear
 from .words import (
     Alphabet,
     GroupHom,
+    Record,
     SurfacePresentation,
     Word,
     abelianize,
@@ -73,19 +73,17 @@ class RefutedError(BlockError):
     """A validity check was decided false; no `assume` covers it."""
 
 
-@dataclass(frozen=True)
 class BlockA:
     """Abelian block: torus of rank `rank` glued along a tube to `attach`."""
 
-    attach: Word
-    rank: int
-    letters: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.rank < 2:
+    def __init__(self, attach: Word, rank: int, letters: tuple[str, ...]):
+        if rank < 2:
             raise BlockError("block A needs torus rank >= 2")
-        if len(self.letters) != self.rank - 1:
+        if len(letters) != rank - 1:
             raise BlockError("block A needs rank-1 new letters")
+        self.attach = attach
+        self.rank = rank
+        self.letters = letters
 
     @property
     def attaching(self) -> tuple[Word, ...]:
@@ -93,25 +91,24 @@ class BlockA:
         return (self.attach,)
 
 
-@dataclass(frozen=True)
 class BlockQ:
     """Quadratic block: hyperbolic surface with boundary glued along tubes."""
 
-    surface: SurfacePresentation
-    boundary_attach: tuple[Word, ...]
-    retraction: dict[str, Word]
-
-    def __post_init__(self):
-        s = self.surface
+    def __init__(self, surface: SurfacePresentation, boundary_attach: tuple[Word, ...],
+                 retraction: dict[str, Word]):
+        s = surface
         if s.closed:
             raise BlockError("block Q needs a surface with boundary")
         if not (s.euler_characteristic <= -2 or (s.genus, s.punctures) == (1, 1)):
             raise BlockError("block Q surface must have chi <= -2 or be a punctured torus")
-        if len(self.boundary_attach) != s.punctures:
+        if len(boundary_attach) != s.punctures:
             raise BlockError("every boundary circle needs an attaching word")
         for g in s.generators:
-            if g not in self.retraction:
+            if g not in retraction:
                 raise BlockError(f"retraction image missing for surface generator {g!r}")
+        self.surface = surface
+        self.boundary_attach = boundary_attach
+        self.retraction = retraction
 
     @property
     def attaching(self) -> tuple[Word, ...]:
@@ -119,20 +116,18 @@ class BlockQ:
         return self.boundary_attach
 
 
-@dataclass(frozen=True)
 class BlockT:
     """Torus block: extend an existing rank-k lattice to rank `rank`."""
 
-    attach: tuple[Word, ...]
-    rank: int
-    letters: tuple[str, ...]
-
-    def __post_init__(self):
-        k = len(self.attach)
-        if not (1 <= k < self.rank):
+    def __init__(self, attach: tuple[Word, ...], rank: int, letters: tuple[str, ...]):
+        k = len(attach)
+        if not (1 <= k < rank):
             raise BlockError("block T needs 1 <= k < l")
-        if len(self.letters) != self.rank - k:
+        if len(letters) != rank - k:
             raise BlockError("block T needs rank-k new letters")
+        self.attach = attach
+        self.rank = rank
+        self.letters = letters
 
     @property
     def attaching(self) -> tuple[Word, ...]:
@@ -142,11 +137,11 @@ class BlockT:
 Block = BlockA | BlockQ | BlockT
 
 
-@dataclass
 class Obligation:
-    name: str
-    status: str  # "verified" | "assumed"
-    detail: str = ""
+    def __init__(self, name: str, status: str, detail: str = ""):
+        self.name = name
+        self.status = status  # "verified" | "assumed"
+        self.detail = detail
 
 
 def decided(verdict: str, proves: str) -> Optional[bool]:
@@ -199,39 +194,43 @@ def noncommuting_pair(target: Tower, hom: GroupHom, gens, budget: int):
     return holds, None
 
 
-@dataclass(frozen=True)
 class LatticeRecord:
     """A rank >= 2 free-abelian lattice created during construction."""
 
-    stage: int
-    generators: tuple[Word, ...]
-    origin: str  # "summand" | "A" | "T"
+    def __init__(self, stage: int, generators: tuple[Word, ...], origin: str):
+        self.stage = stage
+        self.generators = generators
+        self.origin = origin  # "summand" | "A" | "T"
 
 
-@dataclass
 class Stage:
-    presentation: Presentation
-    graph: GraphOfGroups
-    retraction: Optional[GroupHom]
-    block: Optional[Block]
-    obligations: list[Obligation] = field(default_factory=list)
+    def __init__(self, presentation: Presentation, graph: GraphOfGroups,
+                 retraction: Optional[GroupHom], block: Optional[Block],
+                 obligations: Optional[list[Obligation]] = None):
+        self.presentation = presentation
+        self.graph = graph
+        self.retraction = retraction
+        self.block = block
+        self.obligations = [] if obligations is None else obligations
 
 
-@dataclass
-class WitnessCertificate:
-    target: Alphabet
-    hom: Optional[GroupHom]
-    relators: tuple[Word, ...]  # the tower's relators; hom must kill each one
-    words: list[Word]
-    images: list[Word]
-    verdict: str  # "valid" | "failed"
-    family: str
-    trace: list
-    seed: int
-    budget: int
-    # per word, its provable-equality class; empty means each distinct
-    # reduced word is its own class
-    classes: list[int] = field(default_factory=list)
+class WitnessCertificate(Record):
+    def __init__(self, target: Alphabet, hom: Optional[GroupHom], relators: tuple[Word, ...],
+                 words: list[Word], images: list[Word], verdict: str, family: str,
+                 trace: list, seed: int, budget: int, classes: Optional[list[int]] = None):
+        self.target = target
+        self.hom = hom
+        self.relators = relators  # the tower's relators; hom must kill each one
+        self.words = words
+        self.images = images
+        self.verdict = verdict  # "valid" | "failed"
+        self.family = family
+        self.trace = trace
+        self.seed = seed
+        self.budget = budget
+        # per word, its provable-equality class; empty means each distinct
+        # reduced word is its own class
+        self.classes = [] if classes is None else classes
 
     def recheck(self) -> bool:
         """Re-verify validity by pure word operations: every relator maps

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 __all__ = [
@@ -69,23 +68,38 @@ Word = tuple[Letter, ...]
 EMPTY: Word = ()
 
 
-@dataclass(frozen=True)
+class Record:
+    """Base of the plain records that are compared by value: two records
+    are equal when they have one type and equal attributes.  A record is
+    unhashable unless its class defines a hash."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+
 class Alphabet:
     """Ordered list of distinct generator names."""
 
-    generators: tuple[str, ...]
-    # name -> position; derived from `generators`, so equality and hash skip it
-    _position: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, generators: tuple[str, ...]):
         position: dict[str, int] = {}
-        for name in self.generators:
+        for name in generators:
             if not NAME_RE.fullmatch(name):
                 raise AlphabetError(f"bad generator name: {name!r}")
             if name in position:
                 raise AlphabetError(f"duplicate generator name: {name!r}")
             position[name] = len(position)
-        object.__setattr__(self, "_position", position)
+        self.generators = generators
+        # name -> position; derived from `generators`, so equality and hash skip it
+        self._position = position
+
+    def __eq__(self, other):
+        return type(other) is Alphabet and other.generators == self.generators
+
+    def __hash__(self):
+        return hash(self.generators)
+
+    def __repr__(self):
+        return f"Alphabet(generators={self.generators!r})"
 
     def __contains__(self, name: str) -> bool:
         return name in self._position
@@ -290,20 +304,22 @@ def ball_size(rank: int, radius: int) -> int:
     return 1 + n * ((2 * n - 1) ** radius - 1) // (n - 1)
 
 
-@dataclass(frozen=True)
-class GroupHom:
-    """Homomorphism between free-ish generating sets, given on generators."""
+class GroupHom(Record):
+    """Homomorphism between free-ish generating sets, given on generators.
+    Two homs are equal when their source, target and images are."""
 
-    source: Alphabet
-    target: Alphabet
-    images: dict[str, Word] = field(compare=False)
-
-    def __post_init__(self):
-        for g in self.source.generators:
-            if g not in self.images:
+    def __init__(self, source: Alphabet, target: Alphabet, images: dict[str, Word]):
+        self.source = source
+        self.target = target
+        self.images = images
+        for g in source.generators:
+            if g not in images:
                 raise WordError(f"homomorphism not total: missing image of {g!r}")
-        for g, w in self.images.items():
-            self.target.check(w)
+        for g, w in images.items():
+            target.check(w)
+
+    def __hash__(self):
+        return hash((self.source, self.target, frozenset(self.images.items())))
 
     @staticmethod
     def identity(alph: Alphabet) -> "GroupHom":
@@ -469,7 +485,6 @@ def _standard_surface_generators(genus: int, punctures: int) -> tuple[str, ...]:
     return tuple(gens)
 
 
-@dataclass(frozen=True)
 class SurfacePresentation:
     """Standard presentation of an orientable surface group.
 
@@ -480,21 +495,16 @@ class SurfacePresentation:
     group is free and the boundary circles are explicit words.
     """
 
-    genus: int
-    punctures: int = 0
-    generators: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.punctures == 0:
-            if self.genus < 2:
+    def __init__(self, genus: int, punctures: int = 0, generators: tuple[str, ...] = ()):
+        self.genus = genus
+        self.punctures = punctures
+        if punctures == 0:
+            if genus < 2:
                 raise WordError("closed surface must have genus >= 2")
         else:
-            if self.genus < 1:
+            if genus < 1:
                 raise WordError("boundary case requires genus >= 1")
-        if not self.generators:
-            object.__setattr__(
-                self, "generators", _standard_surface_generators(self.genus, self.punctures)
-            )
+        self.generators = generators or _standard_surface_generators(genus, punctures)
         expected = 2 * self.genus + max(self.punctures - 1, 0)
         if len(self.generators) != expected:
             raise WordError(

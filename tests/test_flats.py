@@ -89,6 +89,8 @@ def test_bound_render_and_atoms():
     b = fl.compose_isolation_bound([fl.Atom("f")], [], None, [fl.ConstAtom("d")])
     s = b.render()
     assert "f(2k)" in s and "+ 2k" in s and "d" in s
+    assert repr(b) == s
+    assert repr(fl.Plus(fl.Num(2), fl.K())) == "2 + k"
     val = b.evaluate(4, {"f": lambda k: k * k, "d": 1})
     assert val == max(64 + 8, 1 + 8)
 

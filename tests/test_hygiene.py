@@ -4,7 +4,7 @@ unreferenced, only `rft.tower` reads whether a tower's base is free,
 uses its map to a free group or looks a word up among its relator
 cores, only the listed entry points reduce a word they were given, only
 `intlinalg._column_hermite` runs an integer elimination, and importing
-the CLI loads no `hashlib`.
+the CLI loads no `hashlib`, `dataclasses` or `inspect`.
 
 Stdlib `ast` only.  A name counts as used when it is read anywhere in
 the module; names listed in the module's `__all__` are re-exports and
@@ -153,12 +153,15 @@ def test_one_integer_elimination():
     assert referrers(trees, "_column_hermite") == ["intlinalg"]
 
 
-def test_importing_the_cli_loads_no_hashlib():
+@pytest.mark.parametrize("module", ["hashlib", "dataclasses", "inspect"])
+def test_importing_the_cli_loads_no_hashlib(module):
     # hashlib loads OpenSSL, a few MB of resident memory that only a
-    # rendered report's digest needs; a fresh interpreter shows whether an
-    # import pulled it in
+    # rendered report's digest needs; dataclasses (which pulls in inspect,
+    # ast, dis and tokenize) and its generated methods took most of the
+    # import time, so records are plain classes.  A fresh interpreter shows
+    # whether an import pulled one in
     code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import rft.cli; "
-            "print('hashlib' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"

@@ -258,6 +258,14 @@ def test_hom_requires_total_images():
         GroupHom(AB, AB, {"a": letter("a")})
 
 
+def test_homs_are_equal_only_when_their_images_are():
+    ident = GroupHom(AB, AB, {"a": letter("a"), "b": letter("b")})
+    swap = GroupHom(AB, AB, {"a": letter("b"), "b": letter("a")})
+    assert ident != swap and len({ident, swap}) == 2
+    assert ident == GroupHom.identity(AB) and hash(ident) == hash(GroupHom.identity(AB))
+    assert GroupHom(AB, alphabet("a", "b", "c"), dict(ident.images)) != ident
+
+
 # -- surfaces and Dehn reduction ---------------------------------------------
 
 def test_surface_presentations():
