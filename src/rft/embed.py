@@ -34,6 +34,7 @@ from .words import (
     Word,
     abelianize,
     concat,
+    conjugacy_key,
     cyclic_reduce,
     format_word,
     invert,
@@ -442,12 +443,22 @@ def certify_injectivity_on_ball(R: EmbeddingResult,
     verified (vacuously so when L has no relators), j is a homomorphism,
     so a Nontrivial j(w) proves w nontrivial and L is not asked.  In every
     other case, an assumed j included, L's word problem decides whether w
-    belongs to the certificate."""
+    belongs to the certificate.
+
+    Under a verified j, L is asked once per conjugacy class up to
+    inversion (`conjugacy_key`) of the words the tower leaves open:
+    triviality is a class invariant, so a definite verdict is kept for
+    the rest of this call and read for every later word of its class.  An
+    Unknown is not kept, so the next word of its class asks L again.
+    Under an assumed j, L is asked about every ball word."""
     from .tower import find_rf_witness
 
     j_proved = all(ob.status == "verified" for ob in R.obligations
                    if ob.name == "j-homomorphism")
     to_base = R.j.then(R.gamma.retraction_to_base())
+    # definite L verdicts by class key, for this call only; under an
+    # assumed j no word has a key, so L is asked every time
+    known: dict[Word, str] = {}
     entries: list[BallEvidence] = []
     status = "full"
     for w, img, base in walk_ball(R.j.source, radius, R.j, to_base):
@@ -455,7 +466,12 @@ def certify_injectivity_on_ball(R: EmbeddingResult,
         if j_proved and iv == NONTRIVIAL:
             sv = NONTRIVIAL
         else:
-            sv = L_word_problem(w, budget)
+            key = conjugacy_key(w) if j_proved else None
+            sv = known.get(key)
+            if sv is None:
+                sv = L_word_problem(w, budget)
+                if key is not None and sv != UNKNOWN:
+                    known[key] = sv
             if sv != NONTRIVIAL:
                 continue
         method = "direct"

@@ -262,12 +262,12 @@ class Tower:
     def __init__(self, summands: tuple[VertexGroup, ...], stages: list[Stage]):
         self.summands = summands
         self.stages = stages
+        self.height = len(stages) - 1
+        # Stage 0 has no relators, so it is a free group, in which a
+        # nonempty reduced word is nontrivial.
+        self.free_base = not stages[0].presentation.relators
 
     # -- basic views -------------------------------------------------------
-
-    @property
-    def height(self) -> int:
-        return len(self.stages) - 1
 
     def presentation(self, stage: Optional[int] = None) -> Presentation:
         return self.stages[self.height if stage is None else stage].presentation
@@ -320,12 +320,6 @@ class Tower:
         return None
 
     # -- word problem ------------------------------------------------------
-
-    @property
-    def free_base(self) -> bool:
-        """Stage 0 has no relators, so it is a free group, in which a
-        nonempty reduced word is nontrivial."""
-        return not self.stages[0].presentation.relators
 
     def element_key(self, w: Word, base: Optional[Word] = None) -> Hashable:
         """A hashable invariant of the element that the reduced word w of

@@ -38,6 +38,7 @@ __all__ = [
     "cyclic_reduce",
     "cyclic_core",
     "least_rotation",
+    "conjugacy_key",
     "is_proper_power",
     "abelianize",
     "enumerate_ball",
@@ -204,6 +205,18 @@ def least_rotation(w: Word) -> Word:
     return ww[i:i + n]
 
 
+def conjugacy_key(w: Word) -> Word:
+    """A key of the conjugacy class of the reduced word w, up to
+    inversion, in the free group on its letters: the `least_rotation` of
+    w's cyclic core or of that core's inverse, whichever is smaller.
+    Conjugate cyclically reduced words are rotations of each other
+    (Lyndon-Schupp, ch. I), so two words share a key exactly when one is
+    conjugate to the other or to its inverse.  Then in any quotient
+    group they are trivial together."""
+    core, _ = cyclic_core(w)
+    return min(least_rotation(core), least_rotation(invert(core)))
+
+
 def _divisors(n: int) -> Iterator[int]:
     for d in range(1, n + 1):
         if n % d == 0:
@@ -254,46 +267,60 @@ def join_reduced(u: Word, v: Word) -> Word:
 MAX_BALL_SIZE = 100_000
 
 
-def walk_ball(alph: Alphabet, radius: int, *homs: GroupHom) -> Iterator[tuple[Word, ...]]:
+def walk_ball(alph: Alphabet, radius: int, h1: GroupHom,
+              h2: GroupHom) -> Iterator[tuple[Word, Word, Word]]:
     """All reduced words w of length <= radius in shortlex order, each as
-    (w, h(w) for h in homs), every image reduced.
+    (w, h1(w), h2(w)), both images reduced.
 
     Letter order is (g, +1) before (g, -1), generators in declared order.
-    A word of one layer extends a word of the layer before by one letter,
-    and its images extend that word's images by the letter's images
-    (`join_reduced`), so each hom is applied once per generator.  Only
-    the layer being extended and the one being built are held, never
-    the whole ball.  A ball of more than `MAX_BALL_SIZE`
-    words is refused with WordError before any word is built.
+    A word of one layer extends a word of the layer before by one letter
+    (a step), and its images extend that word's images by the step's
+    images, so each map is applied once per generator.  Each step also
+    holds the letter that would cancel the first letter of each of its
+    images: an image is joined with `join_reduced` only when the parent's
+    image ends in that letter, and is concatenated otherwise.  Only the
+    layer being extended and the one being built are held, never the
+    whole ball.  A ball of more than `MAX_BALL_SIZE` words is refused with
+    WordError before any word is built.
     """
     if radius < 0:
         raise WordError("radius must be >= 0")
     if ball_size(len(alph), min(radius, MAX_BALL_SIZE)) > MAX_BALL_SIZE:
         raise WordError(f"the radius-{radius} ball over {len(alph)} generators has "
                         f"more than {MAX_BALL_SIZE} words")
-    steps: list[tuple[Letter, tuple[Word, ...]]] = []
+    steps: list[tuple[Letter, Word, Optional[Letter], Word, Optional[Letter]]] = []
     for g in alph.generators:
-        images = tuple(h.apply(letter(g)) for h in homs)
-        steps.append(((g, 1), images))
-        steps.append(((g, -1), tuple(invert(img) for img in images)))
-    layer = [(EMPTY,) * (len(homs) + 1)]
+        i1, i2 = h1.apply(letter(g)), h2.apply(letter(g))
+        for lt, a, b in (((g, 1), i1, i2), ((g, -1), invert(i1), invert(i2))):
+            steps.append((lt, a, (a[0][0], -a[0][1]) if a else None,
+                          b, (b[0][0], -b[0][1]) if b else None))
+    # every word ends in a step's own letter object, so the step that
+    # would undo a word's last letter is found by identity
+    undoes = {steps[k][0]: steps[k ^ 1][0] for k in range(len(steps))}
+    layer = [(EMPTY, EMPTY, EMPTY)]
     yield layer[0]
     for _ in range(radius if steps else 0):
         nxt = []
-        for entry in layer:
-            w, images = entry[0], entry[1:]
-            undo = (w[-1][0], -w[-1][1]) if w else None
-            for lt, lt_images in steps:
-                if lt != undo:
-                    child = (w + (lt,), *map(join_reduced, images, lt_images))
-                    nxt.append(child)
-                    yield child
+        for w, a, b in layer:
+            undo = undoes[w[-1]] if w else None
+            a_last = a[-1] if a else None
+            b_last = b[-1] if b else None
+            for lt, ia, ca, ib, cb in steps:
+                if lt is undo:
+                    continue
+                child = (w + (lt,),
+                         a + ia if a_last != ca else join_reduced(a, ia),
+                         b + ib if b_last != cb else join_reduced(b, ib))
+                nxt.append(child)
+                yield child
         layer = nxt
 
 
 def enumerate_ball(alph: Alphabet, radius: int) -> list[Word]:
-    """All reduced words of length <= radius in `walk_ball`'s shortlex order."""
-    return [w for w, in walk_ball(alph, radius)]
+    """All reduced words of length <= radius in `walk_ball`'s shortlex
+    order: the walk under the map that sends every generator to 1."""
+    trivial = GroupHom(alph, Alphabet(()), dict.fromkeys(alph.generators, EMPTY))
+    return [w for w, _, _ in walk_ball(alph, radius, trivial, trivial)]
 
 
 def ball_size(rank: int, radius: int) -> int:

@@ -30,6 +30,7 @@ from rft.words import (
     WordError,
     alphabet,
     concat,
+    cyclic_core,
     enumerate_ball,
     format_word,
     invert,
@@ -320,6 +321,54 @@ def test_assumed_j_asks_l_about_every_ball_element():
     assert cert == em.certify_injectivity_on_ball(R, lambda w, b: word_problem(S.L, w, b), 2)
 
 
+def _open_words(R, radius):
+    """The ball words whose image the tower does not prove nontrivial."""
+    return [w for w in enumerate_ball(R.j.source, radius)
+            if R.gamma.word_problem(R.j.apply(w)) != NONTRIVIAL]
+
+
+def _conjugacy_class(w):
+    """The conjugacy class of the reduced word w up to inversion in the
+    free group, as every rotation of its cyclic core and of the core's
+    inverse."""
+    core, _ = cyclic_core(w)
+    return frozenset(c[i:] + c[:i] for c in (core, invert(core))
+                     for i in range(max(len(c), 1)))
+
+
+@pytest.mark.parametrize("name", SPLITTINGS)
+def test_verified_j_asks_l_once_per_open_conjugacy_class(name):
+    S, D, R = _corpus_embedding(name)
+    L_wp, calls = _counting_L(S)
+    cert = em.certify_injectivity_on_ball(R, L_wp, 4)
+    classes = {_conjugacy_class(w) for w in _open_words(R, 4)}
+    assert len(calls) == len(classes)
+    assert {_conjugacy_class(w) for w in calls} == classes
+    assert cert == _l_first_certificate(R, lambda w, b: word_problem(S.L, w, b), 4)
+
+
+def test_an_unknown_l_verdict_is_asked_again():
+    # L answers Unknown the first time it is asked about a word of the
+    # class of a x^-1 (20 open words); the next word of the class asks
+    # L again, and its definite verdict serves the other 18
+    S, D, R = _corpus_embedding("abelian")
+    target = _conjugacy_class(parse_word("a x^-1"))
+    calls, unknowns = [], []
+
+    def L_wp(w, b):
+        calls.append(w)
+        if _conjugacy_class(w) == target and not unknowns:
+            unknowns.append(w)
+            return UNKNOWN
+        return word_problem(S.L, w, b)
+
+    em.certify_injectivity_on_ball(R, L_wp, 4)
+    opened = [w for w in _open_words(R, 4) if _conjugacy_class(w) == target]
+    assert len(opened) == 20
+    assert [w for w in calls if _conjugacy_class(w) == target] == opened[:2]
+    assert len(calls) == len({_conjugacy_class(w) for w in _open_words(R, 4)}) + 1
+
+
 def test_radius3_qh_certificate_call_counts(monkeypatch):
     # Counts, not time: with a verified j the tower decides every ball
     # element, so L is asked only about the empty word; on the free base a
@@ -344,14 +393,16 @@ def test_radius3_qh_certificate_call_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("name, l_calls, tower_calls", [
-    ("double", 1, 0), ("hnn", 9, 0), ("abelian", 73, 0), ("qh", 1, 0)])
+    ("double", 1, 0), ("hnn", 2, 0), ("abelian", 9, 0), ("qh", 1, 0)])
 def test_radius4_certificate_call_counts(name, l_calls, tower_calls, monkeypatch):
     # Tower-side Britton word problems per radius-4 certificate are only the
     # entries that both the retraction and the free map send to 1 and that
     # are no relator conjugate.  Before the relator step the L-trivial hnn
     # and abelian entries took one each (8 and 32); before the free map
     # every empty-base entry took one (160, 32, 144, 160); before the Q
-    # block's free map twisted a as well as b, qh took 48.
+    # block's free map twisted a as well as b, qh took 48.  L is asked once
+    # per conjugacy class, up to inversion, of the words the tower leaves
+    # open; before that, once per word (hnn 9, abelian 73).
     S, D, R = _corpus_embedding(name)
     L_wp, L_calls = _counting_L(S)
     real = graphgroups.word_problem

@@ -29,6 +29,7 @@ from rft.words import (
     parse_word,
     power,
     reduce_word,
+    walk_ball,
 )
 
 AB = alphabet("a", "b")
@@ -167,6 +168,46 @@ def test_ball_is_shortlex():
     words = [w for n in range(4) for w in itertools.product(sorted(rank), repeat=n)
              if reduce_word(w) == w]
     assert enumerate_ball(three, 3) == sorted(words, key=lambda w: (len(w), [rank[x] for x in w]))
+
+
+XYZ = alphabet("x", "y", "z")
+
+
+@st.composite
+def junction_maps(draw, source):
+    """A map source -> F(x, y, z) whose letter images are p^-1 m q with p
+    and q from a small shared pool and m short, reduced: images are often
+    empty, and the image of a letter often cancels over several letters
+    against the image of the next one."""
+    pool = draw(st.lists(words_over(XYZ, 3).map(reduce_word), min_size=1, max_size=3))
+    part = st.sampled_from(pool)
+    images = {g: reduce_word(concat(invert(draw(part)), draw(words_over(XYZ, 2)), draw(part)))
+              for g in source.generators}
+    return GroupHom(source, XYZ, images)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=3))
+def test_walk_ball_images_are_the_applied_maps(data, rank, radius):
+    source = Alphabet(("a", "b", "c")[:rank])
+    h1 = data.draw(junction_maps(source))
+    h2 = data.draw(junction_maps(source))
+    walked = list(walk_ball(source, radius, h1, h2))
+    assert walked == [(w, h1.apply(w), h2.apply(w)) for w in enumerate_ball(source, radius)]
+
+
+def test_walk_ball_cancels_over_several_letters_at_the_junction():
+    # a -> x y and b -> y^-1 x^-1 z: x y cancels at the junction of a b,
+    # and x y y^-1 x^-1 in the middle of a^-1 b^-1 a^-1
+    h = GroupHom(AB, XYZ, {"a": parse_word("x y"), "b": parse_word("y^-1 x^-1 z")})
+    empty = GroupHom(AB, XYZ, {"a": (), "b": parse_word("z")})
+    walked = {w: (i1, i2) for w, i1, i2 in walk_ball(AB, 3, h, empty)}
+    assert walked[parse_word("a b")] == (parse_word("z"), parse_word("z"))
+    assert walked[parse_word("a b^-1")] == (parse_word("x y z^-1 x y"), parse_word("z^-1"))
+    assert walked[parse_word("a b a")] == (parse_word("z x y"), parse_word("z"))
+    assert walked[parse_word("a^-1 b^-1 a^-1")] == (parse_word("y^-1 x^-1 z^-1"),
+                                                    parse_word("z^-1"))
+    assert all(i1 == h.apply(w) and i2 == empty.apply(w) for w, (i1, i2) in walked.items())
 
 
 # -- parsing and formatting --------------------------------------------------
