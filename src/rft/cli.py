@@ -319,11 +319,10 @@ def build_tower(doc: TowerDocument, budget: int = 8) -> tower_mod.Tower:
     T = tower_mod.new_height0(summands)
     for b in doc.blocks:
         alph = T.alphabet()
-        if b.kind == "A":
-            if len(b.attach) != 1:
+        if b.kind in ("A", "T"):
+            # `block A` is the one-word torus block
+            if b.kind == "A" and len(b.attach) != 1:
                 raise WordError("block A needs exactly one attach word")
-            block = tower_mod.BlockA(parse_word(b.attach[0], alph), b.rank, b.letters)
-        elif b.kind == "T":
             words = tuple(parse_word(w, alph) for w in b.attach)
             block = tower_mod.BlockT(words, b.rank, b.letters)
         else:
@@ -439,8 +438,7 @@ def parse_splitting(text: str, gamma_prime: tower_mod.Tower):
             images[g] = parse_word(g, gp_alph)
         else:
             raise WordError(f"nu image missing for generator {g!r}")
-    rho = GroupHom(L_alph, gp_alph, images)
-    D = embed_mod.StrictQuotientData(rho, GroupHom.identity(gp_alph), gamma_prime)
+    D = embed_mod.StrictQuotientData(GroupHom(L_alph, gp_alph, images), gamma_prime)
     surf = None
     if surface_decl is not None:
         surf = SurfacePresentation(surface_decl.genus, surface_decl.punctures,
@@ -601,8 +599,8 @@ def _cmd_flats(args, T: tower_mod.Tower, rep: Report) -> int:
     rep.add("flat-classes", len(inventory))
     for i, f in enumerate(inventory):
         rep.add(f"flat-{i}",
-                f"rank={f.rank} stage={f.block_index} origin={f.origin} "
-                f"lattice=({'; '.join(format_word(g) for g in f.lattice)})")
+                f"rank={len(f.generators)} stage={f.stage} origin={f.origin} "
+                f"lattice=({'; '.join(format_word(g) for g in f.generators)})")
     code = EXIT_OK
     if T.height >= 1:
         alph = T.alphabet()

@@ -153,12 +153,11 @@ class LoopExpression:
 
 
 class PieceClass:
-    def __init__(self, edge_label: str, rank: int, kind: str, lifts: int, note: str = ""):
+    def __init__(self, edge_label: str, rank: int, kind: str, lifts: int):
         self.edge_label = edge_label
         self.rank = rank
         self.kind = kind  # "Strip" | "Annulus" | "TorusTube"
         self.lifts = lifts
-        self.note = note
 
 
 class CoreReport:
@@ -268,9 +267,7 @@ def classify_edge_pieces(R: CoreReport) -> list[PieceClass]:
         # incident vertex entries
         for sym in R.cover.alphabet.generators:
             lifts = sum(1 for (a, s, b) in R.edges if s == sym)
-            out.append(PieceClass(sym, 0, "Strip", lifts,
-                                  note="rectangle support lies in the incident "
-                                       "vertex entries"))
+            out.append(PieceClass(sym, 0, "Strip", lifts))
         return out
     for e in base_edges:
         if e.rank == 0:
@@ -282,7 +279,5 @@ def classify_edge_pieces(R: CoreReport) -> list[PieceClass]:
             for v in R.vertices:
                 if walk(R.cover.delta, v, attach) == v:
                     lifts += 1
-        note = ("rectangle support lies in the incident vertex entries"
-                if e.rank == 0 else "")
-        out.append(PieceClass(e.label, e.rank, kind_of(e.rank), lifts, note))
+        out.append(PieceClass(e.label, e.rank, kind_of(e.rank), lifts))
     return out

@@ -17,10 +17,9 @@ from . import graphgroups as gg
 from .graphgroups import GraphOfGroups, NONTRIVIAL, TRIVIAL, UNKNOWN
 from .intlinalg import solve_int_linear, unimodular_with_first_row_image
 from .tower import (
-    BlockA,
     BlockQ,
     BlockT,
-    Obligation,
+    Check,
     RefutedError,
     Tower,
     attach_block,
@@ -95,16 +94,11 @@ class SplittingData:
 
 
 class StrictQuotientData:
-    """rho: L -> L' followed by an inclusion i: L' -> tower alphabet."""
+    """The strict quotient nu: L -> gamma_prime, the target tower."""
 
-    def __init__(self, rho: GroupHom, i: GroupHom, gamma_prime: Tower):
-        self.rho = rho
-        self.i = i
+    def __init__(self, nu: GroupHom, gamma_prime: Tower):
+        self.nu = nu
         self.gamma_prime = gamma_prime
-
-    @property
-    def nu(self) -> GroupHom:
-        return self.rho.then(self.i)
 
 
 class AbelianLocus:
@@ -119,7 +113,7 @@ class AbelianLocus:
 
 class EmbeddingResult:
     def __init__(self, gamma: Tower, j: GroupHom, U: AbelianLocus, new_letter: str,
-                 obligations: Optional[list[Obligation]] = None):
+                 obligations: Optional[list[Check]] = None):
         self.gamma = gamma
         self.j = j
         self.U = U
@@ -183,7 +177,7 @@ def embed_step(S: SplittingData, D: StrictQuotientData, budget: int = 8,
     nu and j must kill every relator of L and the new block must pass
     its checks, all under the one obligation policy of `rft.tower`.
     """
-    obligations: list[Obligation] = []
+    obligations: list[Check] = []
     nu = D.nu
     gp = D.gamma_prime
     L_pres = S.L.presentation()
@@ -198,10 +192,7 @@ def embed_step(S: SplittingData, D: StrictQuotientData, budget: int = 8,
         e_img = nu.apply(kept[1][0])
         U = maximal_abelian_containing(gp, e_img, budget)
         new_letter = _fresh_name("t", used)
-        if len(U.generators) == 1:
-            block = BlockA(U.generators[0], 2, (new_letter,))
-        else:
-            block = BlockT(U.generators, len(U.generators) + 1, (new_letter,))
+        block = BlockT(U.generators, len(U.generators) + 1, (new_letter,))
         gamma = attach_block(gp, block, budget, assume=assume)
         tl = letter(new_letter)
         if S.kind == AMALGAM:
@@ -262,24 +253,16 @@ def embed_step(S: SplittingData, D: StrictQuotientData, budget: int = 8,
 # ---------------------------------------------------------------------------
 
 
-class BulletVerdict(Record):
-    def __init__(self, name: str, status: str, witness: Optional[str] = None,
-                 detail: str = ""):
-        self.name = name
-        self.status = status  # "verified" | "refuted" | "budget-limited" | "not-applicable"
-        self.witness = witness
-        self.detail = detail
-
-
 def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
-                             ball_radius: int = 2, budget: int = 8) -> list[BulletVerdict]:
+                             ball_radius: int = 2, budget: int = 8) -> list[Check]:
     """Check the strict-quotient conditions bullet by bullet:
     peripheral injectivity on abelian vertices, edge-group injectivity
     with a maximal-abelian image, nonabelian QH image, and envelope
-    injectivity on a finite ball."""
+    injectivity on a finite ball.  Each bullet is a `Check` with status
+    "verified", "refuted", "budget-limited" or "not-applicable"."""
     nu = D.nu
     gp = D.gamma_prime
-    out: list[BulletVerdict] = []
+    out: list[Check] = []
     edge = S.edge
 
     # peripheral subgroups of abelian vertices
@@ -288,57 +271,50 @@ def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
         bad = next((img for img in side[1]
                     if gp.word_problem(nu.apply(img), budget) == TRIVIAL), None)
         if bad is not None:
-            out.append(BulletVerdict("abelian-peripheral", "refuted",
-                                     witness=format_word(bad)))
+            out.append(Check("abelian-peripheral", "refuted", witness=format_word(bad)))
         else:
-            out.append(BulletVerdict("abelian-peripheral", "verified",
-                                     detail="peripheral generators survive"))
+            out.append(Check("abelian-peripheral", "verified", "peripheral generators survive"))
     else:
-        out.append(BulletVerdict("abelian-peripheral", "not-applicable"))
+        out.append(Check("abelian-peripheral", "not-applicable"))
 
     # edge-group injectivity and maximality of one image
     verdicts = {img: gp.word_problem(nu.apply(img), budget)
                 for side in (edge.left, edge.right) for img in side[1]}
     killed = next((img for img, v in verdicts.items() if v == TRIVIAL), None)
     if killed is not None:
-        out.append(BulletVerdict("edge-injective-maximal", "refuted",
-                                 witness=format_word(killed), detail="edge generator dies"))
+        out.append(Check("edge-injective-maximal", "refuted", "edge generator dies",
+                         format_word(killed)))
     elif edge.rank == 1:
         e_img = nu.apply(edge.left[1][0])
         locus = maximal_abelian_containing(gp, e_img, budget)
         if locus.status == "verified" and locus.generators == (e_img,):
-            out.append(BulletVerdict("edge-injective-maximal", "verified",
-                                     detail="image generates its own maximal "
-                                            "abelian subgroup"))
+            out.append(Check("edge-injective-maximal", "verified",
+                             "image generates its own maximal abelian subgroup"))
         elif locus.status == "verified":
-            out.append(BulletVerdict(
+            out.append(Check(
                 "edge-injective-maximal", "verified",
-                detail="image sits in the maximal abelian subgroup "
-                       f"<{', '.join(format_word(g) for g in locus.generators)}>"))
+                "image sits in the maximal abelian subgroup "
+                f"<{', '.join(format_word(g) for g in locus.generators)}>"))
         else:
-            out.append(BulletVerdict("edge-injective-maximal", "budget-limited",
-                                     detail=locus.detail))
+            out.append(Check("edge-injective-maximal", "budget-limited", locus.detail))
     else:
-        out.append(BulletVerdict("edge-injective-maximal",
-                                 "verified" if UNKNOWN not in verdicts.values()
-                                 else "budget-limited",
-                                 detail="higher-rank edge: generators survive"))
+        out.append(Check("edge-injective-maximal",
+                         "verified" if UNKNOWN not in verdicts.values() else "budget-limited",
+                         "higher-rank edge: generators survive"))
 
     # QH image nonabelian
     if S.kind == QH:
         gens = S.surface.generators
         holds, pair = noncommuting_pair(gp, nu, gens, budget)
         if holds:
-            out.append(BulletVerdict("qh-nonabelian", "verified",
-                                     detail=f"witness pair {pair[0]}, {pair[1]}"))
+            out.append(Check("qh-nonabelian", "verified", f"witness pair {pair[0]}, {pair[1]}"))
         elif holds is False:
-            out.append(BulletVerdict("qh-nonabelian", "refuted",
-                                     witness=f"[{gens[0]}, {gens[1]}] maps to a "
-                                             f"trivial commutator"))
+            out.append(Check("qh-nonabelian", "refuted",
+                             witness=f"[{gens[0]}, {gens[1]}] maps to a trivial commutator"))
         else:
-            out.append(BulletVerdict("qh-nonabelian", "budget-limited"))
+            out.append(Check("qh-nonabelian", "budget-limited"))
     else:
-        out.append(BulletVerdict("qh-nonabelian", "not-applicable"))
+        out.append(Check("qh-nonabelian", "not-applicable"))
 
     # envelope injectivity: rigid vertex generators plus centralizers of the
     # incident edge images, checked on a finite ball
@@ -375,13 +351,13 @@ def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
             break
         unknown = True
     if refuted:
-        out.append(BulletVerdict("envelope-injective", "refuted", witness=refuted))
+        out.append(Check("envelope-injective", "refuted", witness=refuted))
     elif unknown or cent_status != "verified":
-        out.append(BulletVerdict("envelope-injective", "budget-limited",
-                                 detail=f"checked radius {ball_radius}"))
+        out.append(Check("envelope-injective", "budget-limited",
+                         f"checked radius {ball_radius}"))
     else:
-        out.append(BulletVerdict("envelope-injective", "verified",
-                                 detail=f"injective on the radius-{ball_radius} ball"))
+        out.append(Check("envelope-injective", "verified",
+                         f"injective on the radius-{ball_radius} ball"))
     return out
 
 

@@ -1,6 +1,10 @@
 """Flat inventory, vertex coloring, isolation hypotheses, and the
 symbolic bound calculus for isolated-flats certificates.
 
+The inventory is the tower's own `LatticeRecord`s, each checked to be
+abelian, and every isolation hypothesis is reported as a `Check` of
+`rft.tower`, the record of the tower's own obligations.
+
 Geometry appears only through its finitely checkable group-theoretic
 reductions: parallelism becomes power coincidence, a line parallel to a
 flat becomes membership in the flat's stabilizer, and the isolation
@@ -15,7 +19,7 @@ from typing import Optional, Sequence
 
 from .core import CoreReport
 from .graphgroups import NONTRIVIAL, TRIVIAL
-from .tower import Block, BlockA, BlockQ, BlockT, Tower
+from .tower import Block, BlockQ, BlockT, Check, LatticeRecord, Tower
 from .words import (
     Word,
     commutator,
@@ -38,19 +42,10 @@ class FlatsError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class FlatClass:
-    def __init__(self, rank: int, lattice: tuple[Word, ...], block_index: int, origin: str):
-        if rank < 2:
-            raise FlatsError("a flat class needs rank >= 2")
-        self.rank = rank
-        self.lattice = lattice
-        self.block_index = block_index
-        self.origin = origin
-
-
-def flat_inventory(T: Tower, budget: int = 8) -> list[FlatClass]:
-    """One class per rank >= 2 abelian lattice created during
-    construction, after torus-extension deduplication.
+def flat_inventory(T: Tower, budget: int = 8) -> list[LatticeRecord]:
+    """The tower's live lattices (`Tower.lattice_records`): one flat class
+    per rank >= 2 abelian lattice created during construction, after
+    torus-extension deduplication.
 
     Each pair of lattice generators is checked to commute by a tower word
     problem.  The block that made a lattice added the commutators of its
@@ -59,15 +54,14 @@ def flat_inventory(T: Tower, budget: int = 8) -> list[FlatClass]:
     these word problems end at the relator step of the chain, without a
     Britton word problem, on every corpus tower; a commutator whose
     lattice was only assumed may still take the full chain."""
-    out: list[FlatClass] = []
-    for rec in T.lattice_records():
+    records = T.lattice_records()
+    for rec in records:
         for u, v in itertools.combinations(rec.generators, 2):
             if T.word_problem(commutator(u, v), budget) == NONTRIVIAL:
                 raise FlatsError(
                     f"lattice generators {format_word(u)}, {format_word(v)} "
                     f"do not commute")
-        out.append(FlatClass(len(rec.generators), rec.generators, rec.stage, rec.origin))
-    return out
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +261,12 @@ def color_vertices(R: CoreReport, T: Tower) -> ColoredCore:
 # ---------------------------------------------------------------------------
 
 
-class HypothesisVerdict:
-    def __init__(self, name: str, status: str, budget: Optional[int] = None,
-                 witness: Optional[str] = None, detail: str = ""):
-        self.name = name
-        self.status = status  # "verified" | "verified-to-budget" | "refuted"
-        self.budget = budget
-        self.witness = witness
-        self.detail = detail
-
-
 class IsolationReport:
-    def __init__(self, verdicts: list[HypothesisVerdict], pair_log: Optional[list[str]] = None):
-        self.verdicts = verdicts
+    def __init__(self, verdicts: list[Check], pair_log: Optional[list[str]] = None):
+        self.verdicts = verdicts  # statuses "verified" | "verified-to-budget" | "refuted"
         self.pair_log = [] if pair_log is None else pair_log
 
-    def verdict(self, name: str) -> HypothesisVerdict:
+    def verdict(self, name: str) -> Check:
         return next(v for v in self.verdicts if v.name == name)
 
 
@@ -321,7 +305,7 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
     (2) the top attaching element is maximal: not a proper power and not
         conjugate into any earlier flat lattice.
     """
-    verdicts: list[HypothesisVerdict] = []
+    verdicts: list[Check] = []
     pair_log: list[str] = []
     graph = T.stages[-1].graph
 
@@ -335,9 +319,9 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
     needed = N_TYPE if isinstance(C.top_block, BlockQ) else M_TYPE
     touched = not rank1 or not types or needed in g_types
     witness0 = None if touched else rank1[-1]
-    verdicts.append(HypothesisVerdict(
-        "hypothesis-0", "verified" if touched else "refuted", witness=witness0,
-        detail="every rank-1 edge meets a G vertex" if touched else ""))
+    verdicts.append(Check(
+        "hypothesis-0", "verified" if touched else "refuted",
+        "every rank-1 edge meets a G vertex" if touched else "", witness0))
 
     # (1) power coincidences between distinct edge generators (no two equal)
     gens = _edge_generators_at_g(T)
@@ -358,16 +342,15 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
             break
         pair_log.append(f"{pair}: no hit to {power_budget}")
         status1 = "verified-to-budget"
-    verdicts.append(HypothesisVerdict("hypothesis-1", status1, power_budget,
-                                      witness1, detail1))
+    verdicts.append(Check("hypothesis-1", status1, detail1, witness1))
 
     # (2) attaching-element maximality for abelian/torus top blocks
     top = C.top_block
-    if isinstance(top, (BlockA, BlockT)):
-        attach = reduce_word(top.attaching[0])
+    if isinstance(top, BlockT):
+        attach = reduce_word(top.attach[0])
         pp = is_proper_power(attach)
         if pp is not None:
-            verdicts.append(HypothesisVerdict(
+            verdicts.append(Check(
                 "hypothesis-2", "refuted",
                 witness=f"proper power ({format_word(pp[0])})^{pp[1]}"))
         else:
@@ -376,20 +359,19 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
                         if ob.name == "attach-maximal"]
             exact = all(ob.status == "verified" for ob in recorded) if recorded else False
             if conflict:
-                verdicts.append(HypothesisVerdict(
+                verdicts.append(Check(
                     "hypothesis-2", "refuted",
                     witness=f"centralized by lattice at stage {conflict.stage}"))
             elif exact:
-                verdicts.append(HypothesisVerdict(
-                    "hypothesis-2", "verified", power_budget,
-                    detail="not a proper power, not conjugate into any torus lattice"))
+                verdicts.append(Check(
+                    "hypothesis-2", "verified",
+                    "not a proper power, not conjugate into any torus lattice"))
             else:
-                verdicts.append(HypothesisVerdict(
-                    "hypothesis-2", "verified-to-budget", power_budget,
-                    detail="proper-power and lattice checks passed to budget"))
+                verdicts.append(Check(
+                    "hypothesis-2", "verified-to-budget",
+                    "proper-power and lattice checks passed to budget"))
     else:
-        verdicts.append(HypothesisVerdict(
-            "hypothesis-2", "verified", detail="no abelian top block"))
+        verdicts.append(Check("hypothesis-2", "verified", "no abelian top block"))
     return IsolationReport(verdicts, pair_log)
 
 

@@ -1,14 +1,19 @@
-"""Residually free towers: height-0 wedges plus A/Q/T building blocks.
+"""Residually free towers: height-0 wedges plus torus and surface blocks.
 
 A tower keeps, per stage, a presentation, the one-edge splitting used by
 the word problem, the retraction to the previous stage, and an
-obligation ledger for every validity check that could not be settled
-exactly.
+obligation ledger: one `Check` per validity check of the stage's block.
+`Check` is also the record of the checks of `rft.embed` and `rft.flats`.
 
-A, Q and T blocks are attached by one path, `attach_block`: the block's
-new generator names are claimed, its own checks run, and one builder
+There are two block kinds.  A `BlockT` glues a torus along the k >= 1
+words of its `attach`; the DSL's `block A` is the case k = 1 and its
+`block T` any k.  A `BlockQ` glues a surface along one word per boundary
+circle.  Both are attached by one path, `attach_block`: the block's new
+generator names are claimed, its own checks run, and one builder
 assembles the stage from the stage below (as one vertex), the block
 vertex and its edges, and a retraction that fixes the old generators.
+`LatticeRecord` lists the live torus lattices; `rft.flats` reports them
+as they are.
 
 `Tower.word_problem`, `attach_block` and `find_rf_witness` reduce and
 check the words they are given; `Tower._wp_at`, which composite vertices
@@ -73,75 +78,59 @@ class RefutedError(BlockError):
     """A validity check was decided false; no `assume` covers it."""
 
 
-class BlockA:
-    """Abelian block: torus of rank `rank` glued along a tube to `attach`."""
-
-    def __init__(self, attach: Word, rank: int, letters: tuple[str, ...]):
-        if rank < 2:
-            raise BlockError("block A needs torus rank >= 2")
-        if len(letters) != rank - 1:
-            raise BlockError("block A needs rank-1 new letters")
-        self.attach = attach
-        self.rank = rank
-        self.letters = letters
-
-    @property
-    def attaching(self) -> tuple[Word, ...]:
-        """The attaching tuple: an A block is the k = 1 torus extension."""
-        return (self.attach,)
-
-
 class BlockQ:
-    """Quadratic block: hyperbolic surface with boundary glued along tubes."""
+    """Quadratic block: hyperbolic surface with boundary glued along tubes,
+    boundary circle i along `attach[i]`."""
 
-    def __init__(self, surface: SurfacePresentation, boundary_attach: tuple[Word, ...],
+    def __init__(self, surface: SurfacePresentation, attach: tuple[Word, ...],
                  retraction: dict[str, Word]):
         s = surface
         if s.closed:
             raise BlockError("block Q needs a surface with boundary")
         if not (s.euler_characteristic <= -2 or (s.genus, s.punctures) == (1, 1)):
             raise BlockError("block Q surface must have chi <= -2 or be a punctured torus")
-        if len(boundary_attach) != s.punctures:
+        if len(attach) != s.punctures:
             raise BlockError("every boundary circle needs an attaching word")
         for g in s.generators:
             if g not in retraction:
                 raise BlockError(f"retraction image missing for surface generator {g!r}")
         self.surface = surface
-        self.boundary_attach = boundary_attach
+        self.attach = attach
         self.retraction = retraction
-
-    @property
-    def attaching(self) -> tuple[Word, ...]:
-        """One attaching word per boundary circle."""
-        return self.boundary_attach
 
 
 class BlockT:
-    """Torus block: extend an existing rank-k lattice to rank `rank`."""
+    """Torus block: extend the rank-k lattice of its k attaching words to a
+    torus of rank `rank`.  The case k = 1, a torus glued along a tube to
+    one word, is the DSL's `block A`."""
 
     def __init__(self, attach: tuple[Word, ...], rank: int, letters: tuple[str, ...]):
         k = len(attach)
         if not (1 <= k < rank):
-            raise BlockError("block T needs 1 <= k < l")
+            raise BlockError("a torus block needs rank > k >= 1 for its k attaching words")
         if len(letters) != rank - k:
-            raise BlockError("block T needs rank-k new letters")
+            raise BlockError("a torus block needs rank - k new letters")
         self.attach = attach
         self.rank = rank
         self.letters = letters
 
-    @property
-    def attaching(self) -> tuple[Word, ...]:
-        return self.attach
+
+Block = BlockQ | BlockT
 
 
-Block = BlockA | BlockQ | BlockT
+class Check(Record):
+    """One named check of a tower, an embedding step or an isolation
+    hypothesis: its status, a detail line and, for a refutation, the
+    witness.  Compared by value."""
 
-
-class Obligation:
-    def __init__(self, name: str, status: str, detail: str = ""):
+    def __init__(self, name: str, status: str, detail: str = "",
+                 witness: Optional[str] = None):
         self.name = name
-        self.status = status  # "verified" | "assumed"
+        # obligations: "verified" | "assumed"; bullets and hypotheses also
+        # "refuted", "budget-limited", "verified-to-budget", "not-applicable"
+        self.status = status
         self.detail = detail
+        self.witness = witness
 
 
 def decided(verdict: str, proves: str) -> Optional[bool]:
@@ -150,7 +139,7 @@ def decided(verdict: str, proves: str) -> Optional[bool]:
     return None if verdict == UNKNOWN else verdict == proves
 
 
-def require(obligations: list[Obligation], name: str, holds: Optional[bool],
+def require(obligations: list[Check], name: str, holds: Optional[bool],
             detail: str, assume: bool, refutation: str = "") -> None:
     """The one obligation policy of towers and embeddings.
 
@@ -163,10 +152,10 @@ def require(obligations: list[Obligation], name: str, holds: Optional[bool],
         raise RefutedError(refutation or f"{name} refuted ({detail})")
     if holds is None and not assume:
         raise BlockError(f"{name} could not be verified ({detail}); pass assume=True to accept")
-    obligations.append(Obligation(name, "verified" if holds else "assumed", detail))
+    obligations.append(Check(name, "verified" if holds else "assumed", detail))
 
 
-def require_homomorphism(obligations: list[Obligation], name: str, hom: GroupHom,
+def require_homomorphism(obligations: list[Check], name: str, hom: GroupHom,
                          relators, target: Tower, budget: int, assume: bool) -> None:
     """`hom` kills every relator in `target`: one `<name>-homomorphism`
     obligation per relator."""
@@ -200,13 +189,15 @@ class LatticeRecord:
     def __init__(self, stage: int, generators: tuple[Word, ...], origin: str):
         self.stage = stage
         self.generators = generators
-        self.origin = origin  # "summand" | "A" | "T"
+        # "summand", or "A"/"T" for a torus block with one/several
+        # attaching words
+        self.origin = origin
 
 
 class Stage:
     def __init__(self, presentation: Presentation, graph: GraphOfGroups,
                  retraction: Optional[GroupHom], block: Optional[Block],
-                 obligations: Optional[list[Obligation]] = None):
+                 obligations: Optional[list[Check]] = None):
         self.presentation = presentation
         self.graph = graph
         self.retraction = retraction
@@ -275,21 +266,22 @@ class Tower:
     def alphabet(self, stage: Optional[int] = None) -> Alphabet:
         return self.presentation(stage).alphabet
 
-    def obligations(self) -> list[Obligation]:
+    def obligations(self) -> list[Check]:
         return [ob for s in self.stages for ob in s.obligations]
 
     def prev_stage_csa(self) -> bool:
         """True when the ledger certifies stage h-1 as a limit group (hence
         CSA) embedded in the top stage: all obligations of stages 1..h-1 are
-        verified, and so is the top retraction, which fixes stage h-1 (an
-        A/T retraction t -> 1 always is a homomorphism and records none)."""
+        verified, and so is the top retraction, which fixes stage h-1 (a
+        torus block's retraction t -> 1 always is a homomorphism and records
+        none)."""
         top = [ob for ob in self.stages[-1].obligations if ob.name == "retraction-homomorphism"]
         below = [ob for s in self.stages[1:-1] for ob in s.obligations]
         return self.height >= 1 and all(ob.status == "verified" for ob in below + top)
 
     def lattice_records(self) -> list[LatticeRecord]:
         """The live torus lattices, in construction order: a lattice that a
-        later A/T block extends is superseded by that block's lattice."""
+        later torus block extends is superseded by that block's lattice."""
         return list(self._lattices)
 
     @cached_property
@@ -298,13 +290,13 @@ class Tower:
                    for v in self.summands if v.kind == "abelian" and len(v.alphabet) >= 2]
         for i, s in enumerate(self.stages[1:], 1):
             b = s.block
-            if isinstance(b, (BlockA, BlockT)):
-                gens = tuple(reduce_word(w) for w in b.attaching) + tuple(
+            if isinstance(b, BlockT):
+                gens = tuple(reduce_word(w) for w in b.attach) + tuple(
                     letter(t) for t in b.letters)
                 # old lattices hold no new letter: the block extends a
                 # lattice when its reduced attaching words cover it
                 records = [r for r in records if not set(r.generators) <= set(gens)]
-                records.append(LatticeRecord(i, gens, "A" if isinstance(b, BlockA) else "T"))
+                records.append(LatticeRecord(i, gens, "A" if len(b.attach) == 1 else "T"))
         return tuple(records)
 
     def centralizing_lattice(self, w: Word, budget: int,
@@ -482,6 +474,14 @@ def _fresh(name: str, used: set[str]) -> str:
     return cand
 
 
+def _only_vertex(tower: Tower) -> Optional[VertexGroup]:
+    """The top stage's vertex when its graph is that one vertex, else None."""
+    g = tower.stages[-1].graph
+    if len(g.vertices) == 1 and not g.edges:
+        return next(iter(g.vertices.values()))
+    return None
+
+
 def _prev_vertex(tower: Tower, label: str) -> VertexGroup:
     """The previous stage packaged as a single vertex group.
 
@@ -490,11 +490,10 @@ def _prev_vertex(tower: Tower, label: str) -> VertexGroup:
     composite vertex delegating to the stage's word-problem strategy.
     """
     pres = tower.presentation()
-    g = tower.stages[-1].graph
     if not pres.relators:
         return free_vertex(label, pres.alphabet)
-    if len(g.vertices) == 1 and not g.edges:
-        v = next(iter(g.vertices.values()))
+    v = _only_vertex(tower)
+    if v is not None:
         return VertexGroup(label, v.kind, v.alphabet, surface=v.surface,
                            relators=v.relators, strategy=v.strategy)
     return composite_vertex(label, pres.alphabet, pres.relators, tower._wp_at)
@@ -505,16 +504,10 @@ def _check_maximal_cyclic(tower: Tower, w: Word) -> tuple[Optional[bool], str]:
     torus lattice.  Exact on free/surface loci, undecided elsewhere."""
     pres = tower.presentation()
     free_locus = not pres.relators
-    g = tower.stages[-1].graph
-    surface_locus = (
-        len(g.vertices) == 1
-        and not g.edges
-        and next(iter(g.vertices.values())).kind == "surface"
-    )
+    v = _only_vertex(tower)
+    surface_locus = v is not None and v.kind == "surface"
     if free_locus or surface_locus:
-        probe = w
-        if surface_locus:
-            probe = gg.VertexGroup.normalize(next(iter(g.vertices.values())), w)
+        probe = v.normalize(w) if surface_locus else w
         pp = is_proper_power(probe)
         if pp is not None:
             return False, f"attaching word is a proper power: ({format_word(pp[0])})^{pp[1]}"
@@ -532,7 +525,7 @@ def _check_maximal_cyclic(tower: Tower, w: Word) -> tuple[Optional[bool], str]:
 
 
 def attach_block(tower: Tower, block: Block, budget: int = 8, assume: bool = False) -> Tower:
-    """Attach one A/Q/T block; validity obligations are checked here.
+    """Attach one torus or surface block; validity obligations are checked here.
 
     Every block takes one path.  Its new generator names are claimed
     first.  Its own checks run next, each through `require`: a refuted one
@@ -544,7 +537,7 @@ def attach_block(tower: Tower, block: Block, budget: int = 8, assume: bool = Fal
     """
     if isinstance(block, BlockQ):
         names, what = block.surface.generators, "surface generator"
-    elif isinstance(block, (BlockA, BlockT)):
+    elif isinstance(block, BlockT):
         names, what = block.letters, "new letter"
     else:
         raise BlockError(f"unknown block type {type(block).__name__}")
@@ -557,8 +550,8 @@ def attach_block(tower: Tower, block: Block, budget: int = 8, assume: bool = Fal
             raise BlockError(f"{what} {g!r} collides with an existing generator")
         used.add(g)
 
-    attach = tuple(reduce_word(w, pres.alphabet) for w in block.attaching)
-    obligations: list[Obligation] = []
+    attach = tuple(reduce_word(w, pres.alphabet) for w in block.attach)
+    obligations: list[Check] = []
     if isinstance(block, BlockQ):
         for i, w in enumerate(attach):
             verdict = tower.word_problem(w, budget)
@@ -621,12 +614,12 @@ def _surface_piece(block: BlockQ, attach: tuple[Word, ...], below: str, n: int,
     return vertex, edges, surf.generators + stable, relators, images
 
 
-def _torus_piece(block: BlockA | BlockT, attach: tuple[Word, ...], below: str, n: int,
+def _torus_piece(block: BlockT, attach: tuple[Word, ...], below: str, n: int,
                  used: set[str]):
-    """The same parts for a torus extension along k attaching words; an A
-    block is the case k = 1.  The block vertex is free abelian on k fresh
-    edge letters `_u{n}_{i}` and the new letters, which commute with the
-    attaching words and with each other, and retract to 1."""
+    """The same parts for a torus extension along k >= 1 attaching words.
+    The block vertex is free abelian on k fresh edge letters `_u{n}_{i}`
+    and the new letters, which commute with the attaching words and with
+    each other, and retract to 1."""
     us = tuple(_fresh(f"_u{n}_{i}", used) for i in range(len(attach)))
     vertex = abelian_vertex(f"blk{n}", Alphabet(us + block.letters))
     edge = EdgeGroup(f"e{n}", len(attach), (vertex.label, tuple(letter(u) for u in us)),
@@ -645,7 +638,7 @@ def _torus_piece(block: BlockA | BlockT, attach: tuple[Word, ...], below: str, n
 class _WitnessFamily:
     """Parametrized homomorphisms tower -> free group.
 
-    Per A/T block letter: t -> attach^N.  Per Q block handle: the twist
+    Per torus block letter: t -> attach[0]^N.  Per Q block handle: the twist
     b -> b a^N, then the twist a -> a b^N; both fix [a, b], so they fix
     every boundary word.  Height 0: free summands map by identity,
     abelian summands to powers of one fresh letter, closed surfaces by
@@ -679,9 +672,9 @@ class _WitnessFamily:
             b = t.stages[i].block
             new = t.alphabet(i).generators[len(t.alphabet(i - 1)):]
             self.stage_plan.insert(0, (len(self.slots), t.stages[i], new))
-            if isinstance(b, (BlockA, BlockT)):
+            if isinstance(b, BlockT):
                 for lt in b.letters:
-                    self.slots.append(f"stage {i}: {lt} -> ({format_word(b.attaching[0])})^N")
+                    self.slots.append(f"stage {i}: {lt} -> ({format_word(b.attach[0])})^N")
             elif isinstance(b, BlockQ):
                 for h in range(b.surface.genus):
                     a = b.surface.generators[2 * h]
@@ -744,8 +737,8 @@ class _WitnessFamily:
                     img[gens[2 * h + 1]] = partner + power(letter(x), next(it))
         for first, s, new in self.stage_plan:
             b = s.block
-            if isinstance(b, (BlockA, BlockT)):
-                u = apply_map(img, b.attaching[0])
+            if isinstance(b, BlockT):
+                u = apply_map(img, b.attach[0])
                 for j, lt in enumerate(b.letters):
                     img[lt] = reduce_word(power(u, params[first + j]))
             else:

@@ -8,7 +8,7 @@ from rft.words import parse_word
 def gamma():
     """The one-block tower <a,b,t | [[a,b],t]> used throughout."""
     t0 = tw.new_height0([tw.free_summand("a", "b")])
-    return tw.attach_block(t0, tw.BlockA(parse_word("[a,b]"), 2, ("t",)))
+    return tw.attach_block(t0, tw.BlockT((parse_word("[a,b]"),), 2, ("t",)))
 
 
 @pytest.fixture(scope="session")

@@ -59,10 +59,10 @@ def _example1_data():
                   ("vB", (parse_word("[c,d]", cd),)))
     L = GraphOfGroups([vA, vB], [e], "vA")
     gp = tw.new_height0([tw.free_summand("a", "b")])
-    rho = GroupHom(L.presentation().alphabet, gp.alphabet(), {
+    nu = GroupHom(L.presentation().alphabet, gp.alphabet(), {
         "a": parse_word("a"), "b": parse_word("b"),
         "c": parse_word("a"), "d": parse_word("b")})
-    D = em.StrictQuotientData(rho, GroupHom.identity(gp.alphabet()), gp)
+    D = em.StrictQuotientData(nu, gp)
     return em.SplittingData("amalgam", L, "E"), D
 
 
@@ -181,11 +181,11 @@ def _flat_corpus():
     q1 = tw.attach_block(f2, tw.BlockQ(
         surf, (parse_word("[a,b]"),),
         {"p": parse_word("a"), "q": parse_word("b")}))
-    a1 = tw.attach_block(f2, tw.BlockA(parse_word("[a,b]"), 2, ("t",)))
+    a1 = tw.attach_block(f2, tw.BlockT((parse_word("[a,b]"),), 2, ("t",)))
     t2 = tw.attach_block(a1, tw.BlockT(
         (parse_word("[a,b]"), parse_word("t", a1.alphabet())), 3, ("u",)))
-    a2 = tw.attach_block(a1, tw.BlockA(
-        parse_word("[a,t]", a1.alphabet()), 2, ("s",)), assume=True)
+    a2 = tw.attach_block(a1, tw.BlockT(
+        (parse_word("[a,t]", a1.alphabet()),), 2, ("s",)), assume=True)
     return [(f2, 0), (z2, 1), (q1, 0), (a1, 1), (t2, 1), (a2, 2)]
 
 
@@ -198,8 +198,8 @@ def test_criterion_6_flats_bookkeeping(gamma):
             recs = T.lattice_records()
             assert len(inv) == len(recs) == want
             for c in inv:
-                for u in c.lattice:
-                    for v in c.lattice:
+                for u in c.generators:
+                    for v in c.generators:
                         assert T.word_problem(commutator(u, v)) == TRIVIAL
         al = gamma.alphabet()
         R = co.extract_core(co.expand_cover(

@@ -63,10 +63,10 @@ def _double_data(nu_c="a", nu_d="b"):
     L = _double()
     gp = tw.new_height0([tw.free_summand("a", "b")])
     Lal = L.presentation().alphabet
-    rho = GroupHom(Lal, gp.alphabet(), {
+    nu = GroupHom(Lal, gp.alphabet(), {
         "a": parse_word("a"), "b": parse_word("b"),
         "c": parse_word(nu_c), "d": parse_word(nu_d)})
-    D = em.StrictQuotientData(rho, GroupHom.identity(gp.alphabet()), gp)
+    D = em.StrictQuotientData(nu, gp)
     return em.SplittingData("amalgam", L, "E"), D
 
 
@@ -150,9 +150,9 @@ def test_embed_hnn():
     L = GraphOfGroups([va], [e], "vA")
     gp = tw.new_height0([tw.free_summand("a", "b")])
     Lal = L.presentation().alphabet
-    rho = GroupHom(Lal, gp.alphabet(),
+    nu = GroupHom(Lal, gp.alphabet(),
                    {"a": parse_word("a"), "s": parse_word("a")})
-    D = em.StrictQuotientData(rho, GroupHom.identity(gp.alphabet()), gp)
+    D = em.StrictQuotientData(nu, gp)
     S = em.SplittingData("hnn", L, "E")
     R = em.embed_step(S, D)
     # j(s) = t nu(s)
@@ -171,9 +171,9 @@ def test_embed_abelian_vertex():
     L = GraphOfGroups([va, vb], [e], "vA")
     gp = tw.new_height0([tw.free_summand("a", "b")])
     Lal = L.presentation().alphabet
-    rho = GroupHom(Lal, gp.alphabet(), {
+    nu = GroupHom(Lal, gp.alphabet(), {
         "a": parse_word("a"), "x": parse_word("a"), "y": ()})
-    D = em.StrictQuotientData(rho, GroupHom.identity(gp.alphabet()), gp)
+    D = em.StrictQuotientData(nu, gp)
     S = em.SplittingData("abelian", L, "E", special_vertex="vB")
     R = em.embed_step(S, D)
     # the tower gained a rank-2 torus block over <a>
@@ -196,10 +196,10 @@ def test_embed_qh():
     L = GraphOfGroups([va, vq], [e], "vA")
     gp = tw.new_height0([tw.free_summand("a", "b")])
     Lal = L.presentation().alphabet
-    rho = GroupHom(Lal, gp.alphabet(), {
+    nu = GroupHom(Lal, gp.alphabet(), {
         "a": parse_word("a"), "b": parse_word("b"),
         "x": parse_word("a"), "y": parse_word("b")})
-    D = em.StrictQuotientData(rho, GroupHom.identity(gp.alphabet()), gp)
+    D = em.StrictQuotientData(nu, gp)
     S = em.SplittingData("qh", L, "E", surface=surf, special_vertex="vQ")
     R = em.embed_step(S, D)
     top = R.gamma.stages[-1].block
@@ -236,10 +236,10 @@ def test_validate_qh_abelian_image_refuted():
     gp = tw.new_height0([tw.free_summand("a", "b")])
     Lal = L.presentation().alphabet
     # both surface generators land on powers of a: abelian image
-    rho = GroupHom(Lal, gp.alphabet(), {
+    nu = GroupHom(Lal, gp.alphabet(), {
         "a": parse_word("a"), "b": parse_word("b"),
         "x": parse_word("a"), "y": parse_word("a^2")})
-    D = em.StrictQuotientData(rho, GroupHom.identity(gp.alphabet()), gp)
+    D = em.StrictQuotientData(nu, gp)
     S = em.SplittingData("qh", L, "E", surface=surf, special_vertex="vQ")
     rep = {b.name: b for b in em.validate_strict_quotient(S, D, 1)}
     assert rep["qh-nonabelian"].status == "refuted"
@@ -492,10 +492,10 @@ def _collapsing_rigid_vertex():
         [EdgeGroup("E", 1, ("vA", (parse_word("[a,b]", abe),)),
                    ("vB", (parse_word("[c,d]", cd),)))], "vA")
     gp = tw.new_height0([tw.free_summand("a", "b")])
-    rho = GroupHom(L.presentation().alphabet, gp.alphabet(), {
+    nu = GroupHom(L.presentation().alphabet, gp.alphabet(), {
         "a": parse_word("a"), "b": parse_word("b"), "e": parse_word("a"),
         "c": parse_word("a"), "d": parse_word("b")})
-    D = em.StrictQuotientData(rho, GroupHom.identity(gp.alphabet()), gp)
+    D = em.StrictQuotientData(nu, gp)
     return em.SplittingData("amalgam", L, "E"), D
 
 
@@ -613,12 +613,10 @@ def _pairwise_envelope(S, D, radius, budget=8):
             break
         unknown = True
     if refuted:
-        return em.BulletVerdict("envelope-injective", "refuted", witness=refuted)
+        return tw.Check("envelope-injective", "refuted", witness=refuted)
     if unknown or cent_status != "verified":
-        return em.BulletVerdict("envelope-injective", "budget-limited",
-                                detail=f"checked radius {radius}")
-    return em.BulletVerdict("envelope-injective", "verified",
-                            detail=f"injective on the radius-{radius} ball")
+        return tw.Check("envelope-injective", "budget-limited", f"checked radius {radius}")
+    return tw.Check("envelope-injective", "verified", f"injective on the radius-{radius} ball")
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3, 4])

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from pathlib import Path
@@ -9,7 +10,8 @@ from rft import cli
 from rft import core as co
 from rft import flats as fl
 from rft import tower as tw
-from rft.words import parse_word
+from rft.graphgroups import TRIVIAL
+from rft.words import commutator, parse_word
 
 
 # ---------------------------------------------------------------------------
@@ -24,17 +26,17 @@ def test_inventory_free_is_empty(free2):
 def test_inventory_single_a_block(gamma):
     inv = fl.flat_inventory(gamma)
     assert len(inv) == 1
-    assert inv[0].rank == 2
+    assert len(inv[0].generators) == 2
     assert inv[0].origin == "A"
 
 
 def test_inventory_two_independent_a_blocks(gamma):
     al = gamma.alphabet()
-    t2 = tw.attach_block(gamma, tw.BlockA(parse_word("[a,t]", al), 2, ("s",)),
+    t2 = tw.attach_block(gamma, tw.BlockT((parse_word("[a,t]", al),), 2, ("s",)),
                          assume=True)
     inv = fl.flat_inventory(t2)
     assert len(inv) == 2
-    assert {c.block_index for c in inv} == {1, 2}
+    assert {c.stage for c in inv} == {1, 2}
 
 
 def test_inventory_torus_extension_supersedes(gamma):
@@ -43,13 +45,20 @@ def test_inventory_torus_extension_supersedes(gamma):
         gamma, tw.BlockT((parse_word("[a,b]"), parse_word("t", al)), 3, ("u",)))
     inv = fl.flat_inventory(t2)
     assert len(inv) == 1
-    assert inv[0].rank == 3
+    assert len(inv[0].generators) == 3
 
 
 def test_inventory_checks_commutation(gamma):
-    inv = fl.flat_inventory(gamma)
-    # every recorded lattice passed the pairwise commutator check
-    assert all(c.rank == len(c.lattice) for c in inv)
+    al = gamma.alphabet()
+    t2 = tw.attach_block(
+        gamma, tw.BlockT((parse_word("[a,b]"), parse_word("t", al)), 3, ("u",)))
+    for T in (gamma, t2):
+        inv = fl.flat_inventory(T)
+        assert inv
+        # every recorded lattice is abelian: its generators commute pairwise
+        for rec in inv:
+            for u, v in itertools.combinations(rec.generators, 2):
+                assert T.word_problem(commutator(u, v)) == TRIVIAL
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +179,8 @@ def test_hypotheses_verified_on_gamma(gamma):
 def test_hypothesis1_refuted_by_duplicated_edge(free2):
     # two copies of the same attaching line at one vertex: u^1 = v^1
     al0 = free2.alphabet()
-    t1 = tw.attach_block(free2, tw.BlockA(parse_word("[a,b]"), 2, ("t",)))
-    t2 = tw.attach_block(t1, tw.BlockA(parse_word("[a,b] t [a,b] t^-1",
-                                                  t1.alphabet()),
+    t1 = tw.attach_block(free2, tw.BlockT((parse_word("[a,b]"),), 2, ("t",)))
+    t2 = tw.attach_block(t1, tw.BlockT((parse_word("[a,b] t [a,b] t^-1", t1.alphabet()),),
                                        2, ("s",)), assume=True)
     al = t2.alphabet()
     R = co.extract_core(co.expand_cover(t2, [parse_word(g, al)
@@ -187,8 +195,8 @@ def test_hypothesis1_refuted_by_duplicated_edge(free2):
 def test_hypothesis2_refuted_on_proper_power(free2):
     # construction rejects a^2 up front, so model an externally supplied
     # tower whose recorded block claims the bad attachment
-    t1 = tw.attach_block(free2, tw.BlockA(parse_word("[a,b]"), 2, ("t",)))
-    t1.stages[-1].block = tw.BlockA(parse_word("a^2"), 2, ("t",))
+    t1 = tw.attach_block(free2, tw.BlockT((parse_word("[a,b]"),), 2, ("t",)))
+    t1.stages[-1].block = tw.BlockT((parse_word("a^2"),), 2, ("t",))
     al = t1.alphabet()
     R = co.extract_core(co.expand_cover(t1, [parse_word(g, al)
                                              for g in ("a", "b", "t")]))

@@ -12,6 +12,7 @@ A change that alters a report on purpose regenerates the files with
 and the diff of `tests/golden/` is then the reviewed change of behaviour.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,42 @@ def test_golden_witness_certificates_recheck(name):
     golden = (GOLDEN / f"{name}.witness.out").read_text(encoding="utf-8")
     assert f"verdict: {cert.verdict}" in golden.splitlines()
     assert cert.verdict == "failed" or cert.recheck()
+
+
+# `block A` is the one-word torus block: the same document with each
+# `block A { attach="w"; ... }` written `block T { attach=("w"); ... }`
+A_TOWERS = sorted(n for n in TOWERS
+                  if "block A" in (CORPUS / f"{n}.twr").read_text(encoding="utf-8"))
+
+
+def _as_t_blocks(text: str) -> str:
+    return re.sub(r'block A(\s*\{[^}]*?)attach\s*=\s*("[^"]*")', r"block T\1attach=(\2)", text)
+
+
+def _without_digest(argv: list[str]) -> tuple[int, list[str]]:
+    code, out = run_command(argv)
+    return code, [line for line in out.splitlines() if not line.startswith("input-digest:")]
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.split(".")[0] in A_TOWERS))
+def test_an_a_block_reports_as_a_one_word_t_block(case, tmp_path):
+    command, twr, *options = CASES[case]
+    text = Path(twr).read_text(encoding="utf-8")
+    rewritten = _as_t_blocks(text)
+    assert "block A" not in rewritten
+    assert rewritten.count('attach=("') - text.count('attach=("') == text.count("block A")
+    path = tmp_path / Path(twr).name
+    path.write_text(rewritten, encoding="utf-8")
+    assert _without_digest([command, str(path), *options]) == _without_digest(CASES[case])
+
+
+def test_an_a_block_of_rank_1_is_a_usage_error(tmp_path):
+    text = (CORPUS / "gamma.twr").read_text(encoding="utf-8")
+    assert "rank=2;" in text
+    path = tmp_path / "gamma.twr"
+    path.write_text(text.replace("rank=2;", "rank=1;"), encoding="utf-8")
+    code, out = run_command(["present", str(path)])
+    assert code == 1 and out.startswith("error: ")
 
 
 if __name__ == "__main__":

@@ -83,6 +83,42 @@ def test_an_unread_private_assignment_is_caught():
     assert unreferenced_privates({"m": tree}) == ["m._UNREAD"]
 
 
+def write_only_fields(src: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """The attributes that an `__init__` of `src` assigns on `self` and
+    that no tree of `src` or `readers` ever loads, as module.Class.name.
+    Name-based: a load of `x.name` on any object counts."""
+    assigned: dict[str, str] = {}
+    for module, tree in src.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for func in cls.body:
+                if not (isinstance(func, ast.FunctionDef) and func.name == "__init__"):
+                    continue
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                        assigned.setdefault(node.attr, f"{module}.{cls.name}.{node.attr}")
+    loaded = {node.attr for tree in [*src.values(), *readers] for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(where for attr, where in assigned.items() if attr not in loaded)
+
+
+def test_no_write_only_fields():
+    # a record field that nothing reads is dead weight that every
+    # construction still pays for
+    root = SRC.parent.parent
+    readers = [ast.parse(p.read_text(encoding="utf-8"))
+               for d in ("tests", "bench") for p in sorted((root / d).glob("*.py"))]
+    assert write_only_fields(_trees(), readers) == []
+
+
+def test_a_write_only_field_is_caught():
+    tree = ast.parse("class R:\n    def __init__(self, a, b):\n"
+                     "        self.a = a\n        self.b = b\n\nprint(R(1, 2).a)\n")
+    assert write_only_fields({"m": tree}, []) == ["m.R.b"]
+
+
 def assumed_literals(trees: dict[str, ast.Module]) -> list[str]:
     """Where the status literal "assumed" is written, as module.top-level name."""
     found = []

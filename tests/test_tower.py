@@ -75,12 +75,12 @@ def test_attach_a_example(gamma):
 
 def test_attach_a_rejects_proper_power(free2):
     with pytest.raises(tw.BlockError, match="attach-maximal"):
-        tw.attach_block(free2, tw.BlockA(parse_word("a^2"), 2, ("t",)))
+        tw.attach_block(free2, tw.BlockT((parse_word("a^2"),), 2, ("t",)))
 
 
 def test_attach_a_rejects_trivial(free2):
     with pytest.raises(tw.BlockError, match="attach-nontrivial"):
-        tw.attach_block(free2, tw.BlockA(parse_word("a a^-1"), 2, ("t",)))
+        tw.attach_block(free2, tw.BlockT((parse_word("a a^-1"),), 2, ("t",)))
 
 
 def test_attach_q_punctured_torus(free2):
@@ -139,7 +139,7 @@ def test_a_colliding_name_fails_before_any_word_problem(monkeypatch, free2, kind
     monkeypatch.setattr(tw.Tower, "word_problem", no_word_problem)
     al = free2.alphabet()
     block, message = {
-        "A": (tw.BlockA((), 2, ("a",)), "new letter 'a' collides"),
+        "A": (tw.BlockT(((),), 2, ("a",)), "new letter 'a' collides"),
         "T": (tw.BlockT((parse_word("a", al), parse_word("b", al)), 3, ("b",)),
               "new letter 'b' collides"),
         "Q": (tw.BlockQ(SurfacePresentation(1, 1, ("x", "a")), ((),),
@@ -367,8 +367,8 @@ def _composed_hom(family: tw._WitnessFamily, params: tuple[int, ...]) -> GroupHo
     for i in range(t.height, 0, -1):
         s, b = t.stages[i], t.stages[i].block
         prev_alph, stage_alph = t.alphabet(i - 1), t.alphabet(i)
-        if isinstance(b, (tw.BlockA, tw.BlockT)):
-            attach = reduce_word(b.attaching[0])
+        if isinstance(b, tw.BlockT):
+            attach = reduce_word(b.attach[0])
             stage_map = {g: letter(g) for g in prev_alph.generators}
             for lt in b.letters:
                 stage_map[lt] = power(attach, next(it))
@@ -708,7 +708,7 @@ def test_relator_cores_stay_linear_in_the_relator_length(free2):
     # an A block along a 4,001-letter word has one 8,004-letter relator;
     # every rotation of its core and of its inverse's would be ~128
     # million letters, where the least rotations are two words
-    T = tw.attach_block(free2, tw.BlockA(parse_word("[a,b]^1000 a"), 2, ("t",)))
+    T = tw.attach_block(free2, tw.BlockT((parse_word("[a,b]^1000 a"),), 2, ("t",)))
     r = T.presentation().relators[0]
     tracemalloc.start()
     try:
