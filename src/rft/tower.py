@@ -52,11 +52,11 @@ from .intlinalg import solve_int_linear
 from .words import (
     Alphabet,
     GroupHom,
+    Letter,
     Record,
     SurfacePresentation,
     Word,
     abelianize,
-    apply_map,
     commutator,
     concat,
     cyclic_core,
@@ -321,14 +321,20 @@ class Tower:
         The key is read off the image of w under `retraction_to_base()`
         (`base` when the caller has it).  On a free stage 0 it is that
         reduced image itself.  Otherwise it is the image's exponent-sum
-        vector over stage 0's alphabet: every stage-0 relator (abelian
-        commutators, the orientable surface relator) has exponent sum
-        zero, so the retraction followed by abelianization is a
-        homomorphism to Z^n.  The key trusts the retraction exactly as far
-        as `_wp_at`'s nonempty-base-image proof does."""
-        if base is None:
-            base = self._base_map.apply(w)
-        return base if self.free_base else abelianize(base, self.alphabet(0))
+        vector over stage 0's alphabet, summed from w's letters
+        (`_base_exponents`): every stage-0 relator (abelian commutators,
+        the orientable surface relator) has exponent sum zero, so the
+        retraction followed by abelianization is a homomorphism to Z^n.
+        The key trusts the retraction exactly as far as `_wp_at`'s
+        nonempty-base-image proof does."""
+        if self.free_base:
+            return self._base_map.apply(w) if base is None else base
+        table = self._base_exponents
+        counts = [0] * len(self.alphabet(0))
+        for lt in w:
+            for i, n in table[lt]:
+                counts[i] += n
+        return tuple(counts)
 
     @cached_property
     def free_map(self) -> Optional[GroupHom]:
@@ -338,11 +344,16 @@ class Tower:
         a free group, so a word with a nonempty reduced image under it is
         nontrivial.  The check is free reduction, once per tower; it trusts
         the presentation as far as `WitnessCertificate.recheck` does."""
-        family = _WitnessFamily(self)
+        family = self._witness_family
         hom = family.hom((1,) * family.dimension)
         if any(hom.apply(r) for r in self.presentation().relators):
             return None
         return hom
+
+    @cached_property
+    def _witness_family(self) -> "_WitnessFamily":
+        """The tower's `_WitnessFamily`, planned once per tower."""
+        return _WitnessFamily(self)
 
     @cached_property
     def relator_cores(self) -> dict[int, frozenset[Word]]:
@@ -371,10 +382,23 @@ class Tower:
 
     @cached_property
     def _base_map(self) -> GroupHom:
-        hom = GroupHom.identity(self.alphabet())
-        for k in range(self.height, 0, -1):
-            hom = hom.then(self.stages[k].retraction)
+        # stage 0 has no retraction
+        hom = self.stages[-1].retraction or GroupHom.identity(self.alphabet())
+        for s in reversed(self.stages[1:-1]):
+            hom = hom.then(s.retraction)
         return hom
+
+    @cached_property
+    def _base_exponents(self) -> dict[Letter, tuple[tuple[int, int], ...]]:
+        """Per signed letter of the top stage, the nonzero (index, exponent
+        sum) entries of its base image over stage 0's alphabet."""
+        alph0 = self.alphabet(0)
+        table = {}
+        for g, img in self._base_map.images.items():
+            pos = tuple((i, n) for i, n in enumerate(abelianize(img, alph0)) if n)
+            table[(g, 1)] = pos
+            table[(g, -1)] = tuple((i, -n) for i, n in pos)
+        return table
 
     def retraction_to_base(self) -> GroupHom:
         """The composite retraction from the top stage to stage 0, built
@@ -647,9 +671,10 @@ class _WitnessFamily:
     so the relator goes to [x,y][y,x] = 1 while [a1,b1] stays alive; an
     odd genus's last handle goes to a_g -> z, b_g -> 1.
 
-    `_build` compiles the family once; `images` then evaluates one member
-    bottom-up as a plain dict, so an attempt costs the length of the
-    images and builds no `GroupHom`.
+    `_build` plans the family once per tower; `images` then evaluates one
+    member bottom-up, applying the member below to each stage's words
+    through a `GroupHom` on just the letters they use, and `hom`
+    compiles it.
 
     A member is trusted only after every relator of the tower maps to the
     empty word: `WitnessCertificate.recheck` checks the member a search
@@ -666,12 +691,17 @@ class _WitnessFamily:
         # slots are listed in the order parameters are read: stages from
         # the top down, then the summands
         t = self.tower
-        # (first slot, stage, new letters) per stage, from the bottom up
-        self.stage_plan: list[tuple[int, Stage, tuple[str, ...]]] = []
+        # (first slot, stage, new letters, letters of the words the stage
+        # applies the member below to) per stage, from the bottom up
+        self.stage_plan: list[tuple[int, Stage, tuple[str, ...], Alphabet]] = []
         for i in range(t.height, 0, -1):
-            b = t.stages[i].block
+            s = t.stages[i]
+            b = s.block
             new = t.alphabet(i).generators[len(t.alphabet(i - 1)):]
-            self.stage_plan.insert(0, (len(self.slots), t.stages[i], new))
+            applied = (b.attach[0],) if isinstance(b, BlockT) else tuple(
+                s.retraction.images[g] for g in new)
+            uses = dict.fromkeys(sym for w in applied for sym, _ in w)
+            self.stage_plan.insert(0, (len(self.slots), s, new, Alphabet(tuple(uses))))
             if isinstance(b, BlockT):
                 for lt in b.letters:
                     self.slots.append(f"stage {i}: {lt} -> ({format_word(b.attach[0])})^N")
@@ -735,17 +765,18 @@ class _WitnessFamily:
                     partner = letter(names[h ^ 1]) if h ^ 1 < len(names) else ()
                     img[gens[2 * h]] = letter(x)
                     img[gens[2 * h + 1]] = partner + power(letter(x), next(it))
-        for first, s, new in self.stage_plan:
+        for first, s, new, uses in self.stage_plan:
             b = s.block
+            below = GroupHom(uses, self.target, {g: img[g] for g in uses})
             if isinstance(b, BlockT):
-                u = apply_map(img, b.attach[0])
+                u = below.apply(b.attach[0])
                 for j, lt in enumerate(b.letters):
                     img[lt] = reduce_word(power(u, params[first + j]))
             else:
                 # the twists b_h -> b_h a_h^N and then a_h -> a_h b_h^M, then
                 # the retraction; its stable letters map to 1
                 for g in new:
-                    img[g] = apply_map(img, s.retraction.images[g])
+                    img[g] = below.apply(s.retraction.images[g])
                 gens = b.surface.generators
                 for h in range(b.surface.genus):
                     a, bg = gens[2 * h], gens[2 * h + 1]
@@ -813,7 +844,7 @@ def find_rf_witness(
     alph = tower.alphabet()
     relators = tower.presentation().relators
     W = [reduce_word(w, alph) for w in words]
-    family = _WitnessFamily(tower)
+    family = tower._witness_family
     trace: list = []
 
     # group words into provable-equality classes so that equal elements are
@@ -838,12 +869,12 @@ def find_rf_witness(
         attempts += 1
         if attempts > max_attempts:
             break
-        member = family.images(params)
+        hom = family.hom(params)
         images: list[Word] = []
         collision = None
         seen: dict[Word, int] = {}
         for i, w in enumerate(W):
-            img = apply_map(member, w)
+            img = hom.apply(w)
             images.append(img)
             if trivial_class is not None and classes[i] == trivial_class:
                 continue
@@ -856,7 +887,6 @@ def find_rf_witness(
                 break
         if collision is None:
             trace.append((params, "valid"))
-            hom = GroupHom(alph, family.target, member)
             return WitnessCertificate(family.target, hom, relators, W, images, "valid",
                                       "; ".join(family.slots), trace, seed, budget, classes)
         trace.append((params, f"collision {names[collision[0]]} ~ {names[collision[1]]}"))

@@ -8,10 +8,10 @@ and Dehn's algorithm for closed hyperbolic surface groups.
 Free reduction happens once per word: where a word enters the engine,
 or where the engine builds it.  Here `reduce_word`, `cyclic_reduce` and
 `dehn_reduce` reduce their input (`cyclic_core` is `cyclic_reduce`
-for a word already reduced); `apply_map` and `GroupHom.apply`
-reduce the image they build; `join_reduced` and `walk_ball` take reduced
-words and keep them reduced, cancelling only where two of them meet;
-`concat`, `invert`, `power` and `commutator` do not reduce.
+for a word already reduced), and a `GroupHom` reduces its images once,
+when it is built.  `GroupHom.apply`, `join_reduced` and `walk_ball`
+take reduced words and keep them reduced, cancelling only where two of
+them meet; `concat`, `invert`, `power` and `commutator` do not reduce.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "Word",
     "GroupHom",
     "SurfacePresentation",
-    "apply_map",
     "EMPTY",
     "letter",
     "concat",
@@ -147,7 +146,7 @@ def concat(*ws: Word) -> Word:
 
 
 def invert(w: Word) -> Word:
-    return tuple((sym, -sign) for sym, sign in reversed(w))
+    return tuple([(sym, -sign) for sym, sign in reversed(w)])
 
 
 def power(w: Word, n: int) -> Word:
@@ -157,15 +156,18 @@ def power(w: Word, n: int) -> Word:
 
 
 def reduce_word(w: Word, alph: Optional[Alphabet] = None) -> Word:
-    """Free reduction: cancel adjacent inverse pairs; unique normal form."""
+    """Free reduction: cancel adjacent inverse pairs; unique normal form.
+    The letters kept are the input's own letter objects."""
     if alph is not None:
         alph.check(w)
     out: list[Letter] = []
-    for sym, sign in w:
-        if out and out[-1][0] == sym and out[-1][1] == -sign:
-            out.pop()
-        else:
-            out.append((sym, sign))
+    for lt in w:
+        if out:
+            top = out[-1]
+            if top[1] == -lt[1] and top[0] == lt[0]:
+                out.pop()
+                continue
+        out.append(lt)
     return tuple(out)
 
 
@@ -273,14 +275,14 @@ def walk_ball(alph: Alphabet, radius: int, h1: GroupHom,
     (w, h1(w), h2(w)), both images reduced.
 
     Letter order is (g, +1) before (g, -1), generators in declared order.
-    A word of one layer extends a word of the layer before by one letter
-    (a step), and its images extend that word's images by the step's
-    images, so each map is applied once per generator.  Each step also
-    holds the letter that would cancel the first letter of each of its
-    images: an image is joined with `join_reduced` only when the parent's
-    image ends in that letter, and is concatenated otherwise.  Only the
-    layer being extended and the one being built are held, never the
-    whole ball.  A ball of more than `MAX_BALL_SIZE` words is refused with
+    A word of one layer extends a word of the layer before by one letter,
+    and its images extend that word's images by the letter's entries in
+    the two homs' tables (`GroupHom`), so no map is applied to a word.
+    An entry holds the letter that would cancel its image's first letter:
+    an image is joined with `join_reduced` only when the parent's image
+    ends in that letter, and is concatenated otherwise.  Only the layer
+    being extended and the one being built are held, never the whole
+    ball.  A ball of more than `MAX_BALL_SIZE` words is refused with
     WordError before any word is built.
     """
     if radius < 0:
@@ -288,15 +290,14 @@ def walk_ball(alph: Alphabet, radius: int, h1: GroupHom,
     if ball_size(len(alph), min(radius, MAX_BALL_SIZE)) > MAX_BALL_SIZE:
         raise WordError(f"the radius-{radius} ball over {len(alph)} generators has "
                         f"more than {MAX_BALL_SIZE} words")
-    steps: list[tuple[Letter, Word, Optional[Letter], Word, Optional[Letter]]] = []
-    for g in alph.generators:
-        i1, i2 = h1.apply(letter(g)), h2.apply(letter(g))
-        for lt, a, b in (((g, 1), i1, i2), ((g, -1), invert(i1), invert(i2))):
-            steps.append((lt, a, (a[0][0], -a[0][1]) if a else None,
-                          b, (b[0][0], -b[0][1]) if b else None))
-    # every word ends in a step's own letter object, so the step that
+    letters = [(g, sign) for g in alph.generators for sign in (1, -1)]
+    try:
+        steps = [(lt, *h1._table[lt][:2], *h2._table[lt][:2]) for lt in letters]
+    except KeyError as missing:
+        raise AlphabetError(f"undeclared symbol: {missing.args[0][0]!r}") from None
+    # every word ends in one of these letter objects, so the letter that
     # would undo a word's last letter is found by identity
-    undoes = {steps[k][0]: steps[k ^ 1][0] for k in range(len(steps))}
+    undoes = {letters[k]: letters[k ^ 1] for k in range(len(letters))}
     layer = [(EMPTY, EMPTY, EMPTY)]
     yield layer[0]
     for _ in range(radius if steps else 0):
@@ -333,7 +334,12 @@ def ball_size(rank: int, radius: int) -> int:
 
 class GroupHom(Record):
     """Homomorphism between free-ish generating sets, given on generators.
-    Two homs are equal when their source, target and images are."""
+    Two homs are equal when their source, target and images are.
+
+    `__init__` compiles the images once into a table keyed by signed
+    letter: (g, 1) and (g, -1) map to (image, the letter that cancels the
+    image's first letter, inverse image), both images reduced.  `images`
+    is never reassigned after `__init__`, so the table cannot go stale."""
 
     def __init__(self, source: Alphabet, target: Alphabet, images: dict[str, Word]):
         self.source = source
@@ -342,8 +348,13 @@ class GroupHom(Record):
         for g in source.generators:
             if g not in images:
                 raise WordError(f"homomorphism not total: missing image of {g!r}")
+        table: dict[Letter, tuple[Word, Optional[Letter], Word]] = {}
         for g, w in images.items():
-            target.check(w)
+            img = reduce_word(w, target)
+            inv = invert(img)
+            table[(g, 1)] = (img, inv[-1] if inv else None, inv)
+            table[(g, -1)] = (inv, img[-1] if img else None, img)
+        self._table = table
 
     def __hash__(self):
         return hash((self.source, self.target, frozenset(self.images.items())))
@@ -353,7 +364,27 @@ class GroupHom(Record):
         return GroupHom(alph, alph, {g: letter(g) for g in alph.generators})
 
     def apply(self, w: Word) -> Word:
-        return apply_map(self.images, w)
+        """Reduced image of w.  Each letter's image goes onto one stack;
+        it is reduced, so letters cancel only where the stack top is the
+        letter that cancels its first letter (`join_reduced`)."""
+        table = self._table
+        out: list[Letter] = []
+        for lt in w:
+            try:
+                img, cancel, inv = table[lt]
+            except KeyError:
+                raise AlphabetError(f"undeclared symbol: {lt[0]!r}") from None
+            if out and out[-1] == cancel:
+                out.pop()
+                k, n = 1, len(img)
+                # inv[n - 1 - k] cancels img[k]
+                while k < n and out and out[-1] == inv[n - 1 - k]:
+                    out.pop()
+                    k += 1
+                out += img[k:]
+            else:
+                out += img
+        return tuple(out)
 
     def then(self, other: "GroupHom") -> "GroupHom":
         """Composition: first self, then other."""
@@ -362,17 +393,6 @@ class GroupHom(Record):
             other.target,
             {g: other.apply(self.images[g]) for g in self.source.generators},
         )
-
-
-def apply_map(images: dict[str, Word], w: Word) -> Word:
-    """Reduced image of w under the map given on generators by `images`."""
-    out: list[Letter] = []
-    for sym, sign in w:
-        img = images.get(sym)
-        if img is None:
-            raise AlphabetError(f"undeclared symbol: {sym!r}")
-        out.extend(img if sign == 1 else invert(img))
-    return reduce_word(out)
 
 
 def commutator(u: Word, v: Word) -> Word:

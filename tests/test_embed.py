@@ -678,30 +678,39 @@ def test_oversized_ball_is_refused_before_it_is_built():
 
 
 def test_radius3_qh_certificate_hom_and_reduction_counts(monkeypatch):
-    # Each hom is applied once per generator and each image is extended by
-    # one letter's image, so the counts do not grow with the ball: 4 for
-    # composing j with the retraction to the base, 8 for the walk's two
-    # homs.  `embed_step`'s word problems already built the tower's free
-    # map and base map, so the free map adds one application per
-    # empty-base entry (8); the reductions left are those.  Before the Q
-    # block's free map twisted a as well as b it sent 4 entries to 1, and
-    # their Britton work took 22 more.  Applying j and the retractions to
-    # every ball word took 913 and 1,405.
+    # The walk extends each image by one entry of its hom's table, and a
+    # hom applies its map to each generator's image once, when it is
+    # composed, so the counts do not grow with the ball: 4 applications
+    # for composing j with the retraction to the base, none for the walk.
+    # `embed_step`'s word problems already built the tower's free map and
+    # base map, so the free map adds one application per empty-base entry
+    # (8).  The reductions are the composite's 4 images, reduced once when
+    # it is built, and one in the Britton work left.  When every
+    # application reduced its image again, and the walk applied both homs
+    # to each generator, the counts were 20 and 21; before the walk,
+    # applying j and the retractions to every ball word took 913 and
+    # 1,405.
     S, D, R = _corpus_embedding("qh")
     graphgroups._subgroup_graph.cache_clear()
-    counts = {"apply_map": 0, "reduce_word": 0}
-    for name in counts:
-        real = getattr(words, name)
+    counts = {"GroupHom.apply": 0, "reduce_word": 0}
+    real_apply = words.GroupHom.apply
 
-        def counting(*args, _name=name, _real=real):
-            counts[_name] += 1
-            return _real(*args)
+    def counting_apply(self, w):
+        counts["GroupHom.apply"] += 1
+        return real_apply(self, w)
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name == "rft" or module_name.startswith("rft."):
-                for key, value in list(vars(module).items()):
-                    if value is real:
-                        monkeypatch.setattr(module, key, counting)
+    monkeypatch.setattr(words.GroupHom, "apply", counting_apply)
+    real = words.reduce_word
+
+    def counting(*args):
+        counts["reduce_word"] += 1
+        return real(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "rft" or module_name.startswith("rft."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counting)
     cert = em.certify_injectivity_on_ball(R, lambda w, b: word_problem(S.L, w, b), 3)
     assert len(cert.entries) == 456
-    assert counts == {"apply_map": 20, "reduce_word": 21}
+    assert counts == {"GroupHom.apply": 12, "reduce_word": 5}

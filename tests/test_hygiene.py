@@ -209,6 +209,7 @@ def test_importing_the_cli_loads_no_hashlib(module):
 REDUCING_ENTRY_POINTS = {
     "words.cyclic_reduce",
     "words.dehn_reduce",
+    "words.GroupHom.__init__",
     "folding.walk",
     "folding.SubgroupGraph.__init__",
     "folding.SubgroupGraph.express",
@@ -223,8 +224,8 @@ REDUCING_ENTRY_POINTS = {
 
 
 def _root_name(node: ast.AST):
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
+    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
+        node = node.func if isinstance(node, ast.Call) else node.value
     return node.id if isinstance(node, ast.Name) else None
 
 
@@ -283,3 +284,10 @@ def test_words_are_reduced_once_at_the_entry_points():
     # the entry points reduce, and nothing else reduces a word it was given
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     assert parameter_reductions(trees) == sorted(REDUCING_ENTRY_POINTS)
+
+
+def test_a_reduction_of_a_parameter_seen_through_a_call_is_caught():
+    # a loop over `images.items()` reads the parameter `images`
+    tree = ast.parse("def f(images):\n    for g, v in images.items():\n"
+                     "        reduce_word(v)\n")
+    assert parameter_reductions({"m": tree}) == ["m.f"]

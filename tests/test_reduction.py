@@ -21,8 +21,8 @@ from rft.graphgroups import normal_form, subgroup_membership, surface_vertex
 from rft.words import (
     Alphabet,
     AlphabetError,
+    GroupHom,
     SurfacePresentation,
-    apply_map,
     parse_word,
     reduce_word,
 )
@@ -150,10 +150,11 @@ def test_group_hom_apply(data):
 
 
 def test_hom_application_rejects_undeclared_letters():
-    # one loop applies every map on generators; a letter without an image
-    # is an alphabet error, never a KeyError
-    with pytest.raises(AlphabetError):
-        apply_map({"a": (("b", 1),)}, (("a", 1), ("z", -1)))
+    # one kernel applies every map on generators; a letter without an
+    # image is an alphabet error, never a KeyError
+    hom = GroupHom(Alphabet(("a",)), Alphabet(("b",)), {"a": (("b", 1),)})
+    with pytest.raises(AlphabetError, match="undeclared symbol: 'z'"):
+        hom.apply((("a", 1), ("z", -1)))
     with pytest.raises(AlphabetError):
         _towers()["gamma"].stages[1].retraction.apply(parse_word("a z"))
 
@@ -170,8 +171,11 @@ COUNTED = {
 def test_reduce_word_calls_are_pinned(monkeypatch):
     # Lower is the aim; a change that moves the count updates this pin.
     # It includes the one-off builds of each tower's free map and base
-    # map: 6 reductions on gamma, 24 on tall.  Relator conjugates such as
-    # [[a,b],t] need no Britton reduction (49 and 99 before that step).
+    # map, whose homs reduce their images once, when they are built: 6
+    # reductions on gamma, 24 on tall.  Applying a hom reduces nothing
+    # (35 and 74 when each application reduced its image again).  Relator
+    # conjugates such as [[a,b],t] need no Britton reduction (49 and 99
+    # before that step).
     towers = {name: _build(name) for name in COUNTED}
     graphgroups._subgroup_graph.cache_clear()
     real = words.reduce_word
@@ -194,4 +198,4 @@ def test_reduce_word_calls_are_pinned(monkeypatch):
         for w in ws:
             T.word_problem(w, 8)
         counts[name] = calls[0]
-    assert counts == {"gamma": 35, "tall": 74}
+    assert counts == {"gamma": 26, "tall": 46}

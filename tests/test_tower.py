@@ -584,6 +584,18 @@ def test_trivial_products_do_not_move_the_element_key(data):
     assert T.element_key(reduce_word(concat(w, trivial))) == T.element_key(w)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["mixed", "closed2", "wide"]), st.data())
+def test_the_exponent_sum_key_is_the_abelianized_base_image(name, data):
+    # on a non-free base the key is summed from per-letter vectors; it is
+    # the exponent-sum vector of the word's image in the base
+    T = _cached_tower(name)
+    assert not T.free_base
+    letters = st.tuples(st.sampled_from(T.alphabet().generators), st.sampled_from((1, -1)))
+    w = reduce_word(data.draw(st.lists(letters, max_size=12).map(tuple)))
+    assert T.element_key(w) == abelianize(T.retraction_to_base().apply(w), T.alphabet(0))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_keyed_witness_classes_equal_unkeyed(data):
@@ -775,7 +787,8 @@ def _reference_find_rf_witness(tower, words, budget, seed=0, max_attempts=20000)
         if attempts > max_attempts:
             break
         member = family.images(params)
-        images = [tw.apply_map(member, w) for w in W]
+        member_hom = GroupHom(alph, family.target, member)
+        images = [member_hom.apply(w) for w in W]
         collision = None
         seen = {}
         for i, img in enumerate(images):
@@ -843,8 +856,8 @@ def _hopeless_words(bound: int) -> list[str]:
 
 def test_witness_search_formats_each_word_once(monkeypatch):
     # a failing search formats each word once, however many attempts it makes;
-    # the family's slot labels are the only other calls
-    T = _cached_tower("wide")
+    # the family's slot labels, planned once per tower, are the only other calls
+    T = _corpus_tower("wide")
     words = [parse_word(s, T.alphabet()) for s in _hopeless_words(3)]
     calls = []
 
@@ -859,3 +872,6 @@ def test_witness_search_formats_each_word_once(monkeypatch):
     cert = tw.find_rf_witness(T, words, budget=3, max_attempts=200)
     assert cert.verdict == "failed" and len(cert.trace) == 200
     assert len(calls) == family_calls + len(words)
+    calls.clear()
+    tw.find_rf_witness(T, words, budget=3, max_attempts=200)
+    assert len(calls) == len(words)

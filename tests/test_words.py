@@ -176,14 +176,53 @@ XYZ = alphabet("x", "y", "z")
 @st.composite
 def junction_maps(draw, source):
     """A map source -> F(x, y, z) whose letter images are p^-1 m q with p
-    and q from a small shared pool and m short, reduced: images are often
-    empty, and the image of a letter often cancels over several letters
-    against the image of the next one."""
-    pool = draw(st.lists(words_over(XYZ, 3).map(reduce_word), min_size=1, max_size=3))
+    and q from a small shared pool and m short, left unreduced when drawn
+    so: images are often empty or unreduced, and the image of a letter
+    often cancels over several letters against the image of the next one."""
+    pool = draw(st.lists(words_over(XYZ, 3), min_size=1, max_size=3))
     part = st.sampled_from(pool)
-    images = {g: reduce_word(concat(invert(draw(part)), draw(words_over(XYZ, 2)), draw(part)))
-              for g in source.generators}
+    images = {}
+    for g in source.generators:
+        img = concat(invert(draw(part)), draw(words_over(XYZ, 2)), draw(part))
+        images[g] = img if draw(st.booleans()) else reduce_word(img)
     return GroupHom(source, XYZ, images)
+
+
+def _reference_apply(hom, w):
+    """The image of w as the reduced product of each letter's image or its
+    inverse."""
+    return reduce_word(concat(*(hom.images[g] if sign == 1 else invert(hom.images[g])
+                                for g, sign in w)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=3))
+def test_hom_apply_is_the_reduced_product_of_the_images(data, rank):
+    source = Alphabet(("a", "b", "c")[:rank])
+    hom = data.draw(junction_maps(source))
+    w = data.draw(words_over(source, 16))
+    assert hom.apply(w) == _reference_apply(hom, w)
+    assert hom.apply(reduce_word(w)) == hom.apply(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hom_identity_and_composition_are_the_reference_maps(data):
+    source = Alphabet(("a", "b", "c"))
+    h1 = data.draw(junction_maps(source))
+    h2 = data.draw(junction_maps(Alphabet(("x", "y", "z"))))
+    w = data.draw(words_over(source, 10))
+    assert GroupHom.identity(source).apply(w) == reduce_word(w)
+    composed = h1.then(h2)
+    assert composed.images == {g: _reference_apply(h2, h1.images[g]) for g in "abc"}
+    assert composed.apply(w) == _reference_apply(h2, _reference_apply(h1, w))
+
+
+def test_hom_apply_names_an_undeclared_letter():
+    hom = GroupHom(AB, XYZ, {"a": parse_word("x y"), "b": ()})
+    with pytest.raises(AlphabetError) as err:
+        hom.apply(concat(parse_word("a b"), letter("x", -1)))
+    assert str(err.value) == "undeclared symbol: 'x'"
 
 
 @settings(max_examples=150, deadline=None)
@@ -194,6 +233,12 @@ def test_walk_ball_images_are_the_applied_maps(data, rank, radius):
     h2 = data.draw(junction_maps(source))
     walked = list(walk_ball(source, radius, h1, h2))
     assert walked == [(w, h1.apply(w), h2.apply(w)) for w in enumerate_ball(source, radius)]
+
+
+def test_walk_ball_refuses_a_letter_without_an_image():
+    h = GroupHom(AB, XYZ, {"a": parse_word("x"), "b": ()})
+    with pytest.raises(AlphabetError, match="undeclared symbol: 'c'"):
+        list(walk_ball(alphabet("a", "b", "c"), 1, h, h))
 
 
 def test_walk_ball_cancels_over_several_letters_at_the_junction():
@@ -305,6 +350,18 @@ def test_homs_are_equal_only_when_their_images_are():
     assert ident != swap and len({ident, swap}) == 2
     assert ident == GroupHom.identity(AB) and hash(ident) == hash(GroupHom.identity(AB))
     assert GroupHom(AB, alphabet("a", "b", "c"), dict(ident.images)) != ident
+
+
+def test_applying_a_hom_does_not_change_its_value():
+    # the table is compiled once from the images, so a hom that has
+    # applied words equals and hashes as one that has not
+    images = {"a": parse_word("x y"), "b": parse_word("y^-1 x^-1 z")}
+    used, fresh = GroupHom(AB, XYZ, dict(images)), GroupHom(AB, XYZ, dict(images))
+    assert used.apply(parse_word("a b a^-1 b^-1")) == parse_word("z y^-1 x^-1 z^-1 x y")
+    assert used == fresh and hash(used) == hash(fresh)
+    # equality reads the images as given: an unreduced image of the same
+    # element makes another value
+    assert GroupHom(AB, XYZ, dict(images, a=parse_word("x z z^-1 y"))) != fresh
 
 
 # -- surfaces and Dehn reduction ---------------------------------------------
