@@ -367,6 +367,9 @@ def validate_strict_quotient(S: SplittingData, D: StrictQuotientData,
 
 
 class BallEvidence(Record):
+    # a certificate keeps one per ball element, so no per-entry dict
+    __slots__ = ("word", "source_verdict", "image", "image_verdict", "method")
+
     def __init__(self, word: Word, source_verdict: str, image: Word, image_verdict: str,
                  method: str):
         self.word = word
@@ -415,11 +418,12 @@ def certify_injectivity_on_ball(R: EmbeddingResult,
     problem.  All are the tower's own decision, so each such entry has
     method "direct"; only a Britton Unknown turns to `find_rf_witness`.
 
-    The tower is asked first.  When every `j-homomorphism` obligation is
-    verified (vacuously so when L has no relators), j is a homomorphism,
-    so a Nontrivial j(w) proves w nontrivial and L is not asked.  In every
-    other case, an assumed j included, L's word problem decides whether w
-    belongs to the certificate.
+    The tower is asked first, in one call per word.  When every
+    `j-homomorphism` obligation is verified (vacuously so when L has no
+    relators), j is a homomorphism, so a Nontrivial j(w) proves w
+    nontrivial: the entry, most of a certificate, is recorded at once and
+    L is not asked.  In every other case, an assumed j included, L's word
+    problem decides whether w belongs to the certificate.
 
     Under a verified j, L is asked once per conjugacy class up to
     inversion (`conjugacy_key`) of the words the tower leaves open:
@@ -437,19 +441,20 @@ def certify_injectivity_on_ball(R: EmbeddingResult,
     known: dict[Word, str] = {}
     entries: list[BallEvidence] = []
     status = "full"
+    decide = R.gamma.reduced_word_problem
     for w, img, base in walk_ball(R.j.source, radius, R.j, to_base):
-        iv = R.gamma.reduced_word_problem(img, base, budget)
-        if j_proved and iv == NONTRIVIAL:
-            sv = NONTRIVIAL
-        else:
-            key = conjugacy_key(w) if j_proved else None
-            sv = known.get(key)
-            if sv is None:
-                sv = L_word_problem(w, budget)
-                if key is not None and sv != UNKNOWN:
-                    known[key] = sv
-            if sv != NONTRIVIAL:
-                continue
+        iv = decide(img, base, budget)
+        if iv == NONTRIVIAL and j_proved:
+            entries.append(BallEvidence(w, NONTRIVIAL, img, NONTRIVIAL, "direct"))
+            continue
+        key = conjugacy_key(w) if j_proved else None
+        sv = known.get(key)
+        if sv is None:
+            sv = L_word_problem(w, budget)
+            if key is not None and sv != UNKNOWN:
+                known[key] = sv
+        if sv != NONTRIVIAL:
+            continue
         method = "direct"
         if iv == UNKNOWN:
             cert = find_rf_witness(R.gamma, [img], budget, seed=0)

@@ -262,8 +262,9 @@ def color_vertices(R: CoreReport, T: Tower) -> ColoredCore:
 
 
 class IsolationReport:
-    def __init__(self, verdicts: list[Check], pair_log: Optional[list[str]] = None):
+    def __init__(self, verdicts: list[Check], pair_log: Optional[list[tuple]] = None):
         self.verdicts = verdicts  # statuses "verified" | "verified-to-budget" | "refuted"
+        # (u, v, "noncommuting" | "hit" | "no hit") per pair hypothesis 1 compared
         self.pair_log = [] if pair_log is None else pair_log
 
     def verdict(self, name: str) -> Check:
@@ -306,7 +307,7 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
         conjugate into any earlier flat lattice.
     """
     verdicts: list[Check] = []
-    pair_log: list[str] = []
+    pair_log: list[tuple[Word, Word, str]] = []
     graph = T.stages[-1].graph
 
     # (0) rank-1 edges touch a G vertex: an edge lift joins an M-type entry
@@ -328,9 +329,8 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
     exact = T.prev_stage_csa()
     status1, witness1, detail1 = "verified", None, ""
     for u, v in itertools.combinations(gens, 2):
-        pair = f"{format_word(u)} vs {format_word(v)}"
         if exact and T.word_problem(commutator(u, v), power_budget) == NONTRIVIAL:
-            pair_log.append(f"{pair}: noncommuting, exact")
+            pair_log.append((u, v, "noncommuting"))
             continue
         hit = _power_coincidence(T, u, v, power_budget)
         if hit:
@@ -338,9 +338,9 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
             status1 = "refuted"
             witness1 = format_word(reduce_word(concat(power(u, k), power(v, -l)))) or "1"
             detail1 = f"({format_word(u)})^{k} = ({format_word(v)})^{l}"
-            pair_log.append(f"{pair}: hit {hit}")
+            pair_log.append((u, v, "hit"))
             break
-        pair_log.append(f"{pair}: no hit to {power_budget}")
+        pair_log.append((u, v, "no hit"))
         status1 = "verified-to-budget"
     verdicts.append(Check("hypothesis-1", status1, detail1, witness1))
 

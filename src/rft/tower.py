@@ -16,8 +16,8 @@ vertex and its edges, and a retraction that fixes the old generators.
 as they are.
 
 `Tower.word_problem`, `attach_block` and `find_rf_witness` reduce and
-check the words they are given; `Tower._wp_at`, which composite vertices
-also call, takes its words as given.
+check the words they are given; `Tower.reduced_word_problem`, which
+composite vertices also call (as `_wp_at`), takes its words as given.
 
 Every tower word problem runs one chain: the retraction to stage 0, then
 `Tower.free_map`, a relator-checked map to a free group (towers are
@@ -50,6 +50,7 @@ from .graphgroups import (
 )
 from .intlinalg import solve_int_linear
 from .words import (
+    EMPTY,
     Alphabet,
     GroupHom,
     Letter,
@@ -63,6 +64,7 @@ from .words import (
     format_word,
     invert,
     is_proper_power,
+    join_reduced,
     least_rotation,
     letter,
     power,
@@ -406,32 +408,26 @@ class Tower:
         return self._base_map
 
     def word_problem(self, w: Word, budget: int = 8) -> str:
-        return self._wp_at(reduce_word(w, self.alphabet()), budget)
+        return self._wp_at(reduce_word(w, self.alphabet()), None, budget)
 
-    def reduced_word_problem(self, w: Word, base: Word, budget: int = 8) -> str:
-        """Triviality of a reduced word w of the top stage whose reduced
-        image under `retraction_to_base()` is `base`.  Neither word is
-        reduced or checked again, and no retraction runs: callers that
-        build both images letter by letter (the ball walks of `rft.embed`)
-        already have them."""
-        return self._wp_at(w, budget, base)
-
-    def _wp_at(self, w: Word, budget: int, base: Optional[Word] = None) -> str:
-        """Triviality of w in the top stage, the one chain behind
-        `word_problem`, `reduced_word_problem` and the composite vertex
-        that stands for this tower in the next stage's graph.
+    def reduced_word_problem(self, w: Word, base: Optional[Word], budget: int = 8) -> str:
+        """Triviality of a reduced word w of the top stage, not reduced or
+        checked again: the one chain behind `word_problem`, the ball walks
+        of `rft.embed` and the composite vertex that stands for this
+        tower in the next stage's graph.
 
         Above stage 0 the image of w in the base is asked first: `base`
-        when the caller has it, else w's image under
-        `retraction_to_base()`.  The retraction is a homomorphism, so a
-        nontrivial image proves w nontrivial.  The image is reduced, so on
-        a free base a nonempty image is that proof already and no base
-        word problem runs; otherwise the stage-0 word problem decides it,
-        unless the image is a relator conjugate (below), which is trivial.
-        A height-0 tower skips this step.  Next, a nonempty image under
-        `free_map` is Nontrivial, so only words that both maps send to 1
-        reach the relator step: a relator conjugate is Trivial.  Only the
-        words left reach the top stage's Britton/amalgam word problem."""
+        when the caller has it (the ball walks build w's reduced image
+        under `retraction_to_base()` letter by letter), else that image.
+        The retraction is a homomorphism, so a nontrivial image proves w
+        nontrivial.  The image is reduced, so on a free base a nonempty
+        image is that proof already and no base word problem runs;
+        otherwise the stage-0 word problem decides it, unless the image is
+        a relator conjugate (below), which is trivial.  A height-0 tower
+        skips this step.  Next, a nonempty image under `free_map` is
+        Nontrivial, so only words that both maps send to 1 reach the
+        relator step: a relator conjugate is Trivial.  Only the words left
+        reach the top stage's Britton/amalgam word problem."""
         if not w:
             return TRIVIAL
         if self.height:
@@ -445,6 +441,10 @@ class Tower:
         if self._relator_conjugate(w):
             return TRIVIAL
         return gg.word_problem(self.stages[-1].graph, w, budget)
+
+    # the chain's name for `word_problem` and composite vertices: wrapping
+    # the ball walks' entry leaves every other word problem as it is
+    _wp_at = reduced_word_problem
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +520,8 @@ def _prev_vertex(tower: Tower, label: str) -> VertexGroup:
     if v is not None:
         return VertexGroup(label, v.kind, v.alphabet, surface=v.surface,
                            relators=v.relators, strategy=v.strategy)
-    return composite_vertex(label, pres.alphabet, pres.relators, tower._wp_at)
+    return composite_vertex(label, pres.alphabet, pres.relators,
+                            lambda w, budget: tower._wp_at(w, None, budget))
 
 
 def _check_maximal_cyclic(tower: Tower, w: Word) -> tuple[Optional[bool], str]:
@@ -671,10 +672,11 @@ class _WitnessFamily:
     so the relator goes to [x,y][y,x] = 1 while [a1,b1] stays alive; an
     odd genus's last handle goes to a_g -> z, b_g -> 1.
 
-    `_build` plans the family once per tower; `images` then evaluates one
-    member bottom-up, applying the member below to each stage's words
-    through a `GroupHom` on just the letters they use, and `hom`
-    compiles it.
+    `_build` plans the family once per tower; `images` evaluates one
+    member bottom-up, applying `evaluate` to each stage's own words (a
+    torus block's attaching word, a Q block's retraction images).  A
+    search attempt evaluates it there and on the searched words only, so
+    a search builds a `GroupHom` for the member it returns alone.
 
     A member is trusted only after every relator of the tower maps to the
     empty word: `WitnessCertificate.recheck` checks the member a search
@@ -691,17 +693,13 @@ class _WitnessFamily:
         # slots are listed in the order parameters are read: stages from
         # the top down, then the summands
         t = self.tower
-        # (first slot, stage, new letters, letters of the words the stage
-        # applies the member below to) per stage, from the bottom up
-        self.stage_plan: list[tuple[int, Stage, tuple[str, ...], Alphabet]] = []
+        # (first slot, stage, new letters) per stage, from the bottom up
+        self.stage_plan: list[tuple[int, Stage, tuple[str, ...]]] = []
         for i in range(t.height, 0, -1):
             s = t.stages[i]
             b = s.block
             new = t.alphabet(i).generators[len(t.alphabet(i - 1)):]
-            applied = (b.attach[0],) if isinstance(b, BlockT) else tuple(
-                s.retraction.images[g] for g in new)
-            uses = dict.fromkeys(sym for w in applied for sym, _ in w)
-            self.stage_plan.insert(0, (len(self.slots), s, new, Alphabet(tuple(uses))))
+            self.stage_plan.insert(0, (len(self.slots), s, new))
             if isinstance(b, BlockT):
                 for lt in b.letters:
                     self.slots.append(f"stage {i}: {lt} -> ({format_word(b.attach[0])})^N")
@@ -743,6 +741,15 @@ class _WitnessFamily:
     def dimension(self) -> int:
         return len(self.slots)
 
+    @staticmethod
+    def evaluate(img: dict[str, Word], w: Word) -> Word:
+        """The reduced image of w under the member whose generator images
+        are `img`."""
+        out = EMPTY
+        for sym, sign in w:
+            out = join_reduced(out, img[sym] if sign > 0 else invert(img[sym]))
+        return out
+
     def images(self, params: tuple[int, ...]) -> dict[str, Word]:
         """Reduced images of every tower generator under the member with
         these parameters: the height-0 resolution first, then stage by
@@ -765,18 +772,17 @@ class _WitnessFamily:
                     partner = letter(names[h ^ 1]) if h ^ 1 < len(names) else ()
                     img[gens[2 * h]] = letter(x)
                     img[gens[2 * h + 1]] = partner + power(letter(x), next(it))
-        for first, s, new, uses in self.stage_plan:
+        for first, s, new in self.stage_plan:
             b = s.block
-            below = GroupHom(uses, self.target, {g: img[g] for g in uses})
             if isinstance(b, BlockT):
-                u = below.apply(b.attach[0])
+                u = self.evaluate(img, b.attach[0])
                 for j, lt in enumerate(b.letters):
                     img[lt] = reduce_word(power(u, params[first + j]))
             else:
                 # the twists b_h -> b_h a_h^N and then a_h -> a_h b_h^M, then
                 # the retraction; its stable letters map to 1
                 for g in new:
-                    img[g] = below.apply(s.retraction.images[g])
+                    img[g] = self.evaluate(img, s.retraction.images[g])
                 gens = b.surface.generators
                 for h in range(b.surface.genus):
                     a, bg = gens[2 * h], gens[2 * h + 1]
@@ -869,12 +875,12 @@ def find_rf_witness(
         attempts += 1
         if attempts > max_attempts:
             break
-        hom = family.hom(params)
+        member = family.images(params)
         images: list[Word] = []
         collision = None
         seen: dict[Word, int] = {}
         for i, w in enumerate(W):
-            img = hom.apply(w)
+            img = family.evaluate(member, w)
             images.append(img)
             if trivial_class is not None and classes[i] == trivial_class:
                 continue
@@ -887,6 +893,7 @@ def find_rf_witness(
                 break
         if collision is None:
             trace.append((params, "valid"))
+            hom = GroupHom(alph, family.target, member)
             return WitnessCertificate(family.target, hom, relators, W, images, "valid",
                                       "; ".join(family.slots), trace, seed, budget, classes)
         trace.append((params, f"collision {names[collision[0]]} ~ {names[collision[1]]}"))

@@ -71,10 +71,17 @@ EMPTY: Word = ()
 class Record:
     """Base of the plain records that are compared by value: two records
     are equal when they have one type and equal attributes.  A record is
-    unhashable unless its class defines a hash."""
+    unhashable unless its class defines a hash.  A record kept in bulk
+    lists its attributes in `__slots__` and has no per-instance dict."""
+
+    __slots__ = ()
 
     def __eq__(self, other):
-        return type(other) is type(self) and vars(other) == vars(self)
+        if type(other) is not type(self):
+            return False
+        if self.__slots__:
+            return all(getattr(other, f) == getattr(self, f) for f in self.__slots__)
+        return vars(other) == vars(self)
 
 
 class Alphabet:
@@ -281,8 +288,9 @@ def walk_ball(alph: Alphabet, radius: int, h1: GroupHom,
     An entry holds the letter that would cancel its image's first letter:
     an image is joined with `join_reduced` only when the parent's image
     ends in that letter, and is concatenated otherwise.  Only the layer
-    being extended and the one being built are held, never the whole
-    ball.  A ball of more than `MAX_BALL_SIZE` words is refused with
+    being extended and, below the outermost, the one being built are
+    held: the outermost layer, most of the ball, is yielded and never
+    kept.  A ball of more than `MAX_BALL_SIZE` words is refused with
     WordError before any word is built.
     """
     if radius < 0:
@@ -292,27 +300,29 @@ def walk_ball(alph: Alphabet, radius: int, h1: GroupHom,
                         f"more than {MAX_BALL_SIZE} words")
     letters = [(g, sign) for g in alph.generators for sign in (1, -1)]
     try:
-        steps = [(lt, *h1._table[lt][:2], *h2._table[lt][:2]) for lt in letters]
+        steps = [((lt,), *h1._table[lt][:2], *h2._table[lt][:2]) for lt in letters]
     except KeyError as missing:
         raise AlphabetError(f"undeclared symbol: {missing.args[0][0]!r}") from None
-    # every word ends in one of these letter objects, so the letter that
+    # every word ends in one of these letter objects, so the step that
     # would undo a word's last letter is found by identity
-    undoes = {letters[k]: letters[k ^ 1] for k in range(len(letters))}
+    undoes = {letters[k]: steps[k ^ 1][0] for k in range(len(letters))}
     layer = [(EMPTY, EMPTY, EMPTY)]
     yield layer[0]
-    for _ in range(radius if steps else 0):
+    for depth in range(radius if steps else 0):
+        keep = depth < radius - 1
         nxt = []
         for w, a, b in layer:
             undo = undoes[w[-1]] if w else None
             a_last = a[-1] if a else None
             b_last = b[-1] if b else None
-            for lt, ia, ca, ib, cb in steps:
-                if lt is undo:
+            for one, ia, ca, ib, cb in steps:
+                if one is undo:
                     continue
-                child = (w + (lt,),
+                child = (w + one,
                          a + ia if a_last != ca else join_reduced(a, ia),
                          b + ib if b_last != cb else join_reduced(b, ib))
-                nxt.append(child)
+                if keep:
+                    nxt.append(child)
                 yield child
         layer = nxt
 

@@ -301,13 +301,33 @@ def _l_first_certificate(R, L_word_problem, radius, budget=8):
 
 
 @pytest.mark.parametrize("name", SPLITTINGS)
-@pytest.mark.parametrize("radius", [1, 2, 3])
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
 def test_tower_first_certificate_equals_l_first(name, radius):
     S, D, R = _corpus_embedding(name)
     L_wp = lambda w, b: word_problem(S.L, w, b)
     cert = em.certify_injectivity_on_ball(R, L_wp, radius)
     assert cert == _l_first_certificate(R, L_wp, radius)
     assert cert.entries and cert.status == "full"
+
+
+def test_ball_evidence_compares_by_type_and_fields():
+    # a certificate keeps one entry per ball element, stored without a
+    # per-entry dict; equality is still the records' own
+    fields = (parse_word("a b"), NONTRIVIAL, parse_word("t a"), NONTRIVIAL, "direct")
+    entry = em.BallEvidence(*fields)
+    assert not hasattr(entry, "__dict__")
+    assert entry == em.BallEvidence(*fields) and not entry != em.BallEvidence(*fields)
+    others = (parse_word("a"), TRIVIAL, parse_word("t"), UNKNOWN, "witness")
+    for i, other in enumerate(others):
+        assert entry != em.BallEvidence(*fields[:i], other, *fields[i + 1:])
+
+    class Evidence(em.BallEvidence):
+        pass
+
+    assert entry != Evidence(*fields) and Evidence(*fields) != entry
+    assert entry != fields
+    with pytest.raises(TypeError):
+        hash(entry)
 
 
 def test_assumed_j_asks_l_about_every_ball_element():

@@ -845,6 +845,54 @@ def test_witness_search_equals_the_reference_loop_on_corpus_words(name, text):
     assert cert.verdict == "valid" and cert.recheck()
 
 
+WITNESS_TOWERS = ("a2", "tall", "mixed", "closed2", "wide")
+
+
+def _seeded_words(T, rng):
+    """3 to 6 words of length 1 to 4 over T's letters, as the benchmark's
+    witness queries draw them, not filtered for distinct elements."""
+    letters = [(g, s) for g in T.alphabet().generators for s in (1, -1)]
+    return [tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(3, 6))]
+
+
+@pytest.mark.parametrize("name", WITNESS_TOWERS)
+def test_witness_search_equals_the_reference_loop_on_seeded_words(name):
+    T = _cached_tower(name)
+    rng = random.Random(name)
+    for _ in range(25):
+        _same_witness(T, _seeded_words(T, rng), budget=8, seed=rng.randrange(1 << 16),
+                      max_attempts=100)
+
+
+@pytest.mark.parametrize("name", WITNESS_TOWERS)
+def test_a_search_compiles_only_the_member_it_returns(name, monkeypatch):
+    # an attempt evaluates its member on the searched words and the stage
+    # words alone; the one GroupHom a search builds is the member it
+    # returns, and a failed search builds none
+    T = _cached_tower(name)
+    assert T.free_map is not None  # built once per tower, before any search
+    built = []
+    real = GroupHom.__init__
+
+    def counting(self, source, target, images):
+        built.append(images)
+        real(self, source, target, images)
+
+    monkeypatch.setattr(GroupHom, "__init__", counting)
+    rng = random.Random(name)
+    for _ in range(10):
+        built.clear()
+        cert = tw.find_rf_witness(T, _seeded_words(T, rng), 8, seed=rng.randrange(1 << 16),
+                                  max_attempts=100)
+        assert built == ([cert.hom.images] if cert.verdict == "valid" else [])
+    wide = _cached_tower("wide")
+    built.clear()
+    cert = tw.find_rf_witness(wide, [parse_word(s, wide.alphabet()) for s in _hopeless_words(2)],
+                              budget=2, max_attempts=30)
+    assert cert.verdict == "failed" and len(cert.trace) == 30 and built == []
+
+
 def _hopeless_words(bound: int) -> list[str]:
     """Words x^i y^j of wide with 0 < max(|i|, |j|) <= bound.  Every
     member sends x and y into one cyclic group <f>, to exponents Nx, Ny of

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 
 import pytest
@@ -226,13 +227,28 @@ def test_hom_apply_names_an_undeclared_letter():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data(), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=3))
+@given(st.data(), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4))
 def test_walk_ball_images_are_the_applied_maps(data, rank, radius):
     source = Alphabet(("a", "b", "c")[:rank])
     h1 = data.draw(junction_maps(source))
     h2 = data.draw(junction_maps(source))
     walked = list(walk_ball(source, radius, h1, h2))
     assert walked == [(w, h1.apply(w), h2.apply(w)) for w in enumerate_ball(source, radius)]
+
+
+def test_walk_ball_keeps_no_outer_layer():
+    # a walk holds the layer it extends and, below the outermost, the one
+    # it builds; the outermost layer, 2/3 of a rank-2 ball, is yielded and
+    # dropped, so consuming the walk peaks at half of what that layer's
+    # words and images alone take (at 1.6 times that when it was kept)
+    h = GroupHom.identity(AB)
+    outer = ball_size(2, 9) - ball_size(2, 8)
+    entry = 3 * sys.getsizeof(tuple(range(9)))
+
+    def consume():
+        for _ in walk_ball(AB, 9, h, h):
+            pass
+    assert _peak_bytes(consume) < outer * entry
 
 
 def test_walk_ball_refuses_a_letter_without_an_image():
