@@ -406,24 +406,28 @@ def certify_injectivity_on_ball(R: EmbeddingResult,
     nontrivial in the tower; any Unknown demotes the certificate to
     partial, any Trivial image refutes it.
 
-    The ball is walked layer by layer (`walk_ball`): each word carries
-    j(w) and its base image r(j(w)), r the tower's retraction to stage 0,
-    both extended by one letter's image, so neither j nor r is applied to
-    a whole word.  The tower decides j(w) from the two
-    (`Tower.reduced_word_problem`): a nonempty base image on a free base
-    is Nontrivial at once, so is a nonempty image under the tower's map
-    to a free group for the words the base image left open, a conjugate
-    of a defining relator is Trivial, and only the words that both maps
-    send to 1 and that are no relator conjugate reach a Britton word
-    problem.  All are the tower's own decision, so each such entry has
-    method "direct"; only a Britton Unknown turns to `find_rf_witness`.
+    The ball is walked layer by layer (`Tower.walk_ball`), and each word
+    is decided in the walk's loop as it is built: it carries j(w) and its
+    base image r(j(w)), r the tower's retraction to stage 0, both
+    extended by one letter's image, so neither j nor r is applied to a
+    whole word.  On a free stage 0 a nonempty base image proves j(w)
+    nontrivial, so the walk hands over only whether the base image is 1
+    (in the outermost layer it tests that without building the image),
+    and such a word costs no tower call.  The words whose base image is
+    1, and on any other stage 0 every word, go through the tower's one
+    chain (`Tower.reduced_word_problem`): a nonempty image under the
+    tower's map to a free group is Nontrivial, a conjugate of a defining
+    relator is Trivial, and only the words that both maps send to 1 and
+    that are no relator conjugate reach a Britton word problem.  All are
+    the tower's own decision, so each such entry has method "direct";
+    only a Britton Unknown turns to `find_rf_witness`.
 
-    The tower is asked first, in one call per word.  When every
-    `j-homomorphism` obligation is verified (vacuously so when L has no
-    relators), j is a homomorphism, so a Nontrivial j(w) proves w
-    nontrivial: the entry, most of a certificate, is recorded at once and
-    L is not asked.  In every other case, an assumed j included, L's word
-    problem decides whether w belongs to the certificate.
+    The tower is asked first.  When every `j-homomorphism` obligation is
+    verified (vacuously so when L has no relators), j is a homomorphism,
+    so a Nontrivial j(w) proves w nontrivial: the entry, most of a
+    certificate, is recorded at once and L is not asked.  In every other
+    case, an assumed j included, L's word problem decides whether w
+    belongs to the certificate.
 
     Under a verified j, L is asked once per conjugacy class up to
     inversion (`conjugacy_key`) of the words the tower leaves open:
@@ -435,15 +439,14 @@ def certify_injectivity_on_ball(R: EmbeddingResult,
 
     j_proved = all(ob.status == "verified" for ob in R.obligations
                    if ob.name == "j-homomorphism")
-    to_base = R.j.then(R.gamma.retraction_to_base())
     # definite L verdicts by class key, for this call only; under an
     # assumed j no word has a key, so L is asked every time
     known: dict[Word, str] = {}
     entries: list[BallEvidence] = []
     status = "full"
     decide = R.gamma.reduced_word_problem
-    for w, img, base in walk_ball(R.j.source, radius, R.j, to_base):
-        iv = decide(img, base, budget)
+    for w, img, base in R.gamma.walk_ball(R.j, radius):
+        iv = NONTRIVIAL if base is None else decide(img, base, budget)
         if iv == NONTRIVIAL and j_proved:
             entries.append(BallEvidence(w, NONTRIVIAL, img, NONTRIVIAL, "direct"))
             continue

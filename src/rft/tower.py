@@ -32,7 +32,7 @@ import itertools
 import math
 import random
 from functools import cached_property
-from typing import Hashable, Optional
+from typing import Hashable, Iterator, Optional
 
 from . import graphgroups as gg
 from .graphgroups import (
@@ -69,6 +69,7 @@ from .words import (
     letter,
     power,
     reduce_word,
+    walk_ball,
 )
 
 
@@ -257,7 +258,8 @@ class Tower:
         self.stages = stages
         self.height = len(stages) - 1
         # Stage 0 has no relators, so it is a free group, in which a
-        # nonempty reduced word is nontrivial.
+        # nonempty reduced word is nontrivial: the one rule by which
+        # `reduced_word_problem` and `walk_ball` read a base image.
         self.free_base = not stages[0].presentation.relators
 
     # -- basic views -------------------------------------------------------
@@ -407,6 +409,16 @@ class Tower:
         once per tower."""
         return self._base_map
 
+    def walk_ball(self, j: GroupHom, radius: int) -> Iterator[tuple[Word, Word, Optional[Word]]]:
+        """`words.walk_ball` over the reduced words w of j's source up to
+        `radius`, each as (w, j(w), base): base is the image of j(w) under
+        `retraction_to_base()`, extended letter by letter like j(w), for
+        `reduced_word_problem`.  On a free stage 0 a nonempty base image
+        proves j(w) nontrivial (`free_base`), so there base is the empty
+        word or None, for an image that is nonempty and already that
+        proof, and the outermost layer's base images are never built."""
+        return walk_ball(j.source, radius, j, j.then(self._base_map), self.free_base)
+
     def word_problem(self, w: Word, budget: int = 8) -> str:
         return self._wp_at(reduce_word(w, self.alphabet()), None, budget)
 
@@ -418,7 +430,9 @@ class Tower:
 
         Above stage 0 the image of w in the base is asked first: `base`
         when the caller has it (the ball walks build w's reduced image
-        under `retraction_to_base()` letter by letter), else that image.
+        under `retraction_to_base()` letter by letter; on a free base
+        `walk_ball` marks a nonempty one None, and a ball certificate
+        settles that word without this call), else that image.
         The retraction is a homomorphism, so a nontrivial image proves w
         nontrivial.  The image is reduced, so on a free base a nonempty
         image is that proof already and no base word problem runs;
@@ -524,9 +538,42 @@ def _prev_vertex(tower: Tower, label: str) -> VertexGroup:
                             lambda w, budget: tower._wp_at(w, None, budget))
 
 
+# Members of the locus tower's map family tried, after its free map, to
+# prove that an attaching word on a closed-surface locus is no proper
+# power: the first ones of max-norm <= 2, all 25 of them at genus 2.
+NON_POWER_MAPS = 25
+
+
+def _non_power_map(tower: Tower, w: Word) -> Optional[tuple[int, ...]]:
+    """Parameters of a member phi of the tower's map family to a free
+    group that sends w to a nonempty word whose cyclic core is not a
+    proper power, or None.  If w = r^k in the tower, then phi(w) =
+    phi(r)^k, so such a phi proves that w is no proper power.  `free_map`,
+    the member with every parameter 1, is tried first, then the first
+    `NON_POWER_MAPS` members of max-norm <= 2; each is trusted only after
+    every relator maps to the empty word."""
+    family = tower._witness_family
+    relators = tower.presentation().relators
+    first = (1,) * family.dimension
+    shells = itertools.islice(_parameter_shells(family.dimension, 2, 0), NON_POWER_MAPS)
+    for params in itertools.chain((first,), shells):
+        img = family.images(params)
+        if any(family.evaluate(img, r) for r in relators):
+            continue
+        u = family.evaluate(img, w)
+        if u and is_proper_power(u) is None:
+            return params
+    return None
+
+
 def _check_maximal_cyclic(tower: Tower, w: Word) -> tuple[Optional[bool], str]:
     """Attaching-word maximality: not a proper power, not conjugate into a
-    torus lattice.  Exact on free/surface loci, undecided elsewhere."""
+    torus lattice.  Exact on free loci.  On a closed-surface locus a
+    literal period of the Dehn-reduced word's cyclic core refutes it, and
+    only a map to a free group that sends w to a non-power verifies it
+    (`_non_power_map`); a cyclic core without a period proves nothing,
+    since a conjugate of a power can carry a relator piece across the
+    cyclic boundary.  Undecided elsewhere."""
     pres = tower.presentation()
     free_locus = not pres.relators
     v = _only_vertex(tower)
@@ -538,7 +585,12 @@ def _check_maximal_cyclic(tower: Tower, w: Word) -> tuple[Optional[bool], str]:
             return False, f"attaching word is a proper power: ({format_word(pp[0])})^{pp[1]}"
         if free_locus:
             return True, "free locus, not a proper power"
-        return True, "surface locus, Dehn-normalized word is not a proper power"
+        params = _non_power_map(tower, w)
+        if params is None:
+            return None, ("surface locus: no map family member tried sends the "
+                          "attaching word to a non-power in a free group")
+        return True, (f"surface locus, not a proper power: map family member "
+                      f"({', '.join(map(str, params))}) sends it to a non-power in a free group")
     # conjugacy into a torus lattice: abelianization necessary condition
     vec = abelianize(w, pres.alphabet)
     rel_cols = pres.relator_columns()
@@ -868,8 +920,8 @@ def find_rf_witness(
         (classes[i] for i, w in enumerate(W)
          if keys[i] == one and tower.word_problem(w) == TRIVIAL), None)
 
-    # formatted once per search, not twice per failed attempt
-    names = [format_word(w) for w in W]
+    # a word is formatted when it first collides, and once per search
+    names: dict[int, str] = {}
     attempts = 0
     for params in _parameter_shells(family.dimension, budget, seed):
         attempts += 1
@@ -896,6 +948,9 @@ def find_rf_witness(
             hom = GroupHom(alph, family.target, member)
             return WitnessCertificate(family.target, hom, relators, W, images, "valid",
                                       "; ".join(family.slots), trace, seed, budget, classes)
+        for i in collision:
+            if i not in names:
+                names[i] = format_word(W[i])
         trace.append((params, f"collision {names[collision[0]]} ~ {names[collision[1]]}"))
     return WitnessCertificate(family.target, None, relators, W, [], "failed",
                               "; ".join(family.slots), trace, seed, budget, classes)

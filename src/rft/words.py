@@ -276,8 +276,8 @@ def join_reduced(u: Word, v: Word) -> Word:
 MAX_BALL_SIZE = 100_000
 
 
-def walk_ball(alph: Alphabet, radius: int, h1: GroupHom,
-              h2: GroupHom) -> Iterator[tuple[Word, Word, Word]]:
+def walk_ball(alph: Alphabet, radius: int, h1: GroupHom, h2: GroupHom,
+              h2_emptiness: bool = False) -> Iterator[tuple[Word, Word, Optional[Word]]]:
     """All reduced words w of length <= radius in shortlex order, each as
     (w, h1(w), h2(w)), both images reduced.
 
@@ -292,6 +292,11 @@ def walk_ball(alph: Alphabet, radius: int, h1: GroupHom,
     held: the outermost layer, most of the ball, is yielded and never
     kept.  A ball of more than `MAX_BALL_SIZE` words is refused with
     WordError before any word is built.
+
+    With `h2_emptiness` only whether h2(w) is 1 is asked: the third entry
+    is the empty word when it is, and None when it is not.  The
+    outermost layer's h2 images are then tested, not built: for reduced
+    b and a letter's reduced image x, b x = 1 exactly when b = x^-1.
     """
     if radius < 0:
         raise WordError("radius must be >= 0")
@@ -300,7 +305,7 @@ def walk_ball(alph: Alphabet, radius: int, h1: GroupHom,
                         f"more than {MAX_BALL_SIZE} words")
     letters = [(g, sign) for g in alph.generators for sign in (1, -1)]
     try:
-        steps = [((lt,), *h1._table[lt][:2], *h2._table[lt][:2]) for lt in letters]
+        steps = [((lt,), *h1._table[lt][:2], *h2._table[lt]) for lt in letters]
     except KeyError as missing:
         raise AlphabetError(f"undeclared symbol: {missing.args[0][0]!r}") from None
     # every word ends in one of these letter objects, so the step that
@@ -314,8 +319,14 @@ def walk_ball(alph: Alphabet, radius: int, h1: GroupHom,
         for w, a, b in layer:
             undo = undoes[w[-1]] if w else None
             a_last = a[-1] if a else None
+            if h2_emptiness and not keep:
+                for one, ia, ca, _, _, xb in steps:
+                    if one is not undo:
+                        yield (w + one, a + ia if a_last != ca else join_reduced(a, ia),
+                               EMPTY if b == xb else None)
+                continue
             b_last = b[-1] if b else None
-            for one, ia, ca, ib, cb in steps:
+            for one, ia, ca, ib, cb, _ in steps:
                 if one is undo:
                     continue
                 child = (w + one,
@@ -323,6 +334,8 @@ def walk_ball(alph: Alphabet, radius: int, h1: GroupHom,
                          b + ib if b_last != cb else join_reduced(b, ib))
                 if keep:
                     nxt.append(child)
+                if h2_emptiness and child[2]:
+                    child = (child[0], child[1], None)
                 yield child
         layer = nxt
 

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from rft import cli, graphgroups, tower
+from rft import cli, graphgroups, tower, words
 
 GAMMA_DSL = """\
 tower gamma {
@@ -406,8 +406,12 @@ def test_nu_refutation_exits_2(tmp_path):
 ])
 def test_embed_certificate_exit_codes(monkeypatch, image_verdict, tail, code):
     # every image gets the forced verdict, and the witness search that
-    # follows an Unknown one is allowed no attempt
+    # follows an Unknown one is allowed no attempt; the walk hands over
+    # every base image, so no word is settled by a nonempty one on the
+    # free base before the forced chain is asked
     real_search = tower.find_rf_witness
+    monkeypatch.setattr(tower.Tower, "walk_ball", lambda self, j, radius: words.walk_ball(
+        j.source, radius, j, j.then(self.retraction_to_base())))
     monkeypatch.setattr(tower.Tower, "reduced_word_problem",
                         lambda self, w, base, budget=8: image_verdict)
     monkeypatch.setattr(tower, "find_rf_witness",
@@ -416,6 +420,23 @@ def test_embed_certificate_exit_codes(monkeypatch, image_verdict, tail, code):
     got, text = _embed("f2", str(CORPUS / "double.spl"), "--ball", "1")
     assert got == code
     assert text.endswith(tail)
+
+
+def test_a_hidden_surface_power_is_refused_and_assumed_only_with_assume(tmp_path):
+    # pp's attaching word is a conjugate of (b2 a2)^2 in the genus-2
+    # surface group, with no literal period after Dehn reduction
+    text = (Path(__file__).resolve().parent / "data" / "pp.twr").read_text()
+    p = tmp_path / "pp.twr"
+    p.write_text(text)
+    code, out = cli.run_command(["present", str(p)])
+    assert code == 1 and out.startswith("error: attach-maximal could not be verified")
+    p.write_text(text.replace("letters=t;", "letters=t; assume=true;"))
+    code, out = cli.run_command(["present", str(p)])
+    assert code == 0
+    assert "obligation-1: attach-maximal assumed (surface locus: no map family member" in out
+    code, out = cli.run_command(["flats", str(p)])
+    hypothesis2 = next(line for line in out.splitlines() if line.startswith("hypothesis-2:"))
+    assert hypothesis2 != "hypothesis-2: verified" and "verified-to-budget" in hypothesis2
 
 
 def test_core_outside_the_cover_is_budget_limited():

@@ -439,6 +439,55 @@ def test_radius4_certificate_call_counts(name, l_calls, tower_calls, monkeypatch
     assert (len(L_calls), len(tower_side)) == (l_calls, tower_calls)
 
 
+def _recorded_tower_calls(monkeypatch, gamma):
+    """The (word, base image) pairs `Tower.reduced_word_problem` is asked
+    about on `gamma`."""
+    real = tw.Tower.reduced_word_problem
+    asked = []
+
+    def recording(self, w, base, budget=8):
+        if self is gamma:
+            asked.append((w, base))
+        return real(self, w, base, budget)
+
+    monkeypatch.setattr(tw.Tower, "reduced_word_problem", recording)
+    return asked
+
+
+@pytest.mark.parametrize("name, tower_calls, ball", [
+    ("hnn", 33, 161), ("abelian", 185, 937), ("qh", 161, 3201), ("double", 161, 3201)])
+def test_a_nonempty_base_image_costs_no_tower_call(name, tower_calls, ball, monkeypatch):
+    # On the free base of the four corpus splittings a nonempty base image
+    # proves j(w) nontrivial, so only the words whose base image is 1, the
+    # root included, reach the tower's chain; each word once took a call
+    S, D, R = _corpus_embedding(name)
+    assert R.gamma.free_base
+    to_base = R.j.then(R.gamma.retraction_to_base())
+    words = enumerate_ball(R.j.source, 4)
+    assert len(words) == ball
+    asked = _recorded_tower_calls(monkeypatch, R.gamma)
+    cert = em.certify_injectivity_on_ball(R, lambda w, b: word_problem(S.L, w, b), 4)
+    assert cert.status == "full"
+    assert asked == [(R.j.apply(w), ()) for w in words if not to_base.apply(w)]
+    assert len(asked) == tower_calls
+
+
+def test_a_non_free_base_certificate_asks_the_tower_about_every_word(monkeypatch):
+    # wide's stage 0 has an abelian and a surface summand, so a nonempty
+    # base image proves nothing by itself: every ball word, with its whole
+    # base image, goes through the tower's chain
+    _, _, S, D, R = next(p for p in _corpus_pairs() if p[:2] == ("wide", "hnn"))
+    assert not R.gamma.free_base
+    to_base = R.j.then(R.gamma.retraction_to_base())
+    asked = _recorded_tower_calls(monkeypatch, R.gamma)
+    L_wp = lambda w, b: word_problem(S.L, w, b)
+    cert = em.certify_injectivity_on_ball(R, L_wp, 3)
+    assert asked == [(R.j.apply(w), to_base.apply(w)) for w in enumerate_ball(R.j.source, 3)]
+    monkeypatch.undo()
+    assert cert == _tower_first_certificate(R, L_wp, 3)
+    assert cert.entries and cert.status == "full"
+
+
 @pytest.mark.parametrize("name", ["hnn", "abelian", "qh"])
 def test_a_free_map_proof_is_labelled_direct_when_britton_says_unknown(name, monkeypatch):
     # A Britton word problem that runs out of budget answers Unknown; here

@@ -236,6 +236,18 @@ def test_walk_ball_images_are_the_applied_maps(data, rank, radius):
     assert walked == [(w, h1.apply(w), h2.apply(w)) for w in enumerate_ball(source, radius)]
 
 
+@given(st.data(), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4))
+def test_walk_ball_asked_for_emptiness_marks_each_nonempty_image(data, rank, radius):
+    # the same walk, with the second image the empty word where it is 1
+    # and None elsewhere, in every layer; the outermost layer tests it
+    # against the letter's inverse image instead of building it
+    source = Alphabet(("a", "b", "c")[:rank])
+    h1 = data.draw(junction_maps(source))
+    h2 = data.draw(junction_maps(source))
+    walked = list(walk_ball(source, radius, h1, h2, h2_emptiness=True))
+    assert walked == [(w, i1, None if i2 else i2) for w, i1, i2 in walk_ball(source, radius, h1, h2)]
+
+
 def test_walk_ball_keeps_no_outer_layer():
     # a walk holds the layer it extends and, below the outermost, the one
     # it builds; the outermost layer, 2/3 of a rank-2 ball, is yielded and
