@@ -13,14 +13,13 @@ explicitly heuristic.
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from typing import Hashable, Optional
 
 from .folding import Delta, Edge, Labelled, fold, petal, walk
 from .graphgroups import TRIVIAL, UNKNOWN
 from .tower import Tower
-from .words import Alphabet, Word, concat, format_word, invert, reduce_word
+from .words import Alphabet, Word, concat, format_word, invert, join_reduced, reduce_word
 
 
 class CoreError(ValueError):
@@ -31,8 +30,10 @@ class CoverGraph:
     """The portion of the subgroup cover generated by tracing the
     subgroup generators, folded and (over towers) coset-identified.
 
-    A coset identification is verified by the word problem; the tower's
-    `element_key` rules out most candidates before any word problem runs."""
+    A coset identification is verified by the word problem, asked only
+    about the short elements of the subgroup that share the key
+    (`Tower.element_key`) of the pair's connecting word.  Keys multiply,
+    so those elements are found by key arithmetic and no other is built."""
 
     def __init__(self, source: Tower, subgens: list[Word],
                  depth_budget: int = 2, budget: int = 8):
@@ -92,37 +93,50 @@ class CoverGraph:
     # -- tower-regime identification --------------------------------------
 
     @functools.cached_property
-    def _membership_candidates(self) -> list[Word]:
-        """Short elements of the subgroup used to verify identifications,
-        built once per cover, when the first vertex pair is tested: the
-        subgenerators never change."""
+    def _generators_by_key(self) -> tuple[list[Word], list[Hashable], dict[Hashable, list[int]]]:
+        """The subgenerators and their inverses, the inverses of their keys,
+        and their positions grouped by key, built once per cover, when the
+        first vertex pair is tested: the subgenerators never change."""
+        T = self.source
         gens = self.subgens + [invert(g) for g in self.subgens]
-        products = [reduce_word(concat(a, b)) for a, b in itertools.product(gens, repeat=2)]
-        return list(dict.fromkeys([(), *gens, *products]))
+        by_key: dict[Hashable, list[int]] = {}
+        inverse_keys = []
+        for i, g in enumerate(gens):
+            k = T.element_key(g)
+            by_key.setdefault(k, []).append(i)
+            inverse_keys.append(T.key_inverse(k))
+        return gens, inverse_keys, by_key
 
-    @functools.cached_property
-    def _candidates_by_key(self) -> dict[Hashable, list[Word]]:
-        """The membership candidates grouped by `Tower.element_key`, each
-        group in candidate order."""
-        groups: dict[Hashable, list[Word]] = {}
-        for h in self._membership_candidates:
-            groups.setdefault(self.source.element_key(h), []).append(h)
-        return groups
+    def _candidates(self, key: Hashable) -> list[Word]:
+        """The short elements of the subgroup of key `key` that verify an
+        identification: the empty word, each subgenerator or inverse g, and
+        each reduced product g h of two of them, in that order, each once.
+
+        Keys multiply, so g h has key `key` exactly when h has key
+        key(g)^-1 `key`: the products are found by looking that key up
+        for each g, never by building all (2n)^2 of them."""
+        T = self.source
+        gens, inverse_keys, by_key = self._generators_by_key
+        found = [()] if key == T.element_key(()) else []
+        found += [gens[j] for j in by_key.get(key, ())]
+        for g, inverse in zip(gens, inverse_keys):
+            found += [join_reduced(g, gens[j]) for j in by_key.get(T.key_product(inverse, key), ())]
+        return list(dict.fromkeys(found))
 
     def _identify_round(self) -> int:
         """One round: merge vertex pairs whose connecting word c provably
         lies in the subgroup, then fold; returns the number of vertices
         the round removed (0 when no pair merged).
 
-        c lies in the subgroup when c h^-1 is trivial for a membership
-        candidate h.  Equal elements have equal keys, so only the
-        candidates with the key of c are asked, in candidate order."""
+        c lies in the subgroup when c h^-1 is trivial for a short element h
+        of the subgroup.  Equal elements have equal keys, so only the
+        elements with the key of c are asked (`_candidates`)."""
         merged_pairs: list[tuple[int, int]] = []
         verts = sorted(self.path_words)
         for i, u in enumerate(verts):
             for v in verts[i + 1:]:
                 c = reduce_word(concat(self.path_words[u], invert(self.path_words[v])))
-                candidates = self._candidates_by_key.get(self.source.element_key(c), ())
+                candidates = self._candidates(self.source.element_key(c))
                 if any(self._wp(concat(c, invert(h))) == TRIVIAL for h in candidates):
                     merged_pairs.append((u, v))
         if not merged_pairs:

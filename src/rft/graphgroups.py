@@ -453,10 +453,33 @@ def _definite(stack: list) -> bool:
     return not any(e.unknown or (len(stack) > 1 and e.member == UNKNOWN) for e in stack)
 
 
+class _Pass:
+    """One reduction pass over a graph: the edge-membership answers it has
+    had, keyed by edge side (vertex label, images), word and budget.  An
+    answer is a function of those alone, so each distinct question is asked
+    once per pass; the answers go when the pass ends."""
+
+    def __init__(self, G: GraphOfGroups):
+        self.G = G
+        self.answers: dict = {}
+
+    def membership(self, side: tuple[str, tuple[Word, ...]], word: Word,
+                   budget: int) -> MembershipResult:
+        """Membership of word in the subgroup of vertex side[0] that the
+        edge images side[1] generate."""
+        key = (side, word, budget)
+        res = self.answers.get(key)
+        if res is None:
+            res = self.answers[key] = subgroup_membership(
+                self.G.vertices[side[0]], list(side[1]), word, budget)
+        return res
+
+
 def _segment_membership(
-    G: GraphOfGroups, segment: list, vlab: str, images: tuple[Word, ...], budget: int
+    p: _Pass, segment: list, vlab: str, images: tuple[Word, ...], budget: int
 ) -> MembershipResult:
-    """Membership of a reduced stable-free segment in <images> inside vertex vlab.
+    """Membership of a reduced stable-free segment in <images> inside vertex
+    vlab, asked through the pass p.
     The segment is never empty: a stable letter directly above its inverse
     cancels before any pinch is tested."""
     if len(segment) >= 2:
@@ -464,16 +487,15 @@ def _segment_membership(
     (s,) = segment
     word = s.value
     if s.name != vlab:
-        e = _amalgam_edge(G)
+        e = _amalgam_edge(p.G)
         if e is None:
             return MembershipResult(UNKNOWN if s.unknown else NONMEMBER)
         near, far = _ends(e, s.name)
-        res = (MembershipResult(s.member) if s.member is not None
-               else subgroup_membership(G.vertices[s.name], list(near[1]), word, budget))
+        res = p.membership(near, word, budget)
         if res.status != MEMBER:
             return MembershipResult(res.status)
         word = _expression_word(far[1], res.expression)
-    return subgroup_membership(G.vertices[vlab], list(images), word, budget)
+    return p.membership((vlab, images), word, budget)
 
 
 def _reduce_items(G: GraphOfGroups, items: list, budget: int):
@@ -490,10 +512,13 @@ def _reduce_items(G: GraphOfGroups, items: list, budget: int):
     the input, so it merges downward.  A stable letter cancels an inverse
     top letter, or pinches `t seg t^-1` when the segment since the inverse
     letter lies in the edge group; otherwise it is a barrier nothing merges
-    or converts across.  Each decision is made once per change of an
-    entry.  Returns (items, definite) as `_definite` reads the final stack.
+    or converts across.  Each distinct edge-membership question, a word at
+    an edge side, is asked once per pass (`_Pass`), however many positions
+    it turns up at.  Returns (items, definite) as `_definite` reads the
+    final stack.
     """
     amalgam = _amalgam_edge(G)
+    p = _Pass(G)
     stack: list[_Entry] = []
     todo = items[::-1]
     fresh = len(todo)  # todo[:fresh] are input items not yet taken
@@ -516,7 +541,7 @@ def _reduce_items(G: GraphOfGroups, items: list, budget: int):
                 # relator t * left * t^-1 = right: a t ... t^-1 pinch needs
                 # the segment in <left images>, and maps to the right side
                 src, dst = (e.left, e.right) if value == -1 else (e.right, e.left)
-                res = _segment_membership(G, stack[k:], src[0], src[1], budget)
+                res = _segment_membership(p, stack[k:], src[0], src[1], budget)
                 if res.status == MEMBER:
                     del stack[k - 1:]
                     todo.append(("syl", dst[0], _expression_word(dst[1], res.expression)))
@@ -543,13 +568,13 @@ def _reduce_items(G: GraphOfGroups, items: list, budget: int):
         if amalgam is not None and top is not None and top.kind == "syl":
             near, far = _ends(amalgam, top.name)
             if top.member is None:
-                res = subgroup_membership(G.vertices[top.name], list(near[1]), top.value, budget)
+                res = p.membership(near, top.value, budget)
                 if res.status == MEMBER:
                     stack.pop()
                     todo.append(("syl", name, concat(_expression_word(far[1], res.expression), word)))
                     continue
                 top.member = res.status
-            res = subgroup_membership(V, list(far[1]), word, budget)
+            res = p.membership(far, word, budget)
             if res.status == MEMBER:
                 todo.append(("syl", top.name, _expression_word(near[1], res.expression)))
                 continue

@@ -340,6 +340,21 @@ class Tower:
                 counts[i] += n
         return tuple(counts)
 
+    # `element_key` is a homomorphism, to stage 0's free group or to Z^n, so
+    # the key of a product or an inverse is read off the factors' keys
+
+    def key_product(self, k: Hashable, l: Hashable) -> Hashable:
+        """The key of g h, for g of key k and h of key l."""
+        if self.free_base:
+            return join_reduced(k, l)
+        return tuple([a + b for a, b in zip(k, l)])
+
+    def key_inverse(self, k: Hashable) -> Hashable:
+        """The key of g^-1, for g of key k."""
+        if self.free_base:
+            return invert(k)
+        return tuple([-a for a in k])
+
     @cached_property
     def free_map(self) -> Optional[GroupHom]:
         """The `_WitnessFamily` member with every parameter 1, when it

@@ -1,10 +1,11 @@
 import functools
+import itertools
 import random
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from rft import core as co
 from rft import tower as tw
@@ -317,9 +318,29 @@ TALL_TOWERS = tuple(sorted(p.stem for p in CORPUS.glob("*.twr")
                            if _corpus_tower(p.stem).height >= 1))
 
 
+def _membership_candidates(C):
+    """Short elements of the subgroup that verify identifications, built
+    in full: the empty word, the subgenerators and their inverses, and
+    every reduced product of two of those."""
+    gens = C.subgens + [invert(g) for g in C.subgens]
+    products = [reduce_word(concat(a, b)) for a, b in itertools.product(gens, repeat=2)]
+    return list(dict.fromkeys([(), *gens, *products]))
+
+
+def _candidates_by_key(C):
+    """The membership candidates grouped by `Tower.element_key`, each
+    group in candidate order: the reference for `CoverGraph._candidates`."""
+    groups = {}
+    for h in _membership_candidates(C):
+        groups.setdefault(C.source.element_key(h), []).append(h)
+    return groups
+
+
 class _UnbucketedCover(co.CoverGraph):
     """The cover as identified before candidates were grouped by key: each
     vertex pair asks the word problem about every membership candidate."""
+
+    _membership_candidates = functools.cached_property(_membership_candidates)
 
     def _identify_round(self):
         merged_pairs = []
@@ -384,6 +405,29 @@ def test_keyed_identification_equals_unbucketed_loop(data):
     assert _cover_outcome(co.CoverGraph, T, gens) == _cover_outcome(_UnbucketedCover, T, gens)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_candidates_by_key_arithmetic_equal_the_full_list(data):
+    # for every key of a candidate, and for the keys of random connecting
+    # words, the lookup lists exactly the candidates of that key in the
+    # full list's order, so every vertex pair asks the same word problems
+    T = _corpus_tower(data.draw(st.sampled_from(TALL_TOWERS)))
+    letters = st.tuples(st.sampled_from(T.alphabet().generators), st.sampled_from((1, -1)))
+    word = st.lists(letters, max_size=2).map(lambda w: reduce_word(tuple(w)))
+    gens = data.draw(st.lists(word.filter(bool), min_size=1, max_size=4))
+    connecting = data.draw(st.lists(
+        st.lists(letters, max_size=6).map(lambda w: reduce_word(tuple(w))), max_size=6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            C = co.CoverGraph(T, gens, depth_budget=0)
+        except co.CoreError:
+            reject()
+    groups = _candidates_by_key(C)
+    for key in [*groups, *(T.element_key(c) for c in connecting)]:
+        assert C._candidates(key) == groups.get(key, [])
+
+
 def test_identify_round_word_problem_count(monkeypatch):
     # Only the 37 candidates sharing the key of a pair's connecting word
     # reach the word problem: 5 calls for the 6 vertex pairs of this
@@ -391,7 +435,7 @@ def test_identify_round_word_problem_count(monkeypatch):
     T = _corpus_tower("mixed")
     gens = [parse_word(g, T.alphabet()) for g in ("u x a", "y y", "x^-1")]
     C = co.expand_cover(T, gens, depth_budget=0)
-    assert (len(C._membership_candidates), len(C.vertices)) == (37, 4)
+    assert (len(_membership_candidates(C)), len(C.vertices)) == (37, 4)
     real = tw.Tower.word_problem
     calls = []
 

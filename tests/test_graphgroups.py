@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -325,6 +326,66 @@ def test_each_syllable_membership_is_asked_once(monkeypatch, text):
     monkeypatch.setattr(graphgroups, "subgroup_membership", counting)
     normal_form(G, parse_word(text, G.presentation().alphabet))
     assert seen and max(seen.values()) == 1
+
+
+@pytest.mark.parametrize("text", ["x u x u x u", "u a u a u a", "x u x u^-1 x^-1 u x^-1 u^-1",
+                                  "x u^2 x u^-2 x^-2"])
+def test_a_pass_asks_each_membership_question_once(monkeypatch, text):
+    # these words meet the same syllable at the same edge side more than
+    # once in one pass; calls about mixed's top vertices come from that
+    # one pass, the nested ones (its composite vertex's own word problems)
+    # are about other vertex objects
+    G = build_tower(parse_tower_dsl((CORPUS / "mixed.twr").read_text())).stages[-1].graph
+    seen: Counter = Counter()
+    real = graphgroups.subgroup_membership
+
+    def counting(V, subgens, w, budget):
+        if G.vertices.get(V.label) is V:
+            seen[(V.label, tuple(subgens), w, budget)] += 1
+        return real(V, subgens, w, budget)
+
+    monkeypatch.setattr(graphgroups, "subgroup_membership", counting)
+    normal_form(G, parse_word(text, G.alphabet))
+    assert seen and max(seen.values()) == 1
+
+
+def _memo_free_membership(self, side, word, budget):
+    return graphgroups.subgroup_membership(
+        self.G.vertices[side[0]], list(side[1]), word, budget)
+
+
+def test_pass_answers_equal_a_memo_free_pass(monkeypatch):
+    # reusing an answer within a pass changes no item and no verdict: the
+    # same words reduced by a pass that asks every question anew
+    rng = random.Random(27)
+    cases = []
+    for G in _reference_graphs():
+        gens = G.presentation().alphabet.generators
+
+        def word(n):
+            return tuple((rng.choice(gens), rng.choice((1, -1))) for _ in range(n))
+
+        for _ in range(25):
+            g, h, k = word(rng.randint(1, 3)), word(rng.randint(1, 2)), rng.randint(1, 6)
+            cases += [(G, concat(power(g, k), h, power(g, -k), invert(h)), 8),
+                      (G, concat(power(concat(g, h), k), word(rng.randint(0, 2))), 8),
+                      (G, word(rng.randint(1, 12)), rng.choice((2, 8)))]
+    calls = Counter()
+    real = graphgroups.subgroup_membership
+
+    def counting(V, subgens, w, budget):
+        calls[graphgroups._Pass.membership is _memo_free_membership] += 1
+        return real(V, subgens, w, budget)
+
+    monkeypatch.setattr(graphgroups, "subgroup_membership", counting)
+    def outcomes():
+        return [(nf.items, nf.verdict) for nf in (normal_form(G, w, b) for G, w, b in cases)]
+
+    kept = outcomes()
+    monkeypatch.setattr(graphgroups._Pass, "membership", _memo_free_membership)
+    assert outcomes() == kept
+    # the sample repeats questions within a pass
+    assert calls[False] < calls[True]
 
 
 # Reference: the restart-until-quiet reduction this module used before the
