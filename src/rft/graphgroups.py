@@ -315,19 +315,28 @@ class GraphOfGroups:
     # -- decomposition -----------------------------------------------------
 
     def decompose(self, w: Word) -> list:
-        """Split a presentation word into vertex syllables and stable letters."""
+        """Split a presentation word into vertex syllables and stable
+        letters.  Each syllable is one slice of w, cut where the vertex
+        changes, so the split is linear in the length of w."""
+        home = self._symbol_home
         items: list = []
-        for sym, sign in w:
-            home = self._symbol_home.get(sym)
-            if home is None:
+        start, vertex = 0, None  # the open syllable's first index and vertex
+        for i, (sym, sign) in enumerate(w):
+            kind, name = home.get(sym, (None, None))
+            if kind == "vertex":
+                if name != vertex:
+                    if vertex is not None:
+                        items.append(("syl", vertex, w[start:i]))
+                    start, vertex = i, name
+                continue
+            if kind is None:
                 raise AlphabetError(f"undeclared symbol: {sym!r}")
-            if home[0] == "stable":
-                items.append(("stable", sym, sign))
-            else:
-                if items and items[-1][0] == "syl" and items[-1][1] == home[1]:
-                    items[-1] = ("syl", home[1], items[-1][2] + ((sym, sign),))
-                else:
-                    items.append(("syl", home[1], ((sym, sign),)))
+            if vertex is not None:
+                items.append(("syl", vertex, w[start:i]))
+                vertex = None
+            items.append(("stable", sym, sign))
+        if vertex is not None:
+            items.append(("syl", vertex, w[start:]))
         return items
 
 

@@ -50,7 +50,6 @@ from .graphgroups import (
 )
 from .intlinalg import solve_int_linear
 from .words import (
-    EMPTY,
     Alphabet,
     GroupHom,
     Letter,
@@ -743,7 +742,9 @@ class _WitnessFamily:
     member bottom-up, applying `evaluate` to each stage's own words (a
     torus block's attaching word, a Q block's retraction images).  A
     search attempt evaluates it there and on the searched words only, so
-    a search builds a `GroupHom` for the member it returns alone.
+    a search builds a `GroupHom` for the member it returns alone.  The
+    family keeps the tower's alphabet and these plans, not the tower, so a
+    tower that caches its family forms no reference cycle.
 
     A member is trusted only after every relator of the tower maps to the
     empty word: `WitnessCertificate.recheck` checks the member a search
@@ -752,14 +753,13 @@ class _WitnessFamily:
     """
 
     def __init__(self, tower: Tower):
-        self.tower = tower
+        self.source = tower.alphabet()
         self.slots: list[str] = []  # human-readable parameter descriptions
-        self._build()
+        self._build(tower)
 
-    def _build(self):
+    def _build(self, t: Tower):
         # slots are listed in the order parameters are read: stages from
         # the top down, then the summands
-        t = self.tower
         # (first slot, stage, new letters) per stage, from the bottom up
         self.stage_plan: list[tuple[int, Stage, tuple[str, ...]]] = []
         for i in range(t.height, 0, -1):
@@ -781,7 +781,7 @@ class _WitnessFamily:
         target_gens: list[str] = []
         self.summand_plan: list[tuple[str, VertexGroup, list[str]]] = []
         used: set[str] = set()
-        for v in self.tower.summands:
+        for v in t.summands:
             if v.kind == "free":
                 for g in v.alphabet:
                     target_gens.append(_fresh(g, used))
@@ -810,12 +810,30 @@ class _WitnessFamily:
 
     @staticmethod
     def evaluate(img: dict[str, Word], w: Word) -> Word:
-        """The reduced image of w under the member whose generator images
-        are `img`."""
-        out = EMPTY
+        """The reduced image of w under the member whose reduced generator
+        images are `img`.  Each letter's image goes onto one stack, whole
+        where nothing cancels, and letters cancel only at the junction,
+        as in `GroupHom.apply`: each image letter is pushed and popped at
+        most once, so the evaluation is linear in the length of w and of
+        the images it reads."""
+        out: list[Letter] = []
         for sym, sign in w:
-            out = join_reduced(out, img[sym] if sign > 0 else invert(img[sym]))
-        return out
+            v = img[sym]
+            if sign > 0:
+                k, n = 0, len(v)
+                while k < n and out and out[-1][0] == v[k][0] and out[-1][1] == -v[k][1]:
+                    out.pop()
+                    k += 1
+                out += v[k:]
+            else:
+                # v^-1 begins with the inverse of v's last letter, which
+                # cancels against a stack top equal to that letter
+                j = len(v)
+                while j and out and out[-1] == v[j - 1]:
+                    out.pop()
+                    j -= 1
+                out += invert(v[:j])
+        return tuple(out)
 
     def images(self, params: tuple[int, ...]) -> dict[str, Word]:
         """Reduced images of every tower generator under the member with
@@ -858,7 +876,7 @@ class _WitnessFamily:
         return img
 
     def hom(self, params: tuple[int, ...]) -> GroupHom:
-        return GroupHom(self.tower.alphabet(), self.target, self.images(params))
+        return GroupHom(self.source, self.target, self.images(params))
 
 
 def _shell_vector(dim: int, r: int, index: int) -> tuple[int, ...]:

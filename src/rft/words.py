@@ -622,6 +622,10 @@ class SurfacePresentation:
         return out
 
     @functools.cached_property
+    def _generator_set(self) -> frozenset[str]:
+        return frozenset(self.generators)
+
+    @functools.cached_property
     def _dehn_table(self) -> dict[Letter, tuple[Word, ...]]:
         """Cyclic relators grouped by first letter, in `_symmetrized` order."""
         table: dict[Letter, list[Word]] = {}
@@ -651,49 +655,62 @@ def dehn_reduce(surface: SurfacePresentation, w: Word) -> Word:
     replaced by the shorter complement, then freely reduced; repeat.
     Returns the empty word iff w represents the identity.
 
-    Only relators starting with the letter at hand are tried.  After a
-    rewrite the scan resumes `rlen - 1` letters before the lowest position
-    the rewrite and its free reduction touched: every match starting
-    further left lies wholly in letters that were there, unmatched, before.
+    The word lives on two stacks: `left`, the reduced output to the left
+    of the scan position, and `right`, the rest of the input reversed.
+    Only relators starting with the letter at hand are tried.  A rewrite
+    pops the match off `right`, pushes the complement onto `left` with
+    free reduction, cancels where the two stacks meet, and rewinds: the
+    letters of `left` from `rlen - 1` before the lowest point it reached
+    move back onto `right` in one slice, since every match starting
+    further left lies wholly in letters that were there, unmatched,
+    before.  A rewrite shortens the word by at least two letters and
+    sends at most `rlen - 1` letters back to be scanned again, so the run
+    is linear in the length of w for a fixed genus.
     """
     if not surface.closed:
         raise WordError("dehn_reduce needs a closed surface; use free reduction instead")
+    symbols = surface._generator_set
     for sym, _ in w:
-        if sym not in surface.generators:
+        if sym not in symbols:
             raise AlphabetError(f"undeclared symbol: {sym!r}")
     table = surface._dehn_table
     rlen = 4 * surface.genus  # |[a1,b1]...[ag,bg]|
     half = rlen // 2
-    w = list(reduce_word(w))
-    i = 0
-    while i < len(w):
-        n = len(w)
+    left: list[Letter] = []
+    right = list(reduce_word(w))
+    right.reverse()
+    # the scan position: right[i - k] is the k-th letter from it, and
+    # right[i + 1:] holds letters already scanned, reversed, that belong
+    # on `left` and move there in one slice when a rewrite comes
+    i = len(right) - 1
+    while i >= 0:
         best, k_best = None, half
-        for rel in table.get(w[i], ()):
+        for rel in table.get(right[i], ()):
             k = 1
-            while k < rlen and i + k < n and w[i + k] == rel[k]:
+            while k < rlen and k <= i and right[i - k] == rel[k]:
                 k += 1
             if k > k_best:
                 best, k_best = rel, k
         if best is None:
-            i += 1
+            i -= 1
             continue
-        # w[:i] + complement + w[i + k:], freely reduced in one pass that
-        # records the low-water mark of the stack
-        out = w[:i]
-        low = i
-        for sym, sign in invert(best[k_best:]):
-            if out and out[-1] == (sym, -sign):
-                out.pop()
-                low = min(low, len(out))
+        left += right[:i:-1]
+        del right[i - k_best + 1:]
+        # push the complement, the inverse of best[k_best:], with free
+        # reduction, recording the low-water mark of `left`
+        low = len(left)
+        for sym, sign in reversed(best[k_best:]):
+            if left and left[-1][0] == sym and left[-1][1] == sign:
+                left.pop()
+                low = min(low, len(left))
             else:
-                out.append((sym, sign))
-        j = i + k_best
-        while j < n and out and out[-1] == (w[j][0], -w[j][1]):
-            out.pop()
-            j += 1
-        low = min(low, len(out))
-        out.extend(w[j:])
-        w = out
-        i = max(0, low - rlen + 1)
-    return tuple(w)
+                left.append((sym, -sign))
+        while left and right and left[-1][0] == right[-1][0] and left[-1][1] == -right[-1][1]:
+            left.pop()
+            right.pop()
+        low = max(0, min(low, len(left)) - rlen + 1)
+        right += reversed(left[low:])
+        del left[low:]
+        i = len(right) - 1
+    left += reversed(right)
+    return tuple(left)

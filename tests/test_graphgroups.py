@@ -28,6 +28,7 @@ from rft.graphgroups import (
     word_problem,
 )
 from rft.words import (
+    AlphabetError,
     SurfacePresentation,
     abelianize,
     alphabet,
@@ -578,3 +579,49 @@ def test_verdicts_match_the_restart_loop(data):
         st.tuples(power_commutator, words(3)).map(lambda t: concat(*t))))
     budget = data.draw(st.sampled_from((2, 8)))
     assert normal_form(G, w, budget).verdict == _ref_verdict(G, w, budget)
+
+
+def _decompose_reference(G, w):
+    """`GraphOfGroups.decompose` as first written: each syllable grows by
+    one letter at a time."""
+    items: list = []
+    for sym, sign in w:
+        home = G._symbol_home.get(sym)
+        if home is None:
+            raise AlphabetError(f"undeclared symbol: {sym!r}")
+        if home[0] == "stable":
+            items.append(("stable", sym, sign))
+        else:
+            if items and items[-1][0] == "syl" and items[-1][1] == home[1]:
+                items[-1] = ("syl", home[1], items[-1][2] + ((sym, sign),))
+            else:
+                items.append(("syl", home[1], ((sym, sign),)))
+    return items
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_decompose_matches_the_letter_by_letter_reference(data):
+    G = data.draw(st.sampled_from(_reference_graphs()))
+    signs = st.sampled_from((1, -1))
+    vertex_letters = [st.tuples(st.sampled_from(v.alphabet.generators), signs)
+                      for v in G.vertices.values()]
+    # a syllable: a few letters of one vertex, or a power of such a run,
+    # up to a few hundred letters
+    runs = st.one_of(*(st.lists(lt, min_size=1, max_size=6).map(tuple) for lt in vertex_letters))
+    syllable = st.one_of(runs, st.tuples(runs, st.integers(2, 60)).map(lambda t: power(*t)))
+    stables = [G.stable_letter(e.label) for e in G.edges if e.label not in G.tree_edges]
+    parts = [syllable]
+    if stables:
+        parts.append(st.tuples(st.sampled_from(stables), signs).map(lambda lt: (lt,)))
+    w = concat(*data.draw(st.lists(st.one_of(*parts), max_size=8)))
+    for word in (w, reduce_word(w)):
+        assert G.decompose(word) == _decompose_reference(G, word)
+
+
+def test_decompose_rejects_an_undeclared_symbol():
+    G = _reference_graphs()[0]
+    good = next(iter(G.vertices.values())).alphabet.generators[0]
+    for w in ((("zz", 1),), ((good, 1), ("zz", -1))):
+        with pytest.raises(AlphabetError):
+            G.decompose(w)

@@ -1,7 +1,9 @@
 import copy
 import functools
+import gc
 import itertools
 import random
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -430,10 +432,9 @@ def test_recheck_rejects_forged_classes(gamma):
 
 # -- compiled witness family -------------------------------------------------
 
-def _composed_hom(family: tw._WitnessFamily, params: tuple[int, ...]) -> GroupHom:
-    """Reference member of the family: one map per stage, composed from the
+def _composed_hom(t: tw.Tower, family: tw._WitnessFamily, params: tuple[int, ...]) -> GroupHom:
+    """Reference member of t's family: one map per stage, composed from the
     top down, then the height-0 resolution."""
-    t = family.tower
     it = iter(params)
     hom = GroupHom.identity(t.alphabet())
     for i in range(t.height, 0, -1):
@@ -483,11 +484,54 @@ def _composed_hom(family: tw._WitnessFamily, params: tuple[int, ...]) -> GroupHo
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.twr")))
 def test_family_images_equal_the_composed_maps(name):
-    family = tw._WitnessFamily(_corpus_tower(name))
+    T = _corpus_tower(name)
+    family = tw._WitnessFamily(T)
     rng = random.Random(0)
     for _ in range(200):
         params = tuple(rng.randint(-3, 3) for _ in range(family.dimension))
-        assert family.images(params) == _composed_hom(family, params).images, params
+        assert family.images(params) == _composed_hom(T, family, params).images, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_evaluate_equals_the_compiled_member(data):
+    # unreduced words, and relator conjugates whose images cancel to the
+    # empty word across many junctions
+    T = _cached_tower(data.draw(st.sampled_from(CORPUS_NAMES)))
+    family = T._witness_family
+    params = data.draw(st.tuples(*[st.integers(-3, 3)] * family.dimension))
+    letters = st.tuples(st.sampled_from(T.alphabet().generators), st.sampled_from((1, -1)))
+    short = st.lists(letters, max_size=12).map(tuple)
+    parts = [short]
+    relators = T.presentation().relators
+    if relators:
+        parts.append(st.tuples(short, st.sampled_from(relators), st.integers(-3, 3)).map(
+            lambda t: concat(t[0], power(t[1], t[2]), invert(t[0]))))
+    w = concat(*data.draw(st.lists(st.one_of(*parts), max_size=4)))
+    assert family.evaluate(family.images(params), w) == family.hom(params).apply(w)
+
+
+def _best_seconds(f, repeats=5) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        f()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_evaluate_is_linear_like_the_compiled_member():
+    # re-joining the whole output for each letter was quadratic: about 100
+    # times as slow as the compiled member on this word
+    T = _cached_tower("gamma")
+    family = T._witness_family
+    params = (1,) * family.dimension
+    img, hom = family.images(params), family.hom(params)
+    w = parse_word("t^-1 [a,b]^4000 t", T.alphabet())
+    assert len(w) == 16_002
+    assert family.evaluate(img, w) == hom.apply(w)
+    assert _best_seconds(lambda: family.evaluate(img, w)) < 10 * _best_seconds(
+        lambda: hom.apply(w))
 
 
 # -- lazy parameter shells ---------------------------------------------------
@@ -707,6 +751,47 @@ def test_free_map_kills_every_relator(name):
     assert all(not hom.apply(r) for r in T.presentation().relators)
 
 
+def _garbage_after(make) -> int:
+    """Objects the cycle collector finds once the result of make() is
+    dropped; automatic collection is off meanwhile, so none hides."""
+    gc.collect()
+    gc.disable()
+    try:
+        make()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_a_dropped_tower_leaves_no_reference_cycle(name):
+    # the tower caches its witness family, which keeps the tower's
+    # alphabet and plans but not the tower
+    assert _garbage_after(lambda: _corpus_tower(name).free_map) == 0
+
+
+@pytest.mark.parametrize("name", ["double", "hnn", "abelian", "qh"])
+def test_a_dropped_embedding_leaves_no_reference_cycle(name):
+    S, D = cli.parse_splitting((CORPUS / f"{name}.spl").read_text(), _cached_tower("f2"))
+    assert _garbage_after(lambda: embed.embed_step(S, D).gamma.free_map) == 0
+
+
+@pytest.mark.parametrize("name, text, verdict", [
+    ("closed2", "[a1,b1]^25000", NONTRIVIAL),
+    ("tall", "[[a,b]^12000,t]", TRIVIAL),
+    ("gamma", "[[a,b]^12000,t]", TRIVIAL),
+])
+def test_a_long_word_is_decided_in_linear_time(name, text, verdict):
+    # 100,000 and 96,002 letters, with syllables of up to 48,000 letters;
+    # quadratic when syllables grew letter by letter and Dehn's algorithm
+    # copied the word around each rewrite
+    T = _cached_tower(name)
+    w = parse_word(text, T.alphabet())
+    start = time.perf_counter()
+    assert T.word_problem(w) == verdict
+    assert time.perf_counter() - start < 2
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_a_nonempty_free_map_image_is_never_trivial(data):
@@ -822,7 +907,7 @@ def test_a_family_member_that_keeps_a_relator_is_no_free_map(name, monkeypatch):
     def not_a_homomorphism(self, params):
         x, y = letter(self.target.generators[0]), letter(self.target.generators[-1])
         return {g: concat(power(x, i + 1), y)
-                for i, g in enumerate(self.tower.alphabet().generators)}
+                for i, g in enumerate(self.source.generators)}
 
     monkeypatch.setattr(tw._WitnessFamily, "images", not_a_homomorphism)
     S, R = _splitting_embedding(name)

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -442,6 +443,17 @@ def test_dehn_reduce_long_conjugated_power():
     assert dehn_reduce(s, concat(g, power(s.relator(), 200), invert(g))) == ()
 
 
+def test_dehn_reduce_is_linear_on_a_long_conjugated_power():
+    # 100,002 letters, one rewrite per copy of the relator; copying the
+    # word around each rewrite made this quadratic
+    s = SurfacePresentation(2)
+    g = letter("a1")
+    w = concat(g, power(s.relator(), 12500), invert(g))
+    start = time.perf_counter()
+    assert dehn_reduce(s, w) == ()
+    assert time.perf_counter() - start < 0.5
+
+
 def _cyclic_relators(s):
     """Rotations of the relator, then of its inverse."""
     out = []
@@ -492,6 +504,10 @@ def surface_words(draw):
         randoms,
         st.tuples(st.lists(letters, min_size=10, max_size=40), rel, st.integers(1, 6))
         .map(lambda t: concat(reduce_word(tuple(t[0])), power(t[1], t[2]))),
+        # long rewrite chains, each rewrite rewinding into the last one
+        st.tuples(rel, st.integers(2, 200)).map(lambda t: power(*t)),
+        st.tuples(randoms, rel, st.integers(1, 200))
+        .map(lambda t: concat(t[0], power(t[1], t[2]), invert(t[0]))),
     )
     return s, concat(*draw(st.lists(piece, max_size=5)))
 
