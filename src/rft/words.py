@@ -17,7 +17,6 @@ them meet; `concat`, `invert`, `power` and `commutator` do not reduce.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from typing import Iterator, Optional
 
@@ -563,6 +562,7 @@ class SurfacePresentation:
     cancellation condition (pieces shorter than |relator|/6) that Dehn's
     algorithm needs.  Boundary case: genus >= 1 and punctures >= 1; the
     group is free and the boundary circles are explicit words.
+    Generator names must be distinct.
     """
 
     def __init__(self, genus: int, punctures: int = 0, generators: tuple[str, ...] = ()):
@@ -581,6 +581,11 @@ class SurfacePresentation:
                 f"surface of genus {self.genus} with {self.punctures} punctures "
                 f"needs {expected} generators, got {len(self.generators)}"
             )
+        seen: set[str] = set()
+        for name in self.generators:
+            if name in seen:
+                raise WordError(f"duplicate generator name: {name!r}")
+            seen.add(name)
         if self.punctures == 0 and self.max_piece_length() * 6 >= len(self.relator()):
             raise WordError("relator fails the small-cancellation condition C'(1/6)")
 
@@ -613,38 +618,53 @@ class SurfacePresentation:
         last = reduce_word(concat(handles, *ds))
         return ds + [last]
 
-    def _symmetrized(self) -> list[Word]:
-        r = self.relator()
-        out = []
-        for base in (r, invert(r)):
-            for i in range(len(base)):
-                out.append(base[i:] + base[:i])
-        return out
-
     @functools.cached_property
-    def _generator_set(self) -> frozenset[str]:
-        return frozenset(self.generators)
-
-    @functools.cached_property
-    def _dehn_table(self) -> dict[Letter, tuple[Word, ...]]:
-        """Cyclic relators grouped by first letter, in `_symmetrized` order."""
-        table: dict[Letter, list[Word]] = {}
-        for rel in self._symmetrized():
-            table.setdefault(rel[0], []).append(rel)
-        return {first: tuple(rels) for first, rels in table.items()}
+    def _dehn_plan(self) -> _DehnPlan:
+        return _DehnPlan(self.generators, self.relator())
 
     def max_piece_length(self) -> int:
-        """Longest common prefix over distinct elements of the symmetrized set."""
-        sym = self._symmetrized()
+        """Longest common prefix of two distinct cyclic permutations of the
+        relator R or of R^-1.  Each letter occurs once in R and once in
+        R^-1, so two distinct rotations share a first letter only when one
+        is of R and the other of R^-1; each letter's pair is compared once,
+        along the successor tables, in time linear in the genus."""
+        plan = self._dehn_plan
+        fwd, back = plan.succ
+        rlen = 4 * self.genus
         best = 0
-        for u, v in itertools.combinations(sym, 2):
-            if u == v:
-                continue
-            k = 0
-            while k < len(u) and u[k] == v[k]:
-                k += 1
+        for x in range(len(plan.letters)):
+            k, y, z = 1, x, x
+            while k < rlen and fwd[y] == back[z]:
+                y, z, k = fwd[y], back[z], k + 1
             best = max(best, k)
         return best
+
+
+class _DehnPlan:
+    """The tables Dehn's algorithm reads for one closed surface.
+
+    Letters become integer ids: generator i is 2i and its inverse 2i + 1,
+    so `x ^ 1` inverts id x; `ids` and `letters` translate.  Generator
+    names are distinct, so each letter occurs once in the relator R and
+    once in R^-1, and `succ[0][x]` and `succ[1][x]` are the letters after
+    x in the cyclic words R and R^-1.  Each table has one entry more, -1
+    at the id 2n, which `dehn_reduce` uses as the letter before a scan's
+    first.  R^-1 reads R backwards with every letter inverted, so the
+    letter before x in one cyclic word is `succ[1 - d][x ^ 1] ^ 1`.
+    """
+
+    __slots__ = ("ids", "letters", "succ")
+
+    def __init__(self, generators: tuple[str, ...], relator: Word):
+        self.letters = [(g, sign) for g in generators for sign in (1, -1)]
+        self.ids = {lt: x for x, lt in enumerate(self.letters)}
+        self.succ: list[list[int]] = []
+        for word in (relator, invert(relator)):
+            cyc = [self.ids[lt] for lt in word]
+            succ = [-1] * (len(self.letters) + 1)
+            for p, x in enumerate(cyc):
+                succ[x] = cyc[p + 1 - len(cyc)]
+            self.succ.append(succ)
 
 
 def dehn_reduce(surface: SurfacePresentation, w: Word) -> Word:
@@ -655,62 +675,91 @@ def dehn_reduce(surface: SurfacePresentation, w: Word) -> Word:
     replaced by the shorter complement, then freely reduced; repeat.
     Returns the empty word iff w represents the identity.
 
+    The scan runs on the letter ids of `surface._dehn_plan`.  Since each
+    letter occurs once in R and once in R^-1, a subword of a cyclic
+    relator is a run: each letter is the R-successor of the one before
+    it, or each is the R^-1-successor.  The two successors of a letter
+    differ, so at most one run of two or more letters ends at a
+    position, and the scan keeps its length and direction.  The first
+    position where a run reaches `half + 1` letters closes the leftmost
+    match, which the run then extends to the longest, at most `rlen`
+    letters; pieces are shorter than `rlen / 6`, so no match in the other
+    direction starts there.
+
     The word lives on two stacks: `left`, the reduced output to the left
-    of the scan position, and `right`, the rest of the input reversed.
-    Only relators starting with the letter at hand are tried.  A rewrite
-    pops the match off `right`, pushes the complement onto `left` with
-    free reduction, cancels where the two stacks meet, and rewinds: the
-    letters of `left` from `rlen - 1` before the lowest point it reached
-    move back onto `right` in one slice, since every match starting
-    further left lies wholly in letters that were there, unmatched,
-    before.  A rewrite shortens the word by at least two letters and
-    sends at most `rlen - 1` letters back to be scanned again, so the run
-    is linear in the length of w for a fixed genus.
+    of the scan position, and `right`, the rest of the input reversed.  A
+    rewrite pops the match off `right`, pushes the complement onto `left`
+    with free reduction, cancels where the two stacks meet, and rewinds:
+    the letters of `left` from `half` before the lowest point it reached
+    move back onto `right` in one slice, and the scan restarts its run
+    there.  A match starting further left would have more than `half`
+    letters that were there, unmatched, before, so the scan would already
+    have rewritten it.  A rewrite shortens the word by at least two
+    letters and sends at most `half` letters back to be scanned again, so
+    the run is linear in the length of w for a fixed genus.
     """
     if not surface.closed:
         raise WordError("dehn_reduce needs a closed surface; use free reduction instead")
-    symbols = surface._generator_set
-    for sym, _ in w:
-        if sym not in symbols:
-            raise AlphabetError(f"undeclared symbol: {sym!r}")
-    table = surface._dehn_table
+    plan = surface._dehn_plan
+    ids = plan.ids
+    if not ids.keys() >= set(w):
+        for lt in w:
+            if lt not in ids:
+                raise AlphabetError(f"undeclared symbol: {lt[0]!r}")
     rlen = 4 * surface.genus  # |[a1,b1]...[ag,bg]|
     half = rlen // 2
-    left: list[Letter] = []
-    right = list(reduce_word(w))
-    right.reverse()
-    # the scan position: right[i - k] is the k-th letter from it, and
-    # right[i + 1:] holds letters already scanned, reversed, that belong
-    # on `left` and move there in one slice when a rewrite comes
+    start = len(plan.letters)  # the sentinel id: no letter follows it
+    left: list[int] = []
+    right = [ids[lt] for lt in reversed(reduce_word(w))]
+    # the scan position: right[i] is the letter at hand, and right[i + 1:]
+    # holds letters already scanned, reversed, that belong on `left` and
+    # move there in one slice when a rewrite comes.  The run ending at
+    # right[i] has `run` letters and follows `along`, the successor table
+    # of R or of R^-1; `other` is the other table
     i = len(right) - 1
+    along, other = plan.succ
+    prev, run = start, 0
     while i >= 0:
-        best, k_best = None, half
-        for rel in table.get(right[i], ()):
-            k = 1
-            while k < rlen and k <= i and right[i - k] == rel[k]:
-                k += 1
-            if k > k_best:
-                best, k_best = rel, k
-        if best is None:
-            i -= 1
-            continue
-        left += right[:i:-1]
-        del right[i - k_best + 1:]
-        # push the complement, the inverse of best[k_best:], with free
-        # reduction, recording the low-water mark of `left`
-        low = len(left)
-        for sym, sign in reversed(best[k_best:]):
-            if left and left[-1][0] == sym and left[-1][1] == sign:
-                left.pop()
-                low = min(low, len(left))
-            else:
-                left.append((sym, -sign))
-        while left and right and left[-1][0] == right[-1][0] and left[-1][1] == -right[-1][1]:
-            left.pop()
-            right.pop()
-        low = max(0, min(low, len(left)) - rlen + 1)
-        right += reversed(left[low:])
-        del left[low:]
-        i = len(right) - 1
+        x = right[i]
+        if x == along[prev]:
+            run += 1
+            if run > half:
+                # the match starts at right[i + half]; extend it to right[e]
+                first, k, e = i + half, run, i
+                while k < rlen and e and right[e - 1] == along[right[e]]:
+                    e -= 1
+                    k += 1
+                y = right[first] ^ 1
+                left += right[:first:-1]
+                del right[e:]
+                # push the complement, the inverse of the last rlen - k
+                # letters of the relator read from right[first]: its
+                # letters follow that letter's inverse along `other`.
+                # Free reduction records the low-water mark of `left`
+                low = len(left)
+                for _ in range(rlen - k):
+                    y = other[y]
+                    if left and left[-1] == y ^ 1:
+                        left.pop()
+                        low = min(low, len(left))
+                    else:
+                        left.append(y)
+                while left and right and left[-1] == right[-1] ^ 1:
+                    left.pop()
+                    right.pop()
+                low = max(0, min(low, len(left)) - half)
+                right += reversed(left[low:])
+                del left[low:]
+                i = len(right) - 1
+                prev, run = start, 0
+                continue
+        elif x == other[prev]:
+            along, other = other, along
+            run = 2
+        else:
+            run = 1
+        prev = x
+        i -= 1
     left += reversed(right)
-    return tuple(left)
+    letters = plan.letters
+    return tuple([letters[x] for x in left])

@@ -406,6 +406,45 @@ def test_surface_presentations():
         SurfacePresentation(1)  # closed torus is not hyperbolic
 
 
+@pytest.mark.parametrize("genus, punctures, gens", [
+    (2, 0, ("a", "b", "a", "c")),
+    (3, 0, ("a", "b", "c", "d", "a", "e")),
+    (1, 2, ("a", "b", "a")),
+])
+def test_surface_generator_names_must_be_distinct(genus, punctures, gens):
+    # a repeated name makes another group: [a,b][a,c] passed C'(1/6)
+    with pytest.raises(WordError, match="duplicate generator name: 'a'"):
+        SurfacePresentation(genus, punctures, gens)
+
+
+def _max_piece_reference(s):
+    """Longest common prefix over distinct pairs of cyclic relators."""
+    best = 0
+    for u, v in itertools.combinations(_cyclic_relators(s), 2):
+        if u == v:
+            continue
+        k = 0
+        while k < len(u) and u[k] == v[k]:
+            k += 1
+        best = max(best, k)
+    return best
+
+
+@pytest.mark.parametrize("genus", range(2, 7))
+def test_max_piece_length_equals_the_pairwise_definition(genus):
+    s = SurfacePresentation(genus)
+    assert s.max_piece_length() == _max_piece_reference(s) == 1
+
+
+def test_a_large_genus_surface_builds_in_linear_time():
+    # every rotation of the relator, compared pairwise, took 5.75 s at
+    # genus 800
+    start = time.perf_counter()
+    s = SurfacePresentation(2000)
+    assert s.max_piece_length() == 1
+    assert time.perf_counter() - start < 1.0
+
+
 def test_surface_with_more_boundary():
     s = SurfacePresentation(1, 2)
     assert len(s.boundary_words()) == 2
@@ -454,6 +493,50 @@ def test_dehn_reduce_is_linear_on_a_long_conjugated_power():
     assert time.perf_counter() - start < 0.5
 
 
+def test_dehn_reduce_is_linear_on_long_half_relator_runs():
+    # runs of exactly half a relator, none rewritten: [a1,b1]^25000, and
+    # runs along R and R^-1 in turn, each sharing its first letter with
+    # the last letter of the run before it
+    s = SurfacePresentation(2)
+    half = len(s.relator()) // 2
+    periodic = power(commutator(letter("a1"), letter("b1")), 25000)
+    alternating = _runs(s.relator(), ("a1", 1), [half] * 33334)
+    assert len(periodic) == 100000 and len(alternating) == 100003
+    for w in (periodic, alternating):
+        start = time.perf_counter()
+        assert dehn_reduce(s, w) == w
+        assert time.perf_counter() - start < 0.5
+
+
+def test_dehn_reduce_rewinds_half_a_relator():
+    # the first rewrite turns the letters from the second a2 on into
+    # b2^-1 a1 b1; the next match, b1^-1 a1^-1 b2 a2 b2^-1, starts half a
+    # relator before the first letter that changed, so a scan that
+    # rewinds only half - 1 letters leaves b1^-1 a1^-1 b2 a2 b2^-1 a1 b1
+    s = SurfacePresentation(2)
+    w = parse_word("b1^-1 a1^-1 b2 a2 b2^-1 b2 a2 b2^-1 a2^-1 b1 a1", s.alphabet())
+    out = parse_word("a1^-1 b1^-1 a2 a1 b1", s.alphabet())
+    assert dehn_reduce(s, w) == out
+    assert _dehn_reference(s, w) == out
+
+
+def _successors(word):
+    """The letter after each letter of a cyclic word whose letters are distinct."""
+    return {word[i - 1]: word[i] for i in range(len(word))}
+
+
+def _runs(r, first, lengths):
+    """Runs along the cyclic words r and r^-1 in turn, the first along r
+    from the letter `first`; each run starts at the last letter of the
+    one before, and run i has lengths[i] letters, that one included."""
+    succ = (_successors(r), _successors(invert(r)))
+    out = [first]
+    for i, n in enumerate(lengths):
+        for _ in range(n - 1):
+            out.append(succ[i % 2][out[-1]])
+    return tuple(out)
+
+
 def _cyclic_relators(s):
     """Rotations of the relator, then of its inverse."""
     out = []
@@ -491,13 +574,27 @@ def _dehn_reference(s, w):
 
 @st.composite
 def surface_words(draw):
-    s = SurfacePresentation(draw(st.sampled_from((2, 3))))
+    s = SurfacePresentation(draw(st.sampled_from((2, 3, 4))))
+    r = s.relator()
     rels = _cyclic_relators(s)
     rlen = len(rels[0])
     letters = st.tuples(st.sampled_from(s.generators), st.sampled_from((1, -1)))
     rel = st.sampled_from(rels)
     randoms = st.lists(letters, max_size=8).map(tuple)
+    sizes = st.integers(1, rlen - 1)
     piece = st.one_of(
+        # a window of R R across the cyclic seam (... b_g^-1 a_1 b_1 ...),
+        # or its inverse; with more than rlen letters the match stops at rlen
+        st.tuples(sizes, sizes, st.sampled_from((tuple, invert)))
+        .map(lambda t: t[2]((r + r)[rlen - t[0]:rlen + t[1]])),
+        # runs along R and R^-1 in turn, each ending where the next starts
+        st.tuples(letters, st.lists(st.integers(1, rlen + 2), min_size=1, max_size=4))
+        .map(lambda t: _runs(r, *t)),
+        # a whole relator between other letters: a match of k = rlen
+        st.tuples(randoms, rel, randoms).map(lambda t: concat(*t)),
+        # a relator cut by letters that cancel only after free reduction
+        st.tuples(rel, sizes, randoms)
+        .map(lambda t: concat(t[0][:t[1]], t[2], invert(t[2]), t[0][t[1]:])),
         rel,
         st.tuples(rel, st.integers(2, 4)).map(lambda t: power(*t)),
         st.tuples(rel, st.integers(rlen // 2 + 1, rlen - 1)).map(lambda t: t[0][:t[1]]),
