@@ -208,6 +208,21 @@ def test_hypothesis2_refuted_on_proper_power(free2):
     assert "proper power" in h2.witness
 
 
+def test_hypothesis2_refuted_by_a_centralizing_lattice(free2):
+    # the top block is recorded as attached along t, which the stage-1
+    # torus <[a,b], t> centralizes; the block is replaced before the
+    # lattice ledger is first read, so the ledger lists both tori
+    t1 = tw.attach_block(free2, tw.BlockT((parse_word("[a,b]"),), 2, ("t",)))
+    t2 = tw.attach_block(t1, tw.BlockT((parse_word("[a,t]", t1.alphabet()),), 2, ("s",)),
+                         assume=True)
+    t2.stages[-1].block = tw.BlockT((parse_word("t", t1.alphabet()),), 2, ("s",))
+    al = t2.alphabet()
+    R = co.extract_core(co.expand_cover(t2, [parse_word(g, al) for g in ("a", "b", "t", "s")]))
+    rep = fl.check_isolation_hypotheses(fl.color_vertices(R, t2), t2)
+    h2 = rep.verdict("hypothesis-2")
+    assert (h2.status, h2.witness) == ("refuted", "centralized by lattice at stage 1")
+
+
 def test_hypothesis_budget_monotone(gamma):
     C = fl.color_vertices(_gamma_core(gamma), gamma)
     lo = {v.name: v.status
