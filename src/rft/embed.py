@@ -15,7 +15,7 @@ from typing import Callable, Hashable, Optional
 
 from . import graphgroups as gg
 from .graphgroups import GraphOfGroups, NONTRIVIAL, TRIVIAL, UNKNOWN
-from .intlinalg import solve_int_linear, unimodular_with_first_row_image
+from .intlinalg import unimodular_with_first_row_image
 from .tower import (
     BlockQ,
     BlockT,
@@ -24,6 +24,7 @@ from .tower import (
     Tower,
     attach_block,
     noncommuting_pair,
+    only_vertex,
     require_homomorphism,
 )
 from .words import (
@@ -34,10 +35,8 @@ from .words import (
     abelianize,
     concat,
     conjugacy_key,
-    cyclic_reduce,
     format_word,
     invert,
-    is_proper_power,
     join_reduced,
     letter,
     power,
@@ -124,31 +123,28 @@ class EmbeddingResult:
 def maximal_abelian_containing(tower: Tower, w: Word, budget: int = 8) -> AbelianLocus:
     """Maximal abelian subgroup of the tower group containing <w>.
 
-    Exact on free loci (centralizers are cyclic on the root) and on
-    recorded torus lattices whose stages, and every stage below them,
-    verified all their obligations; a lattice that rests on an assumed
-    obligation is budget-limited, and so is any other cyclic candidate.
+    A recorded torus lattice that centralizes w (`Tower.maximal_abelian`),
+    exact when its stage and every stage below verified all their
+    obligations; else the cyclic group of w's root (`Tower.root`), exact on
+    free loci, and on a closed-surface locus (whose centralizers are cyclic
+    too) when `Tower.non_power_map` certifies the root.
     """
-    pres = tower.presentation()
-    w = reduce_word(w, pres.alphabet)
+    w = reduce_word(w, tower.alphabet())
     if not w:
         raise EmbedError("trivial word has no maximal abelian overgroup here")
-    if not pres.relators:
-        core, conj = cyclic_reduce(w)
-        pp = is_proper_power(core)
-        root = pp[0] if pp else core
-        gen = reduce_word(concat(conj, root, invert(conj)))
-        return AbelianLocus((gen,), "verified", "free locus: cyclic on the root")
-    rec = tower.centralizing_lattice(w, budget)
+    rec, exact = tower.maximal_abelian(w, budget)
     if rec is not None:
-        if all(ob.status == "verified" for s in tower.stages[1:rec.stage + 1]
-               for ob in s.obligations):
-            return AbelianLocus(tuple(rec.generators), "verified",
-                                "centralized by a recorded torus lattice")
-        return AbelianLocus(tuple(rec.generators), "budget-limited",
-                            "centralized by a recorded torus lattice built on an "
-                            "assumed obligation")
-    return AbelianLocus((w,), "budget-limited",
+        return AbelianLocus(tuple(rec.generators), "verified" if exact else "budget-limited",
+                            "centralized by a recorded torus lattice" +
+                            ("" if exact else " built on an assumed obligation"))
+    r, _, c = tower.root(w)
+    cyclic = (reduce_word(concat(c, r, invert(c))),)
+    if not tower.presentation().relators:
+        return AbelianLocus(cyclic, "verified", "free locus: cyclic on the root")
+    v = only_vertex(tower)
+    if v is not None and v.kind == "surface" and tower.non_power_map(r) is not None:
+        return AbelianLocus(cyclic, "verified", "surface locus: cyclic on a certified root")
+    return AbelianLocus(cyclic, "budget-limited",
                         "composite locus: cyclic candidate, maximality unresolved")
 
 
@@ -211,12 +207,8 @@ def embed_step(S: SplittingData, D: StrictQuotientData, budget: int = 8,
         U = maximal_abelian_containing(gp, e_img, budget)
         if len(U.generators) != 1:
             raise EmbedError("abelian-vertex step needs a cyclic abelian locus")
-        w = U.generators[0]
-        sol = solve_int_linear([abelianize(w, gp.alphabet())],
-                               abelianize(e_img, gp.alphabet()))
-        if sol is None:
-            raise RefutedError("edge image is not a power of the abelian locus root")
-        c = sol[0]
+        # a cyclic U is the group of the root r of e_img = r^c (`Tower.root`)
+        w, c = U.generators[0], gp.root(e_img)[1]
         v = abelianize(side_b[1][0], V.alphabet)
         M = unimodular_with_first_row_image(v)
         g = math.gcd(*v)

@@ -249,6 +249,12 @@ class WitnessCertificate(Record):
         return True
 
 
+# Members of a tower's map family that `Tower.non_power_map` tries after
+# its free map to prove a word no proper power: the first ones of
+# max-norm <= 2, all 25 of them at genus 2.
+NON_POWER_MAPS = 25
+
+
 class Tower:
     """Immutable after construction; attach_block returns a new value."""
 
@@ -302,17 +308,58 @@ class Tower:
                 records.append(LatticeRecord(i, gens, "A" if len(b.attach) == 1 else "T"))
         return tuple(records)
 
-    def centralizing_lattice(self, w: Word, budget: int,
-                             below: Optional[int] = None) -> Optional[LatticeRecord]:
+    def root(self, w: Word) -> tuple[Word, int, Word]:
+        """(r, k, c) with w = c r^k c^-1, for a reduced, nonempty word w of
+        the top stage, cut from the cyclic core of w (on a closed-surface
+        locus, of its Dehn normal form).  k > 1 exactly when that core has
+        a literal period, a proof on every locus.  k = 1 proves r no proper
+        power on a free locus only: elsewhere a conjugate of a power can
+        carry a relator piece across the cyclic boundary.  A surface word
+        that is trivial has the root r = () with k = 1."""
+        v = only_vertex(self)
+        if v is not None and v.kind == "surface":
+            w = v.normalize(w)
+        core, c = cyclic_core(w)
+        r, k = core and is_proper_power(core) or (core, 1)
+        return r, k, c
+
+    def non_power_map(self, w: Word) -> Optional[tuple[int, ...]]:
+        """Parameters of a member of the tower's map family to a free group
+        that sends w to a nonempty non-power, or None.  If w = r^k, every
+        member sends w to a k-th power, so such a member proves w no proper
+        power.  `free_map` (every parameter 1) is tried first, then the
+        first `NON_POWER_MAPS` members of max-norm <= 2 that kill every
+        relator."""
+        family = self._witness_family
+        if self.free_map is not None:
+            u = self.free_map.apply(w)
+            if u and is_proper_power(u) is None:
+                return (1,) * family.dimension
+        relators = self.presentation().relators
+        for params in itertools.islice(_parameter_shells(family.dimension, 2, 0),
+                                       NON_POWER_MAPS):
+            img = family.images(params)
+            if any(family.evaluate(img, r) for r in relators):
+                continue
+            u = family.evaluate(img, w)
+            if u and is_proper_power(u) is None:
+                return params
+        return None
+
+    def maximal_abelian(self, w: Word, budget: int, below: Optional[int] = None
+                        ) -> tuple[Optional[LatticeRecord], bool]:
         """The first live torus lattice, of a stage below `below` when
-        given, whose generators all provably commute with w."""
+        given, whose generators all provably commute with w, and whether
+        every obligation of stages 1 to its stage is verified (then that
+        stage is a limit group, which is CSA); (None, False) if none."""
         for rec in self.lattice_records():
             if below is not None and rec.stage >= below:
                 continue
             if all(self.word_problem(commutator(w, g), budget) == TRIVIAL
                    for g in rec.generators):
-                return rec
-        return None
+                return rec, all(ob.status == "verified" for s in self.stages[1:rec.stage + 1]
+                                for ob in s.obligations)
+        return None, False
 
     # -- word problem ------------------------------------------------------
 
@@ -526,7 +573,7 @@ def _fresh(name: str, used: set[str]) -> str:
     return cand
 
 
-def _only_vertex(tower: Tower) -> Optional[VertexGroup]:
+def only_vertex(tower: Tower) -> Optional[VertexGroup]:
     """The top stage's vertex when its graph is that one vertex, else None."""
     g = tower.stages[-1].graph
     if len(g.vertices) == 1 and not g.edges:
@@ -544,7 +591,7 @@ def _prev_vertex(tower: Tower, label: str) -> VertexGroup:
     pres = tower.presentation()
     if not pres.relators:
         return free_vertex(label, pres.alphabet)
-    v = _only_vertex(tower)
+    v = only_vertex(tower)
     if v is not None:
         return VertexGroup(label, v.kind, v.alphabet, surface=v.surface,
                            relators=v.relators, strategy=v.strategy)
@@ -552,54 +599,21 @@ def _prev_vertex(tower: Tower, label: str) -> VertexGroup:
                             lambda w, budget: tower._wp_at(w, None, budget))
 
 
-# Members of the locus tower's map family tried, after its free map, to
-# prove that an attaching word on a closed-surface locus is no proper
-# power: the first ones of max-norm <= 2, all 25 of them at genus 2.
-NON_POWER_MAPS = 25
-
-
-def _non_power_map(tower: Tower, w: Word) -> Optional[tuple[int, ...]]:
-    """Parameters of a member phi of the tower's map family to a free
-    group that sends w to a nonempty word whose cyclic core is not a
-    proper power, or None.  If w = r^k in the tower, then phi(w) =
-    phi(r)^k, so such a phi proves that w is no proper power.  `free_map`,
-    the member with every parameter 1, is tried first, then the first
-    `NON_POWER_MAPS` members of max-norm <= 2; each is trusted only after
-    every relator maps to the empty word."""
-    family = tower._witness_family
-    relators = tower.presentation().relators
-    first = (1,) * family.dimension
-    shells = itertools.islice(_parameter_shells(family.dimension, 2, 0), NON_POWER_MAPS)
-    for params in itertools.chain((first,), shells):
-        img = family.images(params)
-        if any(family.evaluate(img, r) for r in relators):
-            continue
-        u = family.evaluate(img, w)
-        if u and is_proper_power(u) is None:
-            return params
-    return None
-
-
 def _check_maximal_cyclic(tower: Tower, w: Word) -> tuple[Optional[bool], str]:
     """Attaching-word maximality: not a proper power, not conjugate into a
-    torus lattice.  Exact on free loci.  On a closed-surface locus a
-    literal period of the Dehn-reduced word's cyclic core refutes it, and
-    only a map to a free group that sends w to a non-power verifies it
-    (`_non_power_map`); a cyclic core without a period proves nothing,
-    since a conjugate of a power can carry a relator piece across the
-    cyclic boundary.  Undecided elsewhere."""
+    torus lattice.  A literal period of `Tower.root`'s core refutes it on
+    every locus.  Otherwise it holds on a free locus, and on a
+    closed-surface locus only a map to a free group that sends w to a
+    non-power verifies it (`Tower.non_power_map`).  Undecided elsewhere."""
+    r, k, _ = tower.root(w)
+    if k > 1:
+        return False, f"attaching word is a proper power: ({format_word(r)})^{k}"
     pres = tower.presentation()
-    free_locus = not pres.relators
-    v = _only_vertex(tower)
-    surface_locus = v is not None and v.kind == "surface"
-    if free_locus or surface_locus:
-        probe = v.normalize(w) if surface_locus else w
-        pp = is_proper_power(probe)
-        if pp is not None:
-            return False, f"attaching word is a proper power: ({format_word(pp[0])})^{pp[1]}"
-        if free_locus:
-            return True, "free locus, not a proper power"
-        params = _non_power_map(tower, w)
+    if not pres.relators:
+        return True, "free locus, not a proper power"
+    v = only_vertex(tower)
+    if v is not None and v.kind == "surface":
+        params = tower.non_power_map(w)
         if params is None:
             return None, ("surface locus: no map family member tried sends the "
                           "attaching word to a non-power in a free group")

@@ -11,7 +11,8 @@ or where the engine builds it.  Here `reduce_word`, `cyclic_reduce` and
 for a word already reduced), and a `GroupHom` reduces its images once,
 when it is built.  `GroupHom.apply`, `join_reduced` and `walk_ball`
 take reduced words and keep them reduced, cancelling only where two of
-them meet; `concat`, `invert`, `power` and `commutator` do not reduce.
+them meet, and `is_proper_power` takes a reduced word; `concat`,
+`invert`, `power` and `commutator` do not reduce.
 """
 
 from __future__ import annotations
@@ -225,26 +226,19 @@ def conjugacy_key(w: Word) -> Word:
     return min(least_rotation(core), least_rotation(invert(core)))
 
 
-def _divisors(n: int) -> Iterator[int]:
-    for d in range(1, n + 1):
-        if n % d == 0:
-            yield d
-
-
 def is_proper_power(w: Word) -> Optional[tuple[Word, int]]:
-    """Maximal-exponent decomposition of the cyclically reduced core, or None.
+    """Maximal-exponent decomposition of the cyclic core of the reduced
+    word w, or None.
 
     Detection is by period checking on the cyclic word, O(n^2); plenty at
     the scale this library is used at.
     """
-    core, _ = cyclic_reduce(w)
+    core, _ = cyclic_core(w)
     n = len(core)
     if n == 0:
         raise WordError("proper-power test requires a nontrivial word")
-    for p in _divisors(n):
-        if p == n:
-            break
-        if core == core[:p] * (n // p):
+    for p in range(1, n // 2 + 1):  # the proper divisors of n, smallest first
+        if n % p == 0 and core == core[:p] * (n // p):
             return core[:p], n // p
     return None
 

@@ -369,6 +369,46 @@ def test_embed_undecided_nu_is_an_error_unless_assumed(tmp_path):
     assert "obligation-1: j-homomorphism assumed (relator s a s^-1 a^-1)" in text
 
 
+def test_embed_attaches_along_the_root_of_the_edge_image(tmp_path):
+    # no recorded lattice is proved to centralize the edge image
+    # [a1,b1]^12, so the new block is glued along the cyclic group of its
+    # root [a1,b1], not of the image
+    spl = _corpus_splitting(tmp_path, "hnn", ('nu { a -> "a", s -> "a" }',
+                                              'nu { a -> "[a1,b1]^12", s -> "t" }'))
+    code, text = _embed("closed2", spl, "--assume")
+    assert code == 0
+    assert "\nU: a1 b1 a1^-1 b1^-1\nU-status: budget-limited\n" in text
+    assert "certificate: full" in text
+
+
+def test_the_abelian_step_reads_the_edge_exponent_off_the_root(tmp_path):
+    # the edge image [a,b]^2 has exponent sum 0, so no exponent sum tells
+    # which power of the root [a,b] it is; x must go to the square of the
+    # root, not to 1 (which made j no homomorphism and read `refuted`)
+    spl = _corpus_splitting(tmp_path, "abelian", ('nu { a -> "a", x -> "a", y -> "" }',
+                                                  'nu { a -> "[a,b]^2", x -> "[a,b]^2", '
+                                                  'y -> "" }'))
+    code, text = _embed("f2", spl)
+    assert code == 0
+    assert "\nj-x: a b a^-1 b^-1 a b a^-1 b^-1\n" in text
+    assert "\nU: a b a^-1 b^-1\nU-status: verified\n" in text
+    assert text.endswith("certificate: full\n")
+
+
+def test_an_edge_image_trivial_in_a_surface_group_is_refuted(tmp_path):
+    # the surface relator is a nonempty reduced word whose Dehn normal form
+    # is empty: its root is empty, and the block's attach-nontrivial check
+    # refutes the step instead of the proper-power test failing on it
+    twr = tmp_path / "g2.twr"
+    twr.write_text("tower g2 { base { surface(genus=2) } }")
+    spl = _corpus_splitting(tmp_path, "hnn", ('nu { a -> "a", s -> "a" }',
+                                              'nu { a -> "[a1,b1] [a2,b2]", s -> "a1" }'))
+    code, text = cli.run_command(["embed", str(twr), "--splitting", spl])
+    assert code == 2
+    assert text.endswith("verdict: refuted\n"
+                         "witness: attach-nontrivial refuted (word problem verdict Trivial)\n")
+
+
 def test_embed_budget_limited_locus_needs_assume(tmp_path):
     spl = _corpus_splitting(tmp_path, "hnn", ('nu { a -> "a", s -> "a" }',
                                               'nu { a -> "a1", s -> "a1" }'))
@@ -437,6 +477,22 @@ def test_a_hidden_surface_power_is_refused_and_assumed_only_with_assume(tmp_path
     code, out = cli.run_command(["flats", str(p)])
     hypothesis2 = next(line for line in out.splitlines() if line.startswith("hypothesis-2:"))
     assert hypothesis2 != "hypothesis-2: verified" and "verified-to-budget" in hypothesis2
+    # no map to a free group can send a proper power to a non-power, so the
+    # detail must not claim a proper-power check that passed
+    assert "proper-power and lattice checks passed" not in hypothesis2
+    assert hypothesis2 == ("hypothesis-2: verified-to-budget "
+                           "(proper power undecided; lattice checks passed to budget)")
+
+
+def test_a_literal_power_on_a_composite_locus_is_refuted(tmp_path):
+    # [a,t]^2 over gamma is a proper power whatever the relators say, so
+    # assume=true does not cover it
+    p = tmp_path / "gsq.twr"
+    p.write_text((CORPUS / "gamma.twr").read_text().rstrip().rstrip("}") +
+                 'block A { attach="[a,t]^2"; rank=2; letters=s; assume=true; } }')
+    code, out = cli.run_command(["present", str(p)])
+    assert (code, out) == (1, "error: attach-maximal refuted (attaching word is a proper "
+                              "power: (a t a^-1 t^-1)^2)\n")
 
 
 def test_core_outside_the_cover_is_budget_limited():

@@ -86,6 +86,24 @@ def test_maximal_abelian_lattice_locus(gamma):
     assert len(loc.generators) == 2
 
 
+def test_maximal_abelian_surface_locus_is_cyclic_on_a_certified_root():
+    # centralizers in a closed surface group are cyclic, so the group of a
+    # root that a map to a free group certifies is maximal abelian; the
+    # answer is the root's group, not the group of the word, a square here
+    g2 = tw.new_height0([tw.surface_summand(2)])
+    al = g2.alphabet()
+    loc = em.maximal_abelian_containing(g2, parse_word("a1 b1", al))
+    assert loc.status == "verified"
+    assert [format_word(g) for g in loc.generators] == ["a1 b1"]
+    loc = em.maximal_abelian_containing(g2, parse_word("b1 a2 b2 a2 b2 b1^-1", al))
+    assert loc.status == "verified"
+    assert [format_word(g) for g in loc.generators] == ["b1 a2 b2 b1^-1"]
+    # pp's attaching word, a conjugate of (b2 a2)^2 with no literal period,
+    # has no certified root, so its answer stays budget-limited
+    loc = em.maximal_abelian_containing(g2, parse_word("b1^-1 a2 b2 b2 a2 a1 b1 a1^-1", al))
+    assert loc.status == "budget-limited"
+
+
 def test_a_lattice_on_an_assumed_obligation_is_budget_limited():
     # a2's stage-2 torus <[a,t], s> centralizes [a,t], but its block was
     # attached with attach-maximal only assumed

@@ -1,10 +1,11 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no private module-level function, class or assignment is left
 unreferenced, only `rft.tower` reads whether a tower's base is free,
-uses its map to a free group or looks a word up among its relator
-cores, only the listed entry points reduce a word they were given, only
-`intlinalg._column_hermite` runs an integer elimination, and importing
-the CLI loads no `hashlib`, `dataclasses` or `inspect`.
+uses its map to a free group, looks a word up among its relator cores
+or asks whether a word is a proper power, only the listed entry points
+reduce a word they were given, only `intlinalg._column_hermite` runs an
+integer elimination, and importing the CLI loads no `hashlib`,
+`dataclasses` or `inspect`.
 
 Stdlib `ast` only.  A name counts as used when it is read anywhere in
 the module; names listed in the module's `__all__` are re-exports and
@@ -172,6 +173,21 @@ def test_only_the_tower_reads_its_relator_cores(name):
     # trivial as a conjugate of a defining relator, so no module grows a
     # shortcut beside the one chain
     assert referrers(_trees(), name) == ["tower"]
+
+
+def test_only_the_tower_asks_whether_a_word_is_a_proper_power():
+    # `Tower.root` and `Tower.non_power_map` are the one proper-power
+    # answer, and `Tower.maximal_abelian` the one centralizing-lattice
+    # answer; the CLI's selftest alone calls the period test besides
+    trees = _trees()
+    assert referrers(trees, "is_proper_power") == ["cli", "tower"]
+    defined = {name.rsplit(".", 1)[-1] for tree in trees.values() for name, _ in _functions(tree)}
+    for gone in ("centralizing_lattice", "_non_power_map"):
+        assert gone not in defined and referrers(trees, gone) == []
+    for module in ("embed", "flats"):
+        imported = {alias.name for node in ast.walk(trees[module])
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not imported & {"is_proper_power", "cyclic_reduce"}
 
 
 def while_loops(tree: ast.Module) -> list[str]:

@@ -157,6 +157,39 @@ def test_attach_maximal_is_never_verified_on_a_conjugate_of_a_surface_power(data
             assert _attach_maximal(GENUS2, u) != "verified", format_word(u)
 
 
+def _literal_exponent(u):
+    """The largest k with the cyclic core of u a k-th power of a word,
+    found from the smallest rotation that gives the core back."""
+    core, _ = cyclic_core(u)
+    n = len(core)
+    return n // next(i for i in range(1, n + 1) if core[i:] + core[:i] == core)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(("f2", "gamma", "a2", "genus2")), st.integers(1, 4))
+def test_root_and_the_non_power_certificate_are_sound(data, name, k):
+    # w = c r^k c^-1 with r cyclically reduced; Tower.root must give back
+    # a decomposition of the same element, with k times r's own exponent
+    # on a free locus, and a certificate must check out by free reduction
+    T = GENUS2 if name == "genus2" else _cached_tower(name)
+    letters = st.tuples(st.sampled_from(T.alphabet().generators), st.sampled_from((1, -1)))
+    r = data.draw(st.lists(letters, min_size=1, max_size=6).map(
+        lambda x: cyclic_core(reduce_word(tuple(x)))[0]).filter(bool))
+    c = data.draw(st.lists(letters, max_size=4).map(tuple))
+    w = reduce_word(concat(c, power(r, k), invert(c)))
+    r2, k2, c2 = T.root(w)
+    assert T.word_problem(concat(c2, power(r2, k2), invert(c2), invert(w))) == TRIVIAL
+    if not T.presentation().relators:
+        assert k2 == k * _literal_exponent(r)
+    params = T.non_power_map(w)
+    if params is not None:
+        assert k2 == 1
+        hom = T._witness_family.hom(params)
+        assert not any(hom.apply(rel) for rel in T.presentation().relators)
+        u = hom.apply(w)
+        assert u and _literal_exponent(u) == 1
+
+
 def test_attach_q_punctured_torus(free2):
     surf = SurfacePresentation(1, 1, ("x", "y"))
     block = tw.BlockQ(surf, (parse_word("[a,b]"),),
