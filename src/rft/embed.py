@@ -124,10 +124,10 @@ def maximal_abelian_containing(tower: Tower, w: Word, budget: int = 8) -> Abelia
     """Maximal abelian subgroup of the tower group containing <w>.
 
     A recorded torus lattice that centralizes w (`Tower.maximal_abelian`),
-    exact when its stage and every stage below verified all their
-    obligations; else the cyclic group of w's root (`Tower.root`), exact on
-    free loci, and on a closed-surface locus (whose centralizers are cyclic
-    too) when `Tower.non_power_map` certifies the root.
+    exact when every stage of the tower verified all its obligations; else
+    the cyclic group of w's root (`Tower.root`), exact on free loci, and on
+    a closed-surface locus (whose centralizers are cyclic too) when
+    `Tower.non_power_map` certifies the root.
     """
     w = reduce_word(w, tower.alphabet())
     if not w:
@@ -136,7 +136,7 @@ def maximal_abelian_containing(tower: Tower, w: Word, budget: int = 8) -> Abelia
     if rec is not None:
         return AbelianLocus(tuple(rec.generators), "verified" if exact else "budget-limited",
                             "centralized by a recorded torus lattice" +
-                            ("" if exact else " built on an assumed obligation"))
+                            ("" if exact else " in a tower with an assumed obligation"))
     r, _, c = tower.root(w)
     cyclic = (reduce_word(concat(c, r, invert(c))),)
     if not tower.presentation().relators:

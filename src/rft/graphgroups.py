@@ -19,7 +19,7 @@ import itertools
 from typing import Callable, Optional
 
 from .folding import SubgroupGraph
-from .intlinalg import lattice_rank, solve_int_linear, solve_with_relations
+from .intlinalg import Lattice, lattice_rank, solve_int_linear
 from .words import (
     Alphabet,
     AlphabetError,
@@ -76,6 +76,8 @@ class VertexGroup:
         self.surface = surface
         self.relators = relators
         self.strategy = strategy
+        # edge subgenerators -> membership plan (`_membership_plan`)
+        self._plans: dict[tuple[Word, ...], tuple[Lattice, bool]] = {}
 
     def all_relators(self) -> tuple[Word, ...]:
         if self.kind == "free":
@@ -369,15 +371,40 @@ def _exponent_shell(k: int, r: int):
             yield (x,) + tail
 
 
+def _membership_plan(V: VertexGroup, subgens: list[Word]) -> tuple[Lattice, bool]:
+    """The membership plan of an edge side at an abelian, surface or
+    composite vertex: the factored lattice of the abelianized subgens, with
+    the vertex relators' columns after them at surface and composite
+    vertices, and whether no relation of that lattice involves a subgen
+    (then a solution's subgen part is the one candidate).  Made on the
+    first question and kept by V."""
+    key = tuple(subgens)
+    plan = V._plans.get(key)
+    if plan is None:
+        cols = [abelianize(g, V.alphabet) for g in subgens]
+        if V.kind != "abelian":
+            cols += [abelianize(r, V.alphabet) for r in V.all_relators()]
+        lattice = Lattice(cols, len(V.alphabet.generators))
+        unique = not any(any(r[: len(subgens)]) for r in lattice.relations())
+        plan = V._plans[key] = (lattice, unique)
+    return plan
+
+
 def subgroup_membership(
     V: VertexGroup, subgens: list[Word], w: Word, budget: int
 ) -> MembershipResult:
     """Decide w in <subgens> inside the vertex group V.
 
-    Free vertices: exact via Stallings folding.  Free-abelian: exact
+    Free vertices: exact via Stallings folding, on the folded graph that
+    `_subgroup_graph` keeps per (alphabet, subgens).  Free-abelian: exact
     integer lattice solve.  Surface (closed) and composite vertices:
     exact when the abelianization pins the candidate exponents down,
     otherwise a budgeted cyclic power search; unknown past the budget.
+    At the last three kinds V keeps one plan per edge side it is asked
+    about (`_membership_plan`), made on the first question and gone with
+    V and its graph: the lattice of [subgens | relators], factored once,
+    and whether the unique candidate or the exponent search answers.
+    Each question then costs one abelianization of w and one solve.
     Takes w and subgens as given.
     """
     expr: Expression = []
@@ -385,22 +412,15 @@ def subgroup_membership(
         if V.kind == "free":
             expr = _subgroup_graph(V.alphabet, tuple(subgens)).express(w)
             return MembershipResult(NONMEMBER if expr is None else MEMBER, expr)
-        cols = [abelianize(g, V.alphabet) for g in subgens]
-        if V.kind == "abelian":
-            sol = solve_int_linear(cols, abelianize(w, V.alphabet))
-            if sol is None:
-                return MembershipResult(NONMEMBER)
-            return MembershipResult(MEMBER, [(i, k) for i, k in enumerate(sol) if k])
-        # surface (closed) and composite vertices: one elimination of
-        # [subgens | relators] in the abelianized quotient
-        rels = [abelianize(r, V.alphabet) for r in V.all_relators()]
-        found = solve_with_relations(cols + rels, abelianize(w, V.alphabet))
-        if found is None:
+        lattice, unique = _membership_plan(V, subgens)
+        sol = lattice.solve(abelianize(w, V.alphabet))
+        if sol is None:
             # sound regardless of independence: membership would force a
             # solution in the abelianized quotient
             return MembershipResult(NONMEMBER)
-        sol, relations = found
-        if any(any(r[: len(cols)]) for r in relations):
+        if V.kind == "abelian":
+            return MembershipResult(MEMBER, [(i, k) for i, k in enumerate(sol) if k])
+        if not unique:
             # a relation involves the subgens: they are dependent modulo
             # the relators and the candidate is not unique.  Budgeted
             # exponent search: products g1^k1 ... gn^kn cover the subgroup
@@ -414,7 +434,7 @@ def subgroup_membership(
                         return MembershipResult(MEMBER, [(i, k) for i, k in enumerate(ks) if k])
             return MembershipResult(UNKNOWN)
         # the unique candidate: w is a member exactly when w / candidate is trivial
-        expr = [(i, k) for i, k in enumerate(sol[: len(cols)]) if k]
+        expr = [(i, k) for i, k in enumerate(sol[: len(subgens)]) if k]
         w = reduce_word(concat(w, invert(_expression_word(tuple(subgens), expr))))
     verdict = V.triviality(w, budget)
     if verdict == TRIVIAL:

@@ -3,7 +3,10 @@
 Hand-rolled rather than numpy/sympy: the lattices here are tiny and the
 arithmetic must be exact over arbitrary-size integers.  One elimination,
 `_column_hermite`, is behind solving, rank, relations and unimodular
-completion.
+completion.  A `Lattice` runs it once per column set and keeps the
+result; each target is then solved against that state, so a caller with
+fixed columns (an edge side's subgroup generators) factors them once and
+solves per target.
 """
 
 from __future__ import annotations
@@ -41,27 +44,46 @@ def _column_hermite(cols: list[list[int]], m: int) -> list[tuple[int, int]]:
     return pivots
 
 
-def _eliminate(columns: Sequence[Vector], target: Vector):
-    """One tracked elimination of the columns: the reduced columns with
-    their tracked combinations below row m, the pivots, and a solution x of
-    sum_j x_j * columns[j] == target or None."""
-    n, m = len(columns), len(target)
-    for c in columns:
-        if len(c) != m:
+class Lattice:
+    """The integer lattice spanned by fixed columns of length m, factored
+    once: one tracked elimination keeps the reduced columns, with their
+    combinations of the input columns below row m, and the pivots.
+    `solve` reads that state for each target and leaves it unchanged."""
+
+    def __init__(self, columns: Sequence[Vector], m: int):
+        n = len(columns)
+        for c in columns:
+            if len(c) != m:
+                raise ValueError("column/target dimension mismatch")
+        self.m = m
+        self.cols = [list(c) + [1 if i == j else 0 for i in range(n)]
+                     for j, c in enumerate(columns)]
+        self.pivots = _column_hermite(self.cols, m)
+
+    def solve(self, target: Vector) -> Optional[tuple[int, ...]]:
+        """A solution x of sum_j x_j * columns[j] == target, or None when
+        target is outside the lattice."""
+        m, cols = self.m, self.cols
+        if len(target) != m:
             raise ValueError("column/target dimension mismatch")
-    cols = [list(c) + [1 if i == j else 0 for i in range(n)] for j, c in enumerate(columns)]
-    pivots = _column_hermite(cols, m)
-    t = list(target)
-    x = [0] * n
-    for row, j in pivots:
-        if t[row] % cols[j][row] != 0:
-            return cols, pivots, None
-        f = t[row] // cols[j][row]
-        for r in range(m):
-            t[r] -= f * cols[j][r]
-        for r in range(n):
-            x[r] += f * cols[j][m + r]
-    return cols, pivots, None if any(t) else tuple(x)
+        t = list(target)
+        x = [0] * len(cols)
+        for row, j in self.pivots:
+            if t[row] % cols[j][row] != 0:
+                return None
+            f = t[row] // cols[j][row]
+            for r in range(m):
+                t[r] -= f * cols[j][r]
+            for r in range(len(x)):
+                x[r] += f * cols[j][m + r]
+        return None if any(t) else tuple(x)
+
+    def relations(self) -> list[Vector]:
+        """A basis of the relations r, sum_j r_j * columns[j] == 0: the
+        tracked combinations of the columns without a pivot, n - rank of
+        them."""
+        pivot_cols = {j for _, j in self.pivots}
+        return [tuple(c[self.m:]) for j, c in enumerate(self.cols) if j not in pivot_cols]
 
 
 def solve_int_linear(columns: Sequence[Vector], target: Vector) -> Optional[tuple[int, ...]]:
@@ -70,29 +92,14 @@ def solve_int_linear(columns: Sequence[Vector], target: Vector) -> Optional[tupl
     Returns one solution vector x, or None when target is outside the
     lattice spanned by the columns.
     """
-    return _eliminate(columns, target)[2]
-
-
-def solve_with_relations(
-    columns: Sequence[Vector], target: Vector
-) -> Optional[tuple[Vector, list[Vector]]]:
-    """A solution x of sum_j x_j * columns[j] == target and a basis of the
-    relations r, sum_j r_j * columns[j] == 0 (n - rank of them), read off
-    one elimination; None when target is outside the lattice.
-    """
-    cols, pivots, x = _eliminate(columns, target)
-    if x is None:
-        return None
-    pivot_cols = {j for _, j in pivots}
-    m = len(target)
-    return x, [tuple(c[m:]) for j, c in enumerate(cols) if j not in pivot_cols]
+    return Lattice(columns, len(target)).solve(target)
 
 
 def lattice_rank(columns: Sequence[Vector]) -> int:
     """Rank of the integer lattice spanned by the columns."""
     if not columns:
         return 0
-    return len(_column_hermite([list(c) for c in columns], len(columns[0])))
+    return len(Lattice(columns, len(columns[0])).pivots)
 
 
 def unimodular_with_first_row_image(v: Vector) -> list[list[int]]:
@@ -106,7 +113,8 @@ def unimodular_with_first_row_image(v: Vector) -> list[list[int]]:
     n = len(v)
     if n == 0 or all(c == 0 for c in v):
         raise ValueError("need a nonzero vector")
-    cols, [(_, p)], _ = _eliminate([(c,) for c in v], (0,))
+    L = Lattice([(c,) for c in v], 1)
+    cols, [(_, p)] = L.cols, L.pivots
     M = [cols[p][1:]] + [cols[j][1:] for j in range(n) if j != p]
     # the reduction only adds multiples of columns, so det M is the sign
     # of moving row p to the front; turning g positive flips it once more

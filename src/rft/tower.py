@@ -350,14 +350,16 @@ class Tower:
                         ) -> tuple[Optional[LatticeRecord], bool]:
         """The first live torus lattice, of a stage below `below` when
         given, whose generators all provably commute with w, and whether
-        every obligation of stages 1 to its stage is verified (then that
-        stage is a limit group, which is CSA); (None, False) if none."""
+        every obligation of every stage is verified (then the tower group
+        is a limit group, which is CSA, so the lattice is maximal abelian
+        in it); (None, False) if none.  A stage above the lattice's counts
+        too: its block may centralize w by a second lattice."""
         for rec in self.lattice_records():
             if below is not None and rec.stage >= below:
                 continue
             if all(self.word_problem(commutator(w, g), budget) == TRIVIAL
                    for g in rec.generators):
-                return rec, all(ob.status == "verified" for s in self.stages[1:rec.stage + 1]
+                return rec, all(ob.status == "verified" for s in self.stages[1:]
                                 for ob in s.obligations)
         return None, False
 

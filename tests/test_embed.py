@@ -115,6 +115,24 @@ def test_a_lattice_on_an_assumed_obligation_is_budget_limited():
     assert [format_word(g) for g in loc.generators] == ["a t a^-1 t^-1", "s"]
 
 
+def test_an_assumed_obligation_above_the_lattice_makes_it_budget_limited():
+    # gamma's torus <[a,b], t> centralizes t, and its own stages verified
+    # every obligation; but the stage-2 block attaches s along t with
+    # attach-maximal only assumed, and t commutes with s while [a,b] does
+    # not, so t lies in two maximal abelian subgroups
+    T = build_tower(parse_tower_dsl("""tower t {
+      base { free(a, b) }
+      block A { attach="[a,b]"; rank=2; letters=t; }
+      block A { attach="t"; rank=2; letters=s; assume=true; }
+    }"""))
+    al = T.alphabet()
+    assert [ob.status for ob in T.stages[1].obligations] == ["verified", "verified"]
+    assert T.word_problem(parse_word("[[a,b],s]", al)) == NONTRIVIAL
+    loc = em.maximal_abelian_containing(T, parse_word("t", al))
+    assert loc.status == "budget-limited"
+    assert [format_word(g) for g in loc.generators] == ["a b a^-1 b^-1", "t"]
+
+
 def test_embed_amalgam_double():
     S, D = _double_data()
     R = em.embed_step(S, D)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rft import graphgroups
+from rft import graphgroups, intlinalg
 from rft.cli import build_tower, parse_splitting, parse_tower_dsl
 from rft.graphgroups import (
     EdgeGroup,
@@ -387,6 +387,66 @@ def test_pass_answers_equal_a_memo_free_pass(monkeypatch):
     assert outcomes() == kept
     # the sample repeats questions within a pass
     assert calls[False] < calls[True]
+
+
+PLANNED = {
+    "gamma": ["[[a,b],t]", "[[a,b]^3,t]", "[a,t]", "t a t^-1 a^-1 b", "[a,b] t [b,a] t^-1"],
+    "tall": ["[[b,s]^2,r]", "[[a,t],s]", "[r,a]", "[[a,b],t] [b,s]", "s r s^-1 r^-1"],
+    "mixed": ["[[x,y],u]", "[x^3,u]", "[x y^2,u]", "x u x u^-1 x^-1 u", "[p,q] [a,b]^-1"],
+    "closed2": ["[[a1,b1],t]", "[[a1,b1]^4,t]", "[a1,t]", "t a1 t^-1 b2",
+                "[a1,b1] t [b1,a1] t^-1"],
+}
+
+
+def test_each_edge_side_is_factored_once(monkeypatch):
+    # An abelian, surface or composite vertex factors an edge side's
+    # lattice on its first question and solves every later one against
+    # it.  An elimination counts when subgroup_membership runs it itself,
+    # not under a triviality check (a composite vertex's strategy runs
+    # word problems of its own).
+    towers = {name: build_tower(parse_tower_dsl((CORPUS / f"{name}.twr").read_text()))
+              for name in PLANNED}
+    stack: list[str] = []
+    asked: set = set()
+    eliminations = [0]
+    real_membership = graphgroups.subgroup_membership
+    real_triviality = graphgroups.VertexGroup.triviality
+    real_hermite = intlinalg._column_hermite
+
+    def membership(V, subgens, w, budget):
+        if V.kind != "free" and any(subgens):
+            asked.add((V, tuple(subgens)))
+        stack.append("membership")
+        try:
+            return real_membership(V, subgens, w, budget)
+        finally:
+            stack.pop()
+
+    def triviality(V, w, budget):
+        stack.append("triviality")
+        try:
+            return real_triviality(V, w, budget)
+        finally:
+            stack.pop()
+
+    def hermite(cols, m):
+        eliminations[0] += stack[-1:] == ["membership"]
+        return real_hermite(cols, m)
+
+    monkeypatch.setattr(graphgroups, "subgroup_membership", membership)
+    monkeypatch.setattr(graphgroups.VertexGroup, "triviality", triviality)
+    monkeypatch.setattr(intlinalg, "_column_hermite", hermite)
+
+    def verdicts():
+        return {name: [T.word_problem(parse_word(text, T.alphabet()), 8)
+                       for text in PLANNED[name]] for name, T in towers.items()}
+
+    first = verdicts()
+    assert {V.kind for V, _ in asked} == {"abelian", "surface", "composite"}
+    assert 0 < eliminations[0] <= len(asked)
+    eliminations[0] = 0
+    assert verdicts() == first
+    assert eliminations[0] == 0
 
 
 # Reference: the restart-until-quiet reduction this module used before the

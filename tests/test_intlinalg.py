@@ -4,9 +4,9 @@ from math import gcd
 from hypothesis import example, given, strategies as st
 
 from rft.intlinalg import (
+    Lattice,
     lattice_rank,
     solve_int_linear,
-    solve_with_relations,
     unimodular_with_first_row_image,
 )
 
@@ -95,7 +95,7 @@ def column_sets(draw):
 
 @given(column_sets())
 def test_relations_are_relations(cols):
-    _, relations = solve_with_relations(cols, (0, 0, 0))
+    relations = Lattice(cols, 3).relations()
     for r in relations:
         assert len(r) == len(cols)
         assert _combine(r, cols) == (0, 0, 0)
@@ -103,16 +103,16 @@ def test_relations_are_relations(cols):
 
 @given(column_sets())
 def test_relations_count_is_columns_minus_rank(cols):
-    _, relations = solve_with_relations(cols, (0, 0, 0))
+    relations = Lattice(cols, 3).relations()
     assert len(relations) == len(cols) - lattice_rank(cols)
 
 
 @given(column_sets(), column_sets(), vectors)
-def test_solve_with_relations_solves(cols, rels, target):
-    found = solve_with_relations(cols + rels, target)
+def test_lattice_solve_solves(cols, rels, target):
+    found = Lattice(cols + rels, 3).solve(target)
     assert (found is None) == (solve_int_linear(cols + rels, target) is None)
     if found is not None:
-        assert _combine(found[0], cols + rels) == target
+        assert _combine(found, cols + rels) == target
 
 
 @given(column_sets(), column_sets())
@@ -120,10 +120,21 @@ def test_independence_from_one_elimination(subgens, rels):
     # the subgens are independent modulo the relator lattice when no
     # relation of [subgens | relators] involves a subgen; the reference
     # is the two-rank formula that took three eliminations
-    _, relations = solve_with_relations(subgens + rels, (0, 0, 0))
+    relations = Lattice(subgens + rels, 3).relations()
     one_elimination = not any(any(r[: len(subgens)]) for r in relations)
     two_ranks = lattice_rank(rels + subgens) == lattice_rank(rels) + len(subgens)
     assert one_elimination == two_ranks
+
+
+@given(column_sets(), st.lists(vectors, max_size=6))
+def test_a_factored_lattice_solves_as_fresh_ones(cols, targets):
+    # solve leaves no state behind: one factorization answers a sequence
+    # of targets, each arbitrary target followed by a lattice member, as
+    # a fresh factorization per target does, None in the same cases
+    lattice = Lattice(cols, 3)
+    for t in targets:
+        for target in (t, _combine(t, cols)):
+            assert lattice.solve(target) == Lattice(cols, 3).solve(target)
 
 
 @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=5)
