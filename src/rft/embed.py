@@ -408,9 +408,11 @@ def certify_injectivity_on_ball(R: EmbeddingResult,
     and such a word costs no tower call.  The words whose base image is
     1, and on any other stage 0 every word, go through the tower's one
     chain (`Tower.reduced_word_problem`): a nonempty image under the
-    tower's map to a free group is Nontrivial, a conjugate of a defining
-    relator is Trivial, and only the words that both maps send to 1 and
-    that are no relator conjugate reach a Britton word problem.  All are
+    tower's map to a free group is Nontrivial, and only after it, on a
+    non-free stage 0, does stage 0's word problem ask the base image; a
+    conjugate of a defining relator is Trivial, and only the words that
+    both maps send to 1 and that are no relator conjugate reach a
+    Britton word problem.  All are
     the tower's own decision, so each such entry has method "direct";
     only a Britton Unknown turns to `find_rf_witness`.
 

@@ -19,7 +19,7 @@ import itertools
 from typing import Callable, Optional
 
 from .folding import SubgroupGraph
-from .intlinalg import Lattice, lattice_rank, solve_int_linear
+from .intlinalg import Lattice, lattice_rank
 from .words import (
     Alphabet,
     AlphabetError,
@@ -162,6 +162,13 @@ class Presentation:
 
     def relator_columns(self) -> list[tuple[int, ...]]:
         return [abelianize(r, self.alphabet) for r in self.relators]
+
+    @functools.cached_property
+    def relator_lattice(self) -> Lattice:
+        """The lattice of the abelianized relators, factored once per
+        presentation: an exponent-sum vector outside it belongs to no
+        trivial word."""
+        return Lattice(self.relator_columns(), len(self.alphabet.generators))
 
 
 class MembershipResult(Record):
@@ -622,12 +629,12 @@ def normal_form(G: GraphOfGroups, w: Word, budget: int = 8) -> NormalForm:
 
 def word_problem(G: GraphOfGroups, w: Word, budget: int = 8) -> str:
     """Triviality verdict; Trivial verdicts are cross-checked against the
-    presentation's abelianization oracle."""
+    presentation's abelianization oracle (its `relator_lattice`)."""
     verdict = normal_form(G, w, budget).verdict
     if verdict == TRIVIAL:
         pres = G.presentation()
         vec = abelianize(w, pres.alphabet)
-        if any(vec) and solve_int_linear(pres.relator_columns(), vec) is None:
+        if any(vec) and pres.relator_lattice.solve(vec) is None:
             raise InconsistencyError(
                 "internal inconsistency: Trivial verdict contradicts the "
                 "abelianization oracle")

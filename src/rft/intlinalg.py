@@ -5,8 +5,8 @@ arithmetic must be exact over arbitrary-size integers.  One elimination,
 `_column_hermite`, is behind solving, rank, relations and unimodular
 completion.  A `Lattice` runs it once per column set and keeps the
 result; each target is then solved against that state, so a caller with
-fixed columns (an edge side's subgroup generators) factors them once and
-solves per target.
+fixed columns (an edge side's subgroup generators, a presentation's
+relators) factors them once and solves per target.
 """
 
 from __future__ import annotations

@@ -19,11 +19,13 @@ as they are.
 check the words they are given; `Tower.reduced_word_problem`, which
 composite vertices also call (as `_wp_at`), takes its words as given.
 
-Every tower word problem runs one chain: the retraction to stage 0, then
-`Tower.free_map`, a relator-checked map to a free group (towers are
-residually free), then a lookup among the cyclic cores of the defining
-relators (`Tower.relator_cores`), and only then the top stage's Britton
-word problem.
+Every tower word problem runs one chain, cheapest certificate first: on
+a free stage 0 the retraction's reduced image, then `Tower.free_map`, a
+relator-checked map to a free group (towers are residually free), then
+on a non-free stage 0 the stage-0 word problem of the retraction's
+image, then a lookup among the cyclic cores of the defining relators
+(`Tower.relator_cores`), and only then the top stage's Britton word
+problem.
 """
 
 from __future__ import annotations
@@ -491,30 +493,38 @@ class Tower:
         of `rft.embed` and the composite vertex that stands for this
         tower in the next stage's graph.
 
-        Above stage 0 the image of w in the base is asked first: `base`
-        when the caller has it (the ball walks build w's reduced image
-        under `retraction_to_base()` letter by letter; on a free base
+        The tests run cheapest first; each Nontrivial answer is a proof on
+        its own, so their order changes no verdict.  The empty word is
+        Trivial.  Above a free stage 0, a nonempty image of w in the base
+        is Nontrivial: `base` when the caller has it (the ball walks build
+        w's reduced image under `retraction_to_base()` letter by letter;
         `walk_ball` marks a nonempty one None, and a ball certificate
-        settles that word without this call), else that image.
-        The retraction is a homomorphism, so a nontrivial image proves w
-        nontrivial.  The image is reduced, so on a free base a nonempty
-        image is that proof already and no base word problem runs;
-        otherwise the stage-0 word problem decides it, unless the image is
-        a relator conjugate (below), which is trivial.  A height-0 tower
-        skips this step.  Next, a nonempty image under `free_map` is
-        Nontrivial, so only words that both maps send to 1 reach the
-        relator step: a relator conjugate is Trivial.  Only the words left
-        reach the top stage's Britton/amalgam word problem."""
+        settles that word without this call), else that image.  The
+        retraction is a homomorphism and the image is reduced, so a
+        nonempty image is nontrivial in the free base.  Next, a nonempty
+        image under `free_map`, one linear pass, is Nontrivial.  Only then,
+        above a non-free stage 0, is the base image asked (built here when
+        the caller gave none): the stage-0 word problem proves it
+        nontrivial, unless it is a relator conjugate (below), which is
+        trivial.  A height-0 tower skips both base steps.  The words left
+        reach the relator step, where a relator conjugate is Trivial, and
+        only the rest reach the top stage's Britton/amalgam word problem.
+        """
         if not w:
             return TRIVIAL
-        if self.height:
+        if self.height and self.free_base:
             if base is None:
                 base = self._base_map.apply(w)
-            if base and (self.free_base or not self._relator_conjugate(base)
-                         and gg.word_problem(self.stages[0].graph, base, budget) == NONTRIVIAL):
+            if base:
                 return NONTRIVIAL
         if self.free_map is not None and self.free_map.apply(w):
             return NONTRIVIAL
+        if self.height and not self.free_base:
+            if base is None:
+                base = self._base_map.apply(w)
+            if base and not self._relator_conjugate(base) and gg.word_problem(
+                    self.stages[0].graph, base, budget) == NONTRIVIAL:
+                return NONTRIVIAL
         if self._relator_conjugate(w):
             return TRIVIAL
         return gg.word_problem(self.stages[-1].graph, w, budget)

@@ -228,6 +228,26 @@ def test_an_inconsistent_trivial_raises_on_every_call(monkeypatch):
         word_problem(G, parse_word("c", al))
 
 
+def test_the_cross_check_factors_the_relators_once(monkeypatch):
+    # <a,t | t a t^-1 = a^2>: its relator abelianizes to a^-1, so a Trivial
+    # verdict on a word of nonzero exponent sum is solved against the
+    # relator lattice, which the presentation factors on the first check
+    A = alphabet("a")
+    e = EdgeGroup("E", 1, ("vA", (parse_word("a", A),)), ("vA", (parse_word("a^2", A),)),
+                  stable_letter="t")
+    G = GraphOfGroups([free_vertex("vA", A)], [e], "vA")
+    al = G.presentation().alphabet
+    runs = []
+    real = intlinalg._column_hermite
+    monkeypatch.setattr(intlinalg, "_column_hermite",
+                        lambda cols, m: runs.append(m) or real(cols, m))
+    for text in ("t a t^-1 a^-2", "a t a t^-1 a^-3", "t a^2 t^-1 a^-4"):
+        w = parse_word(text, al)
+        assert any(abelianize(w, al)) and word_problem(G, w) == TRIVIAL
+    assert len(runs) == 1
+    assert G.presentation().relator_lattice is G.presentation().relator_lattice
+
+
 # -- budgeted exponent search -------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from rft.words import (
     GroupHom,
     SurfacePresentation,
     abelianize,
+    commutator,
     concat,
     cyclic_core,
     enumerate_ball,
@@ -859,6 +860,104 @@ def test_the_free_map_decides_before_the_top_stage_is_asked(gamma, monkeypatch):
     monkeypatch.setattr(tw.gg, "word_problem", counting)
     assert gamma.word_problem(parse_word("t", gamma.alphabet())) == NONTRIVIAL
     assert gamma.stages[-1].graph not in asked
+
+
+def _reference_wp_at(T, w, base, budget=8):
+    """The tower chain as it was before the free map moved ahead of stage
+    0's word problem: the base image first, on any stage 0, then the free
+    map, the relator step and the top stage's Britton."""
+    if not w:
+        return TRIVIAL
+    if T.height:
+        if base is None:
+            base = T.retraction_to_base().apply(w)
+        if base and (T.free_base or not T._relator_conjugate(base)
+                     and word_problem(T.stages[0].graph, base, budget) == NONTRIVIAL):
+            return NONTRIVIAL
+    if T.free_map is not None and T.free_map.apply(w):
+        return NONTRIVIAL
+    if T._relator_conjugate(w):
+        return TRIVIAL
+    return word_problem(T.stages[-1].graph, w, budget)
+
+
+def _chain_words(T, rng):
+    """Seeded random words, products of relator conjugates (half of them
+    times a random word) and [u^k, v] shapes over T's letters: random u
+    and v, and each torus block's attaching word and letter, whose
+    higher powers end in Unknown at low budgets."""
+    letters = [(g, s) for g in T.alphabet().generators for s in (1, -1)]
+    short = lambda lo, hi: tuple(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
+    relators = T.presentation().relators
+    words = [short(1, 10) for _ in range(60)]
+    for _ in range(40 if relators else 0):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            g, r = short(0, 3), rng.choice(relators)
+            factors += [g, r if rng.random() < 0.5 else invert(r), invert(g)]
+        words.append(concat(*factors, short(1, 3) if rng.random() < 0.5 else ()))
+    words += [commutator(power(short(1, 3), rng.randint(1, 4)), short(1, 2))
+              for _ in range(40)]
+    blocks = [s.block for s in T.stages[1:] if isinstance(s.block, tw.BlockT)]
+    words += [commutator(power(a, k), letter(t)) for b in blocks
+              for a in b.attach for t in b.letters for k in range(1, 7)]
+    return words
+
+
+def test_the_chain_gives_the_reference_chains_verdicts(monkeypatch):
+    # only the order of the Nontrivial proofs changed, so every verdict,
+    # Unknown included, is the one the reference chain gives; composite
+    # vertices call `_wp_at` too, so the reference run is the old chain
+    # at every height
+    verdicts = {}
+    for name in CORPUS_NAMES:
+        T = _cached_tower(name)
+        for budget in (2, 8):
+            for w in _chain_words(T, random.Random(f"{name}/{budget}")):
+                verdicts[name, budget, w] = T.word_problem(w, budget)
+    monkeypatch.setattr(tw.Tower, "_wp_at", _reference_wp_at)
+    for (name, budget, w), verdict in verdicts.items():
+        assert _cached_tower(name).word_problem(w, budget) == verdict, (
+            name, budget, format_word(w))
+    assert len(CORPUS_NAMES) == 10
+    assert set(verdicts.values()) == {TRIVIAL, NONTRIVIAL, UNKNOWN}
+
+
+def _stage0_asked(T, w, monkeypatch):
+    """T's verdict on w and whether stage 0's graph was asked a word problem."""
+    real = tw.gg.word_problem
+    asked = []
+
+    def counting(G, w, budget=8):
+        asked.append(G is T.stages[0].graph)
+        return real(G, w, budget)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tw.gg, "word_problem", counting)
+        verdict = T.word_problem(parse_word(w, T.alphabet()))
+    return verdict, any(asked)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("closed2", "a1"), ("closed2", "b1 a2"), ("closed2", "t"), ("closed2", "[a1,b1] t"),
+    ("mixed", "a"), ("mixed", "x"), ("mixed", "p q"), ("mixed", "u a"),
+])
+def test_a_nonempty_free_map_image_needs_no_stage0_word_problem(name, text, monkeypatch):
+    # on a non-free stage 0 the free map's one linear pass comes before
+    # stage 0's word problem of the base image
+    T = _cached_tower(name)
+    assert not T.free_base and T.free_map.apply(parse_word(text, T.alphabet()))
+    assert _stage0_asked(T, text, monkeypatch) == (NONTRIVIAL, False)
+
+
+@pytest.mark.parametrize("name, text", [("closed2", "b1 a1^-1 a2^-1"), ("mixed", "x y^-1")])
+def test_a_word_the_free_map_kills_is_proved_by_stage0(name, text, monkeypatch):
+    # the free map sends these to 1; their base image is nonempty, and
+    # stage 0's word problem proves it nontrivial
+    T = _cached_tower(name)
+    w = parse_word(text, T.alphabet())
+    assert not T.free_map.apply(w) and T.retraction_to_base().apply(w)
+    assert _stage0_asked(T, text, monkeypatch) == (NONTRIVIAL, True)
 
 
 # -- the relator step ----------------------------------------------------------
