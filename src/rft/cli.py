@@ -693,8 +693,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=8)
     sp.add_argument("--power-budget", type=int, dest="power_budget", default=8,
                     help="word-problem budget of hypotheses 1 and 2, and largest k, l tried for "
-                         "u^k = v^l in hypothesis 1 (commuting or undecided pairs, or all pairs "
-                         "if the stage below the top is uncertified)")
+                         "u^k = v^l in hypothesis 1 (only pairs whose images in free groups "
+                         "commute, and only the k, l those images allow)")
 
     sub.add_parser("selftest", help="quick internal checks")
     return p

@@ -298,10 +298,16 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
 
     (0) every rank-1 edge of the core touches a G vertex;
     (1) no two distinct edge generators at a common extended G vertex
-        have coinciding powers.  Under `Tower.prev_stage_csa` they lie in a
-        limit group (commutative transitive, torsion-free), so a Nontrivial
-        commutator settles a pair exactly; other pairs are searched for
-        u^k = v^l up to `power_budget`, and a hit's witness is u^k v^-l;
+        have coinciding powers.  Each generator's `Tower.free_images` are
+        read once.  A pair whose images do not commute has no u^k = v^l
+        (`Tower.power_relations`); the other pairs are searched for
+        u^k = v^l up to `power_budget`, over the (k, l) their images allow
+        only, and a hit's witness is u^k v^-l.  Under
+        `Tower.prev_stage_csa` the generators lie in a limit group
+        (commutative transitive, torsion-free), so a pair whose images do
+        not commute, or whose commutator is Nontrivial, is settled exactly
+        ("noncommuting"); the commutator is asked only after a search
+        without a hit, since a hit proves that u and v commute;
     (2) the top attaching element is maximal: not a proper power and not
         conjugate into any earlier flat lattice.
     """
@@ -325,13 +331,12 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
 
     # (1) power coincidences between distinct edge generators (no two equal)
     gens = _edge_generators_at_g(T)
+    images = {g: T.free_images(g) for g in gens}
     exact = T.prev_stage_csa()
     status1, witness1, detail1 = "verified", None, ""
     for u, v in itertools.combinations(gens, 2):
-        if exact and T.word_problem(commutator(u, v), power_budget) == NONTRIVIAL:
-            pair_log.append((u, v, "noncommuting"))
-            continue
-        hit = _power_coincidence(T, u, v, power_budget)
+        relations = T.power_relations(images[u], images[v])
+        hit = _power_coincidence(T, u, v, power_budget, relations)
         if hit:
             k, l = hit
             status1 = "refuted"
@@ -339,6 +344,10 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
             detail1 = f"({format_word(u)})^{k} = ({format_word(v)})^{l}"
             pair_log.append((u, v, "hit"))
             break
+        if exact and (relations is None
+                      or T.word_problem(commutator(u, v), power_budget) == NONTRIVIAL):
+            pair_log.append((u, v, "noncommuting"))
+            continue
         pair_log.append((u, v, "no hit"))
         status1 = "verified-to-budget"
     verdicts.append(Check("hypothesis-1", status1, detail1, witness1))
@@ -367,12 +376,27 @@ def check_isolation_hypotheses(C: ColoredCore, T: Tower,
     return IsolationReport(verdicts, pair_log)
 
 
-def _power_coincidence(T: Tower, u: Word, v: Word, budget: int) -> Optional[tuple[int, int]]:
+def _power_coincidence(T: Tower, u: Word, v: Word, budget: int,
+                       relations: Optional[tuple[tuple[int, int], ...]]
+                       ) -> Optional[tuple[int, int]]:
     """The first (k, l) with u^k = v^l in T, k then l from 1 to budget,
-    l positive before negative."""
+    l positive before negative, among the (k, l) that `relations`, the
+    `Tower.power_relations` of u and v, allow: k a = l b for every pair
+    (a, b).  None, or a pair with a or b zero (then k or l would be 0),
+    allows none.  A pair fixes l = k a / b, so each k asks at most one
+    word problem where there are pairs, and 2 budget where there are
+    none."""
+    if relations is None or not all(a and b for a, b in relations):
+        return None
+    every = [s for l in range(1, budget + 1) for s in (l, -l)]
     for k in range(1, budget + 1):
-        for l in range(1, budget + 1):
-            for sl in (l, -l):
-                if T.word_problem(concat(power(u, k), power(v, -sl)), budget) == TRIVIAL:
-                    return k, sl
+        ls = every
+        if relations:  # the first pair fixes l, and every pair must agree
+            a, b = relations[0]
+            l, rest = divmod(k * a, b)
+            ls = [l] if not rest and abs(l) <= budget and all(
+                k * a2 == l * b2 for a2, b2 in relations) else []
+        for l in ls:
+            if T.word_problem(concat(power(u, k), power(v, -l)), budget) == TRIVIAL:
+                return k, l
     return None

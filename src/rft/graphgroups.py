@@ -436,8 +436,11 @@ def subgroup_membership(
             if len(subgens) <= 3:
                 shells = (_exponent_shell(len(subgens), r) for r in range(budget + 1))
                 for ks in itertools.chain.from_iterable(shells):
-                    cand = concat(*(power(g, k) for g, k in zip(subgens, ks)))
-                    if V.triviality(reduce_word(concat(w, invert(cand))), budget) == TRIVIAL:
+                    q = concat(w, invert(concat(*(power(g, k) for g, k in zip(subgens, ks)))))
+                    # a surface vertex's normal form reduces q; a composite
+                    # strategy takes its words reduced
+                    if V.triviality(q if V.kind == "surface" else reduce_word(q),
+                                    budget) == TRIVIAL:
                         return MembershipResult(MEMBER, [(i, k) for i, k in enumerate(ks) if k])
             return MembershipResult(UNKNOWN)
         # the unique candidate: w is a member exactly when w / candidate is trivial

@@ -405,6 +405,40 @@ class Tower:
             return invert(k)
         return tuple([-a for a in k])
 
+    def free_images(self, w: Word) -> tuple[Hashable, ...]:
+        """The images of the reduced word w under the tower's maps to free
+        groups, for `power_relations`: its `element_key` (the reduced
+        retraction image in a free stage 0, else that image's exponent
+        vector in Z^n) and, when the tower has one, its `free_map` image.
+        Each map is a homomorphism, so what the images rule out, the
+        tower group rules out too."""
+        key = self.element_key(w)
+        return (key,) if self.free_map is None else (key, self.free_map.apply(w))
+
+    def power_relations(self, iu: tuple[Hashable, ...], iv: tuple[Hashable, ...]
+                        ) -> Optional[tuple[tuple[int, int], ...]]:
+        """What the `free_images` iu of u and iv of v say about u and v.
+
+        None when two of their images do not commute: then [u, v] != 1,
+        and so u^k != v^l for all k, l != 0, since u^k = v^l would make
+        the images commute.  Else pairs (a, b) such that phi(u)^k =
+        phi(v)^l holds in every image phi exactly when k a = l b for every
+        pair: in a free group phi(u) = rho^a and phi(v) = rho^b for one
+        rho, and in Z^n each coordinate gives a pair.  Pairs (0, 0), which
+        allow every (k, l), are left out."""
+        pairs = list(zip(iu, iv))
+        rows = []
+        if not self.free_base:
+            x, y = pairs.pop(0)
+            rows = [(a, b) for a, b in zip(x, y) if a or b]
+        for p, q in pairs:
+            ab = _root_exponents(p, q)
+            if ab is None:
+                return None
+            if ab != (0, 0):
+                rows.append(ab)
+        return tuple(rows)
+
     @cached_property
     def free_map(self) -> Optional[GroupHom]:
         """The `_WitnessFamily` member with every parameter 1, when it
@@ -532,6 +566,25 @@ class Tower:
     # the chain's name for `word_problem` and composite vertices: wrapping
     # the ball walks' entry leaves every other word problem as it is
     _wp_at = reduced_word_problem
+
+
+def _root_exponents(p: Word, q: Word) -> Optional[tuple[int, int]]:
+    """(a, b) with p = rho^a and q = rho^b for one rho, for reduced words
+    p and q of a free group, or None when p and q do not commute.  Two
+    elements of a free group commute exactly when both are powers of one
+    element, and the powers of rho = c r c^-1, with r cyclically reduced
+    and no proper power, are the reduced words c r^b c^-1."""
+    if not p or not q:
+        return (0, 0) if p == q else (0, 1) if q else (1, 0)
+    core, c = cyclic_core(p)
+    r, a = is_proper_power(core) or (core, 1)
+    core_q, c_q = cyclic_core(q)
+    m, rest = divmod(len(core_q), len(r))
+    if c_q == c and not rest:
+        for b in (m, -m):
+            if core_q == power(r, b):
+                return a, b
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ def _cases() -> dict[str, list[str]]:
         cases[f"{name}.witness"] = ["witness", twr, "--words", words]
         cases[f"{name}.core"] = ["core", twr, "--gens", gens]
         cases[f"{name}.flats"] = ["flats", twr, "--power-budget", "2"]
+        cases[f"{name}.flats-default"] = ["flats", twr]
     for spl in SPLITTINGS:
         cases[f"f2.embed-{spl}"] = ["embed", str(CORPUS / "f2.twr"), "--splitting",
                                     str(CORPUS / f"{spl}.spl"), "--ball", "2"]
