@@ -142,8 +142,11 @@ def maximal_abelian_containing(tower: Tower, w: Word, budget: int = 8) -> Abelia
     if not tower.presentation().relators:
         return AbelianLocus(cyclic, "verified", "free locus: cyclic on the root")
     v = only_vertex(tower)
-    if v is not None and v.kind == "surface" and tower.non_power_map(r) is not None:
-        return AbelianLocus(cyclic, "verified", "surface locus: cyclic on a certified root")
+    if v is not None and v.kind == "surface":
+        if tower.non_power_map(r) is not None:
+            return AbelianLocus(cyclic, "verified", "surface locus: cyclic on a certified root")
+        return AbelianLocus(cyclic, "budget-limited",
+                            "surface locus: cyclic on an uncertified root")
     return AbelianLocus(cyclic, "budget-limited",
                         "composite locus: cyclic candidate, maximality unresolved")
 

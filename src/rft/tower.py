@@ -55,11 +55,14 @@ from .words import (
     Alphabet,
     GroupHom,
     Letter,
+    LetterTable,
     Record,
     SurfacePresentation,
     Word,
     abelianize,
+    apply_table,
     commutator,
+    compile_image,
     concat,
     cyclic_core,
     format_word,
@@ -329,24 +332,25 @@ class Tower:
         """Parameters of a member of the tower's map family to a free group
         that sends w to a nonempty non-power, or None.  If w = r^k, every
         member sends w to a k-th power, so such a member proves w no proper
-        power.  `free_map` (every parameter 1) is tried first, then the
-        first `NON_POWER_MAPS` members of max-norm <= 2 that kill every
-        relator."""
-        family = self._witness_family
-        if self.free_map is not None:
-            u = self.free_map.apply(w)
-            if u and is_proper_power(u) is None:
-                return (1,) * family.dimension
-        relators = self.presentation().relators
-        for params in itertools.islice(_parameter_shells(family.dimension, 2, 0),
-                                       NON_POWER_MAPS):
-            img = family.images(params)
-            if any(family.evaluate(img, r) for r in relators):
-                continue
-            u = family.evaluate(img, w)
+        power.  The `_non_power_members` are tried in order."""
+        for params, table in self._non_power_members:
+            u = apply_table(table, w)
             if u and is_proper_power(u) is None:
                 return params
         return None
+
+    @cached_property
+    def _non_power_members(self) -> tuple[tuple[tuple[int, ...], LetterTable], ...]:
+        """(parameters, signed-letter table) of `free_map`'s member (every
+        parameter 1) and of the first `NON_POWER_MAPS` members of max-norm
+        <= 2 in `_parameter_shells` order, each kept only if it kills every
+        relator of the top presentation: checked once per tower."""
+        family = self._witness_family
+        shells = itertools.islice(_parameter_shells(family.dimension, 2, 0), NON_POWER_MAPS)
+        members = ((p, family.member(p)[1]) for p in itertools.chain(
+            [(1,) * family.dimension], shells))
+        return tuple((p, table) for p, table in members
+                     if not any(apply_table(table, r) for r in self.presentation().relators))
 
     def maximal_abelian(self, w: Word, budget: int, below: Optional[int] = None
                         ) -> tuple[Optional[LatticeRecord], bool]:
@@ -540,7 +544,10 @@ class Tower:
         above a non-free stage 0, is the base image asked (built here when
         the caller gave none): the stage-0 word problem proves it
         nontrivial, unless it is a relator conjugate (below), which is
-        trivial.  A height-0 tower skips both base steps.  The words left
+        trivial.  Most words it gets it leaves open, but it alone proves
+        some: closed2's [[a1,b1]^12,t] b1 a1^-1 a2^-1 has free-map image
+        1, and the top stage's Britton gives up on it at budget 8.  A
+        height-0 tower skips both base steps.  The words left
         reach the relator step, where a relator conjugate is Trivial, and
         only the rest reach the top stage's Britton/amalgam word problem.
         """
@@ -817,18 +824,19 @@ class _WitnessFamily:
     so the relator goes to [x,y][y,x] = 1 while [a1,b1] stays alive; an
     odd genus's last handle goes to a_g -> z, b_g -> 1.
 
-    `_build` plans the family once per tower; `images` evaluates one
-    member bottom-up, applying `evaluate` to each stage's own words (a
-    torus block's attaching word, a Q block's retraction images).  A
-    search attempt evaluates it there and on the searched words only, so
-    a search builds a `GroupHom` for the member it returns alone.  The
-    family keeps the tower's alphabet and these plans, not the tower, so a
-    tower that caches its family forms no reference cycle.
+    `_build` plans the family once per tower.  `member` builds a member
+    bottom-up as `GroupHom`'s signed-letter table, applying each stage's
+    own words (a torus block's attaching word, a Q block's retraction
+    images) to the table below by `apply_table`, the one kernel of every
+    map to a free group; a search attempt applies it to the searched words
+    only, and builds no `GroupHom`.  The family keeps the tower's alphabet
+    and these plans, not the tower, so a tower that caches its family
+    forms no reference cycle.
 
     A member is trusted only after every relator of the tower maps to the
     empty word: `WitnessCertificate.recheck` checks the member a search
-    found, and `Tower.free_map` checks the member with every parameter 1
-    once per tower.  Only this module uses the family.
+    found, and the tower checks `free_map` (every parameter 1) and the
+    `_non_power_members` once each.  Only this module uses the family.
     """
 
     def __init__(self, tower: Tower):
@@ -856,103 +864,74 @@ class _WitnessFamily:
                     self.slots.append(f"stage {i}: twist {bgen} -> {bgen} {a}^N")
                     self.slots.append(f"stage {i}: twist {a} -> {a} {bgen}^N")
         self.summand_slot = len(self.slots)
-        # height-0 resolution slots
+        # height-0 resolution: the images of the letters no parameter
+        # moves, and per summand slot (letter, w, x) for the image w x^N
         target_gens: list[str] = []
-        self.summand_plan: list[tuple[str, VertexGroup, list[str]]] = []
+        self.fixed: dict[str, Word] = {}
+        self.moved: list[tuple[str, Word, Word]] = []
         used: set[str] = set()
         for v in t.summands:
+            gens = v.alphabet.generators
             if v.kind == "free":
-                for g in v.alphabet:
-                    target_gens.append(_fresh(g, used))
-                self.summand_plan.append(("free", v, target_gens[-len(v.alphabet):]))
+                names = [_fresh(g, used) for g in gens]
+                self.fixed.update((g, letter(x)) for g, x in zip(gens, names))
             elif v.kind == "abelian":
-                f = _fresh("f", used)
-                target_gens.append(f)
-                for g in v.alphabet:
-                    self.slots.append(f"summand {v.label}: {g} -> {f}^N")
-                self.summand_plan.append(("abelian", v, [f]))
-            else:  # closed surface
-                names = []
-                for h in range(v.surface.genus):
-                    names.append(_fresh(v.surface.generators[2 * h], used))
-                for h in range(v.surface.genus):
-                    a = v.surface.generators[2 * h]
-                    bgen = v.surface.generators[2 * h + 1]
+                names = [_fresh("f", used)]
+                for g in gens:
+                    self.slots.append(f"summand {v.label}: {g} -> {names[0]}^N")
+                    self.moved.append((g, (), letter(names[0])))
+            else:
+                # a closed surface, twisted and folded: a_h -> x_h and b_h ->
+                # x_(h^1) x_h^N, with x_(h^1) = 1 for an odd genus's last handle
+                names = [_fresh(gens[2 * h], used) for h in range(v.surface.genus)]
+                for h, x in enumerate(names):
+                    a, bgen = gens[2 * h], gens[2 * h + 1]
                     self.slots.append(f"summand {v.label}: twist {bgen} -> {bgen} {a}^N")
-                target_gens.extend(names)
-                self.summand_plan.append(("surface", v, names))
+                    self.fixed[a] = letter(x)
+                    partner = letter(names[h ^ 1]) if h ^ 1 < len(names) else ()
+                    self.moved.append((bgen, partner, letter(x)))
+            target_gens.extend(names)
         self.target = Alphabet(tuple(target_gens))
+        self.fixed_table: LetterTable = {}
+        for g, w in self.fixed.items():
+            compile_image(self.fixed_table, g, w)
 
     @property
     def dimension(self) -> int:
         return len(self.slots)
 
-    @staticmethod
-    def evaluate(img: dict[str, Word], w: Word) -> Word:
-        """The reduced image of w under the member whose reduced generator
-        images are `img`.  Each letter's image goes onto one stack, whole
-        where nothing cancels, and letters cancel only at the junction,
-        as in `GroupHom.apply`: each image letter is pushed and popped at
-        most once, so the evaluation is linear in the length of w and of
-        the images it reads."""
-        out: list[Letter] = []
-        for sym, sign in w:
-            v = img[sym]
-            if sign > 0:
-                k, n = 0, len(v)
-                while k < n and out and out[-1][0] == v[k][0] and out[-1][1] == -v[k][1]:
-                    out.pop()
-                    k += 1
-                out += v[k:]
-            else:
-                # v^-1 begins with the inverse of v's last letter, which
-                # cancels against a stack top equal to that letter
-                j = len(v)
-                while j and out and out[-1] == v[j - 1]:
-                    out.pop()
-                    j -= 1
-                out += invert(v[:j])
-        return tuple(out)
-
-    def images(self, params: tuple[int, ...]) -> dict[str, Word]:
-        """Reduced images of every tower generator under the member with
-        these parameters: the height-0 resolution first, then stage by
-        stage the images of that stage's new letters."""
-        img: dict[str, Word] = {}
-        it = iter(params[self.summand_slot:])
-        for kind, v, names in self.summand_plan:
-            gens = v.alphabet.generators
-            if kind == "free":
-                for g, tgt in zip(gens, names):
-                    img[g] = letter(tgt)
-            elif kind == "abelian":
-                for g in gens:
-                    img[g] = power(letter(names[0]), next(it))
-            else:
-                # twist b_h -> b_h a_h^N_h, then fold handle pairs: a_h goes
-                # to its own letter, and b_h to its pair partner's (h ^ 1),
-                # or to 1 for an odd genus's last handle
-                for h, x in enumerate(names):
-                    partner = letter(names[h ^ 1]) if h ^ 1 < len(names) else ()
-                    img[gens[2 * h]] = letter(x)
-                    img[gens[2 * h + 1]] = partner + power(letter(x), next(it))
+    def member(self, params: tuple[int, ...]) -> tuple[dict[str, Word], LetterTable]:
+        """The reduced images of every tower generator under the member
+        with these parameters, and their signed-letter table: the height-0
+        resolution first, then stage by stage the images of that stage's
+        new letters."""
+        img, table = dict(self.fixed), dict(self.fixed_table)
+        for (g, w, x), n in zip(self.moved, params[self.summand_slot:]):
+            img[g] = w + power(x, n)
+            compile_image(table, g, img[g])
         for first, s, new in self.stage_plan:
             b = s.block
             if isinstance(b, BlockT):
-                u = self.evaluate(img, b.attach[0])
-                for j, lt in enumerate(b.letters):
-                    img[lt] = reduce_word(power(u, params[first + j]))
+                # u = c r c^-1, r cyclically reduced: u^N = c r^N c^-1 is reduced
+                r, c = cyclic_core(apply_table(table, b.attach[0]))
+                for lt, n in zip(b.letters, params[first:]):
+                    img[lt] = c + power(r, n) + invert(c) if n else ()
             else:
                 # the twists b_h -> b_h a_h^N and then a_h -> a_h b_h^M, then
                 # the retraction; its stable letters map to 1
                 for g in new:
-                    img[g] = self.evaluate(img, s.retraction.images[g])
+                    img[g] = apply_table(table, s.retraction.images[g])
                 gens = b.surface.generators
                 for h in range(b.surface.genus):
                     a, bg = gens[2 * h], gens[2 * h + 1]
                     img[bg] = reduce_word(img[bg] + power(img[a], params[first + 2 * h]))
                     img[a] = reduce_word(img[a] + power(img[bg], params[first + 2 * h + 1]))
-        return img
+            for g in new:
+                compile_image(table, g, img[g])
+        return img, table
+
+    def images(self, params: tuple[int, ...]) -> dict[str, Word]:
+        return self.member(params)[0]
 
     def hom(self, params: tuple[int, ...]) -> GroupHom:
         return GroupHom(self.source, self.target, self.images(params))
@@ -1039,12 +1018,12 @@ def find_rf_witness(
         attempts += 1
         if attempts > max_attempts:
             break
-        member = family.images(params)
+        member, table = family.member(params)
         images: list[Word] = []
         collision = None
         seen: dict[Word, int] = {}
         for i, w in enumerate(W):
-            img = family.evaluate(member, w)
+            img = apply_table(table, w)
             images.append(img)
             if trivial_class is not None and classes[i] == trivial_class:
                 continue

@@ -9,10 +9,11 @@ Free reduction happens once per word: where a word enters the engine,
 or where the engine builds it.  Here `reduce_word`, `cyclic_reduce` and
 `dehn_reduce` reduce their input (`cyclic_core` is `cyclic_reduce`
 for a word already reduced), and a `GroupHom` reduces its images once,
-when it is built.  `GroupHom.apply`, `join_reduced` and `walk_ball`
-take reduced words and keep them reduced, cancelling only where two of
-them meet, and `is_proper_power` takes a reduced word; `concat`,
-`invert`, `power` and `commutator` do not reduce.
+when it is built.  `apply_table`, the one loop that applies a map,
+takes any word; `join_reduced` and `walk_ball` take reduced words and
+keep them reduced, cancelling only where two of them meet, and
+`is_proper_power` takes a reduced word; `concat`, `invert`, `power`
+and `commutator` do not reduce.
 """
 
 from __future__ import annotations
@@ -348,14 +349,49 @@ def ball_size(rank: int, radius: int) -> int:
     return 1 + n * ((2 * n - 1) ** radius - 1) // (n - 1)
 
 
-class GroupHom(Record):
-    """Homomorphism between free-ish generating sets, given on generators.
-    Two homs are equal when their source, target and images are.
+# A map's signed-letter table: (g, +-1) -> (reduced image, the letter that
+# cancels the image's first letter or None, inverse image).
+LetterTable = dict[Letter, tuple[Word, Optional[Letter], Word]]
 
-    `__init__` compiles the images once into a table keyed by signed
-    letter: (g, 1) and (g, -1) map to (image, the letter that cancels the
-    image's first letter, inverse image), both images reduced.  `images`
-    is never reassigned after `__init__`, so the table cannot go stale."""
+
+def compile_image(table: LetterTable, g: str, img: Word) -> None:
+    """Write the two entries of g, whose image is the reduced word img,
+    into a signed-letter table."""
+    inv = invert(img)
+    table[(g, 1)] = (img, inv[-1] if inv else None, inv)
+    table[(g, -1)] = (inv, img[-1] if img else None, img)
+
+
+def apply_table(table: LetterTable, w: Word) -> Word:
+    """Reduced image of the word w, reduced or not, under the map with this
+    signed-letter table: the one loop that applies a map.  Each letter's
+    reduced image goes onto one stack, cancelling only where the stack top
+    is the letter that cancels its first letter (`join_reduced`), so each
+    image letter is pushed and popped at most once."""
+    out: list[Letter] = []
+    for lt in w:
+        try:
+            img, cancel, inv = table[lt]
+        except KeyError:
+            raise AlphabetError(f"undeclared symbol: {lt[0]!r}") from None
+        if out and out[-1] == cancel:
+            out.pop()
+            k, n = 1, len(img)
+            # inv[n - 1 - k] cancels img[k]
+            while k < n and out and out[-1] == inv[n - 1 - k]:
+                out.pop()
+                k += 1
+            out += img[k:]
+        else:
+            out += img
+    return tuple(out)
+
+
+class GroupHom(Record):
+    """Homomorphism between free-ish generating sets, given on generators;
+    equal to another when source, target and images are.  `__init__`
+    compiles the reduced images once into a signed-letter table, which
+    `apply` reads; `images` is never reassigned, so it cannot go stale."""
 
     def __init__(self, source: Alphabet, target: Alphabet, images: dict[str, Word]):
         self.source = source
@@ -364,12 +400,9 @@ class GroupHom(Record):
         for g in source.generators:
             if g not in images:
                 raise WordError(f"homomorphism not total: missing image of {g!r}")
-        table: dict[Letter, tuple[Word, Optional[Letter], Word]] = {}
+        table: LetterTable = {}
         for g, w in images.items():
-            img = reduce_word(w, target)
-            inv = invert(img)
-            table[(g, 1)] = (img, inv[-1] if inv else None, inv)
-            table[(g, -1)] = (inv, img[-1] if img else None, img)
+            compile_image(table, g, reduce_word(w, target))
         self._table = table
 
     def __hash__(self):
@@ -380,27 +413,8 @@ class GroupHom(Record):
         return GroupHom(alph, alph, {g: letter(g) for g in alph.generators})
 
     def apply(self, w: Word) -> Word:
-        """Reduced image of w.  Each letter's image goes onto one stack;
-        it is reduced, so letters cancel only where the stack top is the
-        letter that cancels its first letter (`join_reduced`)."""
-        table = self._table
-        out: list[Letter] = []
-        for lt in w:
-            try:
-                img, cancel, inv = table[lt]
-            except KeyError:
-                raise AlphabetError(f"undeclared symbol: {lt[0]!r}") from None
-            if out and out[-1] == cancel:
-                out.pop()
-                k, n = 1, len(img)
-                # inv[n - 1 - k] cancels img[k]
-                while k < n and out and out[-1] == inv[n - 1 - k]:
-                    out.pop()
-                    k += 1
-                out += img[k:]
-            else:
-                out += img
-        return tuple(out)
+        """Reduced image of w (`apply_table`)."""
+        return apply_table(self._table, w)
 
     def then(self, other: "GroupHom") -> "GroupHom":
         """Composition: first self, then other."""

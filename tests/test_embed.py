@@ -102,6 +102,7 @@ def test_maximal_abelian_surface_locus_is_cyclic_on_a_certified_root():
     # has no certified root, so its answer stays budget-limited
     loc = em.maximal_abelian_containing(g2, parse_word("b1^-1 a2 b2 b2 a2 a1 b1 a1^-1", al))
     assert loc.status == "budget-limited"
+    assert loc.detail == "surface locus: cyclic on an uncertified root"
 
 
 def test_a_lattice_on_an_assumed_obligation_is_budget_limited():

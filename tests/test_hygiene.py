@@ -205,6 +205,40 @@ def test_one_integer_elimination():
     assert referrers(trees, "_column_hermite") == ["intlinalg"]
 
 
+def _pops(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "pop"
+               for n in ast.walk(node))
+
+
+def image_loops(tree: ast.Module) -> list[str]:
+    """The functions of a module that apply a map the way a stack does: a
+    `for` loop over the letters of a word, in which a `while` loop pops
+    the stack where an image cancels against it."""
+    return sorted(name for name, func in _functions(tree)
+                  if any(isinstance(loop, ast.For) and any(
+                      isinstance(n, ast.While) and _pops(n) for n in ast.walk(loop))
+                      for loop in _own_nodes(func)))
+
+
+def test_one_map_application_kernel():
+    # `apply_table` is the one loop that applies a map to a free group:
+    # `GroupHom.apply`, every witness-family member and each witness
+    # attempt run on it, so no second image loop grows beside it, in
+    # `rft.tower` or anywhere else
+    trees = _trees()
+    loops = {module: image_loops(tree) for module, tree in trees.items()}
+    assert {module: names for module, names in loops.items() if names} == {
+        "words": ["apply_table"]}
+    assert "_WitnessFamily.evaluate" not in {name for name, _ in _functions(trees["tower"])}
+    assert referrers(trees, "apply_table") == ["tower", "words"]
+
+
+def test_a_second_image_loop_is_caught():
+    tree = ast.parse("def f(table, w):\n    out = []\n    for lt in w:\n"
+                     "        while out and out[-1] == lt:\n            out.pop()\n")
+    assert image_loops(tree) == ["f"]
+
+
 @pytest.mark.parametrize("module", ["hashlib", "dataclasses", "inspect"])
 def test_importing_the_cli_loads_no_hashlib(module):
     # hashlib loads OpenSSL, a few MB of resident memory that only a

@@ -171,9 +171,10 @@ COUNTED = {
 def test_reduce_word_calls_are_pinned(monkeypatch):
     # Lower is the aim; a change that moves the count updates this pin.
     # It includes the one-off builds of each tower's free map and base
-    # map, whose homs reduce their images once, when they are built, and
-    # the free map's torus powers: 4 reductions on gamma, 18 on tall (6
-    # and 24 when the witness family built a hom per stage).  Applying a
+    # map, whose homs reduce their images once, when they are built: 3
+    # reductions on gamma, 15 on tall (4 and 18 when the witness family
+    # reduced its torus powers, 6 and 24 when it built a hom per stage;
+    # it now cuts u^N = c r^N c^-1 from u's cyclic core).  Applying a
     # hom reduces nothing (35 and 74 when each application reduced its
     # image again).  Relator conjugates such as [[a,b],t] need no Britton
     # reduction (49 and 99 before that step).
@@ -199,4 +200,4 @@ def test_reduce_word_calls_are_pinned(monkeypatch):
         for w in ws:
             T.word_problem(w, 8)
         counts[name] = calls[0]
-    assert counts == {"gamma": 24, "tall": 40}
+    assert counts == {"gamma": 23, "tall": 37}

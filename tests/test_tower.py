@@ -23,6 +23,7 @@ from rft.words import (
     enumerate_ball,
     format_word,
     invert,
+    is_proper_power,
     letter,
     parse_word,
     power,
@@ -189,6 +190,63 @@ def test_root_and_the_non_power_certificate_are_sound(data, name, k):
         assert not any(hom.apply(rel) for rel in T.presentation().relators)
         u = hom.apply(w)
         assert u and _literal_exponent(u) == 1
+
+
+ASSUMED_PP = PP.read_text().replace("letters=t;", "letters=t; assume=true;")
+
+
+def _reference_non_power_map(T: tw.Tower, w):
+    """`Tower.non_power_map` as a loop that checks each of the first
+    `NON_POWER_MAPS` members of max-norm <= 2 against every relator on
+    every call."""
+    family = T._witness_family
+    if T.free_map is not None:
+        u = T.free_map.apply(w)
+        if u and is_proper_power(u) is None:
+            return (1,) * family.dimension
+    for params in itertools.islice(tw._parameter_shells(family.dimension, 2, 0),
+                                   tw.NON_POWER_MAPS):
+        hom = family.hom(params)
+        if any(hom.apply(r) for r in T.presentation().relators):
+            continue
+        u = hom.apply(w)
+        if u and is_proper_power(u) is None:
+            return params
+    return None
+
+
+def test_non_power_map_checks_the_relators_once_per_tower(monkeypatch):
+    # pp's attaching word goes to a power or to 1 under every member tried;
+    # after the first call the members are applied to that word alone
+    T = cli.build_tower(cli.parse_tower_dsl(ASSUMED_PP))
+    w = reduce_word(T.stages[1].block.attach[0])
+    assert T.non_power_map(w) is None
+    applied = []
+    real = tw.apply_table
+    monkeypatch.setattr(tw, "apply_table", lambda table, u: applied.append(u) or real(table, u))
+    for _ in range(3):
+        assert T.non_power_map(w) is None
+    # the free map's member and all of the others kill the relators
+    assert applied == [w] * (3 * (1 + tw.NON_POWER_MAPS))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["pp"])
+def test_non_power_map_equals_the_per_call_loop(name):
+    # every word of the radius-2 ball, and conjugates of powers with a
+    # relator spliced in, which the free map sends to powers, so that the
+    # later members answer
+    T = cli.build_tower(cli.parse_tower_dsl(ASSUMED_PP)) if name == "pp" else _cached_tower(name)
+    words = [w for w in enumerate_ball(T.alphabet(), 2) if w]
+    letters = [(g, s) for g in T.alphabet().generators for s in (1, -1)]
+    relators = T.presentation().relators or ((),)
+    rng = random.Random(name)
+    for _ in range(150):
+        r, c = (tuple(rng.choice(letters) for _ in range(rng.randint(n, 3))) for n in (1, 0))
+        w = concat(c, power(r, rng.randint(1, 3)), invert(c))
+        at, rel = rng.randint(0, len(w)), rng.choice(relators)
+        words.append(reduce_word(w[:at] + rel + w[at:]))
+    for w in filter(None, words):
+        assert T.non_power_map(w) == _reference_non_power_map(T, w), format_word(w)
 
 
 def test_attach_q_punctured_torus(free2):
@@ -490,7 +548,13 @@ def _composed_hom(t: tw.Tower, family: tw._WitnessFamily, params: tuple[int, ...
             stage_hom = GroupHom(stage_alph, stage_alph, twist).then(s.retraction)
         hom = hom.then(stage_hom)
     res: dict = {}
-    for kind, v, names in family.summand_plan:
+    # the target letters, summand by summand: one per free letter, one per
+    # abelian summand, one per surface handle
+    targets = iter(family.target.generators)
+    for v in t.summands:
+        kind = v.kind
+        size = len(v.alphabet) if kind == "free" else 1 if kind == "abelian" else v.surface.genus
+        names = list(itertools.islice(targets, size))
         if kind == "free":
             res.update((g, letter(tgt)) for g, tgt in zip(v.alphabet.generators, names))
         elif kind == "abelian":
@@ -524,48 +588,6 @@ def test_family_images_equal_the_composed_maps(name):
     for _ in range(200):
         params = tuple(rng.randint(-3, 3) for _ in range(family.dimension))
         assert family.images(params) == _composed_hom(T, family, params).images, params
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_evaluate_equals_the_compiled_member(data):
-    # unreduced words, and relator conjugates whose images cancel to the
-    # empty word across many junctions
-    T = _cached_tower(data.draw(st.sampled_from(CORPUS_NAMES)))
-    family = T._witness_family
-    params = data.draw(st.tuples(*[st.integers(-3, 3)] * family.dimension))
-    letters = st.tuples(st.sampled_from(T.alphabet().generators), st.sampled_from((1, -1)))
-    short = st.lists(letters, max_size=12).map(tuple)
-    parts = [short]
-    relators = T.presentation().relators
-    if relators:
-        parts.append(st.tuples(short, st.sampled_from(relators), st.integers(-3, 3)).map(
-            lambda t: concat(t[0], power(t[1], t[2]), invert(t[0]))))
-    w = concat(*data.draw(st.lists(st.one_of(*parts), max_size=4)))
-    assert family.evaluate(family.images(params), w) == family.hom(params).apply(w)
-
-
-def _best_seconds(f, repeats=5) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        f()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_evaluate_is_linear_like_the_compiled_member():
-    # re-joining the whole output for each letter was quadratic: about 100
-    # times as slow as the compiled member on this word
-    T = _cached_tower("gamma")
-    family = T._witness_family
-    params = (1,) * family.dimension
-    img, hom = family.images(params), family.hom(params)
-    w = parse_word("t^-1 [a,b]^4000 t", T.alphabet())
-    assert len(w) == 16_002
-    assert family.evaluate(img, w) == hom.apply(w)
-    assert _best_seconds(lambda: family.evaluate(img, w)) < 10 * _best_seconds(
-        lambda: hom.apply(w))
 
 
 # -- lazy parameter shells ---------------------------------------------------
@@ -958,6 +980,21 @@ def test_a_word_the_free_map_kills_is_proved_by_stage0(name, text, monkeypatch):
     w = parse_word(text, T.alphabet())
     assert not T.free_map.apply(w) and T.retraction_to_base().apply(w)
     assert _stage0_asked(T, text, monkeypatch) == (NONTRIVIAL, True)
+
+
+def test_the_stage0_step_is_the_only_proof_of_some_words(monkeypatch):
+    # the free map sends this word to 1 and the top stage's Britton gives
+    # up at budget 8: only stage 0's word problem of the base image proves
+    # it nontrivial, so the chain keeps that step
+    T = _cached_tower("closed2")
+    w = reduce_word(parse_word("[[a1,b1]^12,t] b1 a1^-1 a2^-1", T.alphabet()))
+    assert T.free_map.apply(w) == ()
+    assert word_problem(T.stages[-1].graph, w, 8) == UNKNOWN
+    assert T.word_problem(w, 8) == NONTRIVIAL
+    real = tw.gg.word_problem
+    monkeypatch.setattr(tw.gg, "word_problem", lambda G, u, budget: (
+        UNKNOWN if G is T.stages[0].graph else real(G, u, budget)))
+    assert T.word_problem(w, 8) == UNKNOWN
 
 
 # -- the relator step ----------------------------------------------------------

@@ -197,12 +197,25 @@ def _reference_apply(hom, w):
                                 for g, sign in w)))
 
 
+def relator_conjugates(hom):
+    """Products of up to 4 unreduced short words and conjugates c r^k c^-1
+    of words r of length <= 3 that hom sends to 1: their images cancel to
+    the empty word across many junctions."""
+    relators = [r for r in enumerate_ball(hom.source, 3) if r and not _reference_apply(hom, r)]
+    short = words_over(hom.source, 6)
+    parts = [short]
+    if relators:
+        parts.append(st.tuples(short, st.sampled_from(relators), st.integers(-3, 3)).map(
+            lambda t: concat(t[0], power(t[1], t[2]), invert(t[0]))))
+    return st.lists(st.one_of(*parts), max_size=4).map(lambda ws: concat(*ws))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.integers(min_value=1, max_value=3))
 def test_hom_apply_is_the_reduced_product_of_the_images(data, rank):
     source = Alphabet(("a", "b", "c")[:rank])
     hom = data.draw(junction_maps(source))
-    w = data.draw(words_over(source, 16))
+    w = data.draw(st.one_of(words_over(source, 16), relator_conjugates(hom)))
     assert hom.apply(w) == _reference_apply(hom, w)
     assert hom.apply(reduce_word(w)) == hom.apply(w)
 
