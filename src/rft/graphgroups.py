@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .folding import SubgroupGraph
 from .intlinalg import Lattice, lattice_rank
@@ -56,6 +56,11 @@ class InconsistencyError(ValueError):
 # Word-problem strategy of an already-built stage: (word, budget) -> verdict
 Strategy = Callable[[Word, int], str]
 
+# A composite vertex's maps phi to free groups, in order, on an edge side's
+# subgens g_i: (a, exponent) per phi with phi(g_i) = rho^(a_i) for one rho
+# != 1, where exponent(w) is the b with phi(w) = rho^b, or None if none is
+FreeMaps = Callable[[tuple[Word, ...]], Iterator[tuple[list[int], Callable]]]
+
 # Expression of a word in subgroup generators: ordered (index, exponent) pairs
 Expression = list[tuple[int, int]]
 
@@ -63,7 +68,8 @@ Expression = list[tuple[int, int]]
 class VertexGroup:
     def __init__(self, label: str, kind: str, alphabet: Alphabet,
                  surface: Optional[SurfacePresentation] = None,
-                 relators: tuple[Word, ...] = (), strategy: Optional[Strategy] = None):
+                 relators: tuple[Word, ...] = (), strategy: Optional[Strategy] = None,
+                 maps: Optional[FreeMaps] = None):
         if kind not in ("free", "abelian", "surface", "composite"):
             raise GraphError(f"unknown vertex kind {kind!r}")
         if kind == "surface" and surface is None:
@@ -76,8 +82,9 @@ class VertexGroup:
         self.surface = surface
         self.relators = relators
         self.strategy = strategy
+        self.maps = maps  # composite vertices: maps to free groups, or None
         # edge subgenerators -> membership plan (`_membership_plan`)
-        self._plans: dict[tuple[Word, ...], tuple[Lattice, bool]] = {}
+        self._plans: dict[tuple[Word, ...], tuple[Lattice, bool, tuple]] = {}
 
     def all_relators(self) -> tuple[Word, ...]:
         if self.kind == "free":
@@ -122,10 +129,9 @@ def surface_vertex(label: str, surf: SurfacePresentation) -> VertexGroup:
     return VertexGroup(label, "surface", surf.alphabet(), surface=surf)
 
 
-def composite_vertex(
-    label: str, alph: Alphabet, relators: tuple[Word, ...], strategy: Strategy
-) -> VertexGroup:
-    return VertexGroup(label, "composite", alph, relators=relators, strategy=strategy)
+def composite_vertex(label: str, alph: Alphabet, relators: tuple[Word, ...],
+                     strategy: Strategy, maps: FreeMaps) -> VertexGroup:
+    return VertexGroup(label, "composite", alph, relators=relators, strategy=strategy, maps=maps)
 
 
 class EdgeGroup:
@@ -378,22 +384,42 @@ def _exponent_shell(k: int, r: int):
             yield (x,) + tail
 
 
-def _membership_plan(V: VertexGroup, subgens: list[Word]) -> tuple[Lattice, bool]:
+def _membership_plan(V: VertexGroup, subgens: list[Word]) -> tuple[Lattice, bool, tuple]:
     """The membership plan of an edge side at an abelian, surface or
-    composite vertex: the factored lattice of the abelianized subgens, with
-    the vertex relators' columns after them at surface and composite
-    vertices, and whether no relation of that lattice involves a subgen
-    (then a solution's subgen part is the one candidate).  Made on the
-    first question and kept by V."""
+    composite vertex, made on the first question and kept by V: a factored
+    lattice of the abelianized subgens (then, at surface and composite
+    vertices, the relators), whether no relation of it involves a subgen
+    (then a solution's subgen part is the one candidate), and the drawn
+    maps' exponent readers.  Where a relation involves a subgen, a
+    composite vertex draws its maps to free groups in order: phi sends
+    the commuting g_i to rho^(a_i), so a member prod g_i^(k_i) has phi(w)
+    = rho^b with sum a_i k_i = b, one more row under the subgens' columns.
+    A map whose row cuts such a relation is drawn; the maps are kept once
+    none is left, else the plan stays the abelian one."""
     key = tuple(subgens)
     plan = V._plans.get(key)
     if plan is None:
+        k = len(subgens)
         cols = [abelianize(g, V.alphabet) for g in subgens]
         if V.kind != "abelian":
             cols += [abelianize(r, V.alphabet) for r in V.all_relators()]
         lattice = Lattice(cols, len(V.alphabet.generators))
-        unique = not any(any(r[: len(subgens)]) for r in lattice.relations())
-        plan = V._plans[key] = (lattice, unique)
+        loose = [x for x in lattice.relations() if any(x[:k])]
+        plan = (lattice, not loose, ())
+        if loose and V.maps is not None:
+            drawn = []
+            for row, exponent in V.maps(key):
+                # a map that cuts no loose relation adds nothing
+                if not any(sum(a * x for a, x in zip(row, rel)) for rel in loose):
+                    continue
+                cols = [col + (a,) for col, a in zip(cols, row + [0] * (len(cols) - k))]
+                drawn.append(exponent)
+                pinned = Lattice(cols, len(cols[0]))
+                loose = [x for x in pinned.relations() if any(x[:k])]
+                if not loose:
+                    plan = (pinned, True, tuple(drawn))
+                    break
+        V._plans[key] = plan
     return plan
 
 
@@ -403,27 +429,36 @@ def subgroup_membership(
     """Decide w in <subgens> inside the vertex group V.
 
     Free vertices: exact via Stallings folding, on the folded graph that
-    `_subgroup_graph` keeps per (alphabet, subgens).  Free-abelian: exact
-    integer lattice solve.  Surface (closed) and composite vertices:
-    exact when the abelianization pins the candidate exponents down,
-    otherwise a budgeted cyclic power search; unknown past the budget.
-    At the last three kinds V keeps one plan per edge side it is asked
-    about (`_membership_plan`), made on the first question and gone with
-    V and its graph: the lattice of [subgens | relators], factored once,
-    and whether the unique candidate or the exponent search answers.
-    Each question then costs one abelianization of w and one solve.
-    Takes w and subgens as given.
+    `_subgroup_graph` keeps per (alphabet, subgens).  The other kinds
+    solve against the edge side's plan (`_membership_plan`), kept by V for
+    the life of its graph.  Each drawn map must send w to a power rho^b,
+    and w's abelianization, with each b after it, must solve in the
+    plan's lattice; else w is a nonmember.  Free-abelian vertices read the
+    member off the solution.  Where the plan pins the candidate, no other
+    exponents can express w, so one triviality call on w times the
+    candidate's inverse decides: Trivial is a member, Nontrivial a
+    nonmember, Unknown stays Unknown.  A plan that pins nothing (closed surfaces, composite
+    sides no drawn map pins) falls back to a budgeted cyclic power search,
+    Unknown past the budget or past three subgens.  Takes w and subgens
+    as given.
     """
     expr: Expression = []
     if any(subgens):
         if V.kind == "free":
             expr = _subgroup_graph(V.alphabet, tuple(subgens)).express(w)
             return MembershipResult(NONMEMBER if expr is None else MEMBER, expr)
-        lattice, unique = _membership_plan(V, subgens)
-        sol = lattice.solve(abelianize(w, V.alphabet))
+        lattice, unique, drawn = _membership_plan(V, subgens)
+        target = abelianize(w, V.alphabet)
+        for exponent in drawn:
+            b = exponent(w)
+            if b is None:
+                # a member's image is a power of rho, as every subgen's is
+                return MembershipResult(NONMEMBER)
+            target += (b,)
+        sol = lattice.solve(target)
         if sol is None:
             # sound regardless of independence: membership would force a
-            # solution in the abelianized quotient
+            # solution in the abelianized quotient and in every drawn map
             return MembershipResult(NONMEMBER)
         if V.kind == "abelian":
             return MembershipResult(MEMBER, [(i, k) for i, k in enumerate(sol) if k])

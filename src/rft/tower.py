@@ -254,10 +254,11 @@ class WitnessCertificate(Record):
         return True
 
 
-# Members of a tower's map family that `Tower.non_power_map` tries after
-# its free map to prove a word no proper power: the first ones of
-# max-norm <= 2, all 25 of them at genus 2.
-NON_POWER_MAPS = 25
+# Members of a tower's map family checked against its relators after its
+# free map (`Tower._checked_maps`), for `Tower.non_power_map` and for the
+# composite vertex standing for the tower one stage up (`_edge_exponents`):
+# the first ones of max-norm <= 2, all 25 of them at genus 2.
+CHECKED_MAPS = 25
 
 
 class Tower:
@@ -324,29 +325,28 @@ class Tower:
         v = only_vertex(self)
         if v is not None and v.kind == "surface":
             w = v.normalize(w)
-        core, c = cyclic_core(w)
-        r, k = core and is_proper_power(core) or (core, 1)
-        return r, k, c
+        return _free_root(w)
 
     def non_power_map(self, w: Word) -> Optional[tuple[int, ...]]:
         """Parameters of a member of the tower's map family to a free group
         that sends w to a nonempty non-power, or None.  If w = r^k, every
         member sends w to a k-th power, so such a member proves w no proper
-        power.  The `_non_power_members` are tried in order."""
-        for params, table in self._non_power_members:
+        power.  The `_checked_maps` are tried in order."""
+        for params, table in self._checked_maps:
             u = apply_table(table, w)
             if u and is_proper_power(u) is None:
                 return params
         return None
 
     @cached_property
-    def _non_power_members(self) -> tuple[tuple[tuple[int, ...], LetterTable], ...]:
+    def _checked_maps(self) -> tuple[tuple[tuple[int, ...], LetterTable], ...]:
         """(parameters, signed-letter table) of `free_map`'s member (every
-        parameter 1) and of the first `NON_POWER_MAPS` members of max-norm
+        parameter 1) and of the first `CHECKED_MAPS` members of max-norm
         <= 2 in `_parameter_shells` order, each kept only if it kills every
-        relator of the top presentation: checked once per tower."""
+        relator of the top presentation: checked once per tower, so each
+        kept member is a homomorphism to a free group."""
         family = self._witness_family
-        shells = itertools.islice(_parameter_shells(family.dimension, 2, 0), NON_POWER_MAPS)
+        shells = itertools.islice(_parameter_shells(family.dimension, 2, 0), CHECKED_MAPS)
         members = ((p, family.member(p)[1]) for p in itertools.chain(
             [(1,) * family.dimension], shells))
         return tuple((p, table) for p, table in members
@@ -583,15 +583,52 @@ def _root_exponents(p: Word, q: Word) -> Optional[tuple[int, int]]:
     and no proper power, are the reduced words c r^b c^-1."""
     if not p or not q:
         return (0, 0) if p == q else (0, 1) if q else (1, 0)
-    core, c = cyclic_core(p)
-    r, a = is_proper_power(core) or (core, 1)
-    core_q, c_q = cyclic_core(q)
-    m, rest = divmod(len(core_q), len(r))
+    r, a, c = _free_root(p)
+    b = _power_exponent(r, c, q)
+    return None if b is None else (a, b)
+
+
+def _free_root(w: Word) -> tuple[Word, int, Word]:
+    """(r, k, c) with w = c r^k c^-1, for a reduced word w of a free
+    group: r is w's cyclic core cut to its least period, so no proper
+    power there; the empty word has r = () and k = 1."""
+    core, c = cyclic_core(w)
+    r, k = core and is_proper_power(core) or (core, 1)
+    return r, k, c
+
+
+def _power_exponent(r: Word, c: Word, q: Word) -> Optional[int]:
+    """The b with q = c r^b c^-1, for a reduced word q and a `_free_root`
+    r != () with conjugator c, or None when q is no such power.  The
+    reduced word of (c r c^-1)^b is c r^b c^-1, so q is compared with it
+    letter for letter."""
+    if not q:
+        return 0
+    core, c_q = cyclic_core(q)
+    m, rest = divmod(len(core), len(r))
     if c_q == c and not rest:
         for b in (m, -m):
-            if core_q == power(r, b):
-                return a, b
+            if core == power(r, b):
+                return b
     return None
+
+
+def _edge_exponents(tower: Tower, subgens: tuple[Word, ...]):
+    """For each of the tower's `_checked_maps` phi, in order, that sends
+    the commuting words subgens to powers rho^(a_i) of one rho != 1: the
+    a_i, and the function that reads off a word w the b with phi(w) =
+    rho^b, or None when phi(w) is no power of rho.  The composite vertex
+    that stands for the tower one stage up pins edge-group exponents with
+    them (`graphgroups._membership_plan`)."""
+    for _, table in tower._checked_maps:
+        images = [apply_table(table, g) for g in subgens]
+        p = next((u for u in images if u), None)
+        if p is None:
+            continue
+        r, _, c = _free_root(p)
+        row = [_power_exponent(r, c, u) for u in images]
+        if None not in row:
+            yield row, lambda w, t=table, r=r, c=c: _power_exponent(r, c, apply_table(t, w))
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +695,9 @@ def _prev_vertex(tower: Tower, label: str) -> VertexGroup:
 
     When the previous stage is a single plain vertex (free, abelian,
     surface) it is cloned so that membership stays exact; otherwise a
-    composite vertex delegating to the stage's word-problem strategy.
+    composite vertex delegating to the stage's word-problem strategy, with
+    the stage's `_checked_maps` as its maps to free groups, built on the
+    first membership question that needs them (`_edge_exponents`).
     """
     pres = tower.presentation()
     if not pres.relators:
@@ -668,7 +707,8 @@ def _prev_vertex(tower: Tower, label: str) -> VertexGroup:
         return VertexGroup(label, v.kind, v.alphabet, surface=v.surface,
                            relators=v.relators, strategy=v.strategy)
     return composite_vertex(label, pres.alphabet, pres.relators,
-                            lambda w, budget: tower._wp_at(w, None, budget))
+                            lambda w, budget: tower._wp_at(w, None, budget),
+                            lambda subgens: _edge_exponents(tower, subgens))
 
 
 def _check_maximal_cyclic(tower: Tower, w: Word) -> tuple[Optional[bool], str]:
@@ -836,7 +876,8 @@ class _WitnessFamily:
     A member is trusted only after every relator of the tower maps to the
     empty word: `WitnessCertificate.recheck` checks the member a search
     found, and the tower checks `free_map` (every parameter 1) and the
-    `_non_power_members` once each.  Only this module uses the family.
+    `_checked_maps` once each.  Only this module uses the family; the
+    composite vertices it builds apply the checked members.
     """
 
     def __init__(self, tower: Tower):

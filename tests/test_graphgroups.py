@@ -1,6 +1,8 @@
 import functools
 import itertools
+import json
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rft import graphgroups, intlinalg
-from rft.cli import build_tower, parse_splitting, parse_tower_dsl
+from rft.cli import build_tower, parse_splitting, parse_tower_dsl, run_command
 from rft.graphgroups import (
     EdgeGroup,
     GraphError,
@@ -30,12 +32,15 @@ from rft.graphgroups import (
 from rft.words import (
     AlphabetError,
     SurfacePresentation,
+    Word,
     abelianize,
     alphabet,
+    commutator,
     concat,
     enumerate_ball,
     format_word,
     invert,
+    letter,
     parse_word,
     power,
     reduce_word,
@@ -187,15 +192,21 @@ def test_amalgam_verdict_respects_abelianization(w):
 # -- subproblems of one tower word problem ------------------------------------
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
-TALL = CORPUS / "tall.twr"
+# the benchmark's known-answer oracle, which shares no code with the engine
+sys.path.insert(0, str(CORPUS.parent))
+import oracle as orc  # noqa: E402
 
 
-@pytest.mark.parametrize("text, verdict", [("[[b,s]^3,r]", TRIVIAL),
-                                           ("[[a,t]^12,s]", UNKNOWN)])
-def test_each_subproblem_is_normalized_once_per_call(monkeypatch, text, verdict):
+@pytest.mark.parametrize("name, text, verdict", [
+    ("tall", "[[b,s]^3,r]", TRIVIAL), ("tall", "[[a,t]^12,s]", TRIVIAL),
+    ("closed2", "[[a1,b1]^12,t]", UNKNOWN),
+], ids=["[[b,s]^3,r]-Trivial", "[[a,t]^12,s]-Trivial", "closed2-[[a1,b1]^12,t]-Unknown"])
+def test_each_subproblem_is_normalized_once_per_call(monkeypatch, name, text, verdict):
     # [w^n, t] on the height-3 tower re-enters the lower stages through
-    # composite vertices, yet no (graph, word, budget) is decided twice
-    T = build_tower(parse_tower_dsl(TALL.read_text()))
+    # composite vertices, yet no (graph, word, budget) is decided twice;
+    # nor on closed2, where the exponent search still gives up past the
+    # budget at its surface vertex
+    T = build_tower(parse_tower_dsl((CORPUS / f"{name}.twr").read_text()))
     w = parse_word(text, T.alphabet())
     seen: Counter = Counter()
     real = graphgroups.normal_form
@@ -263,9 +274,10 @@ def test_exponent_shells_keep_the_sorted_order():
 
 def test_exponent_search_memory_does_not_grow_with_the_budget(monkeypatch):
     # the candidate is found at max-abs 3, so a budget of 200 must not
-    # build the 401^k tuples of the box
-    T = build_tower(parse_tower_dsl((CORPUS / "t2.twr").read_text()))
-    w = parse_word("[[a,b]^3 t^2,u]", T.alphabet())
+    # build the 401^k tuples of the box; closed surfaces are the vertices
+    # that still search
+    T = build_tower(parse_tower_dsl((CORPUS / "closed2.twr").read_text()))
+    w = parse_word("[[a1,b1]^3,t]", T.alphabet())
     assert T.word_problem(w, 8) == TRIVIAL  # builds the tower's cached maps
     shells = Counter()
     real = graphgroups._exponent_shell
@@ -283,6 +295,138 @@ def test_exponent_search_memory_does_not_grow_with_the_budget(monkeypatch):
         tracemalloc.stop()
     assert shells and max(shells) <= 3
     assert peak < 1_000_000
+
+
+# -- exact membership at composite vertices -----------------------------------
+
+# (tower, stage): the composite vertex that stands for the stage below, and
+# the side of the stage's torus edge at it: tall's st1 and st2, a2's st1,
+# and t2's rank-2 side ([a,b], t)
+COMPOSITE_SIDES = [("tall", 2), ("tall", 3), ("a2", 2), ("t2", 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _composite_side(name: str, stage: int):
+    """The vertex, its edge-side subgens, the tower's oracle maps to free
+    groups from `bench/corpus/corpus.json`, applied by `bench/oracle.py`
+    (each kills every relator of the tower, so of the stage below too),
+    and the (block letter, attaching word) pairs of the stages below."""
+    T = build_tower(parse_tower_dsl((CORPUS / f"{name}.twr").read_text()))
+    G = T.stages[stage].graph
+    V = G.vertices[f"st{stage - 1}"]
+    (e,) = [e for e in G.edges if e.rank]
+    subgens = list((e.left if e.left[0] == V.label else e.right)[1])
+    homs = [orc.hom_from_spec(spec)
+            for spec in json.loads((CORPUS / "corpus.json").read_text())["towers"][name]["homs"]]
+    assert V.kind == "composite" and all(orc.kills(h, V.relators) for h in homs)
+    blocks = [(t, s.block.attach[0]) for s in T.stages[1:stage] for t in s.block.letters]
+    return V, subgens, homs, blocks
+
+
+def _words(gens, max_size: int):
+    return st.lists(st.tuples(st.sampled_from(gens), st.sampled_from((1, -1))),
+                    max_size=max_size).map(tuple)
+
+
+def _planted(data, subgens) -> tuple[list[int], Word]:
+    ks = data.draw(st.lists(st.integers(-60, 60), min_size=len(subgens),
+                            max_size=len(subgens)))
+    return ks, concat(*(power(g, k) for g, k in zip(subgens, ks)))
+
+
+@pytest.mark.parametrize("side", COMPOSITE_SIDES, ids="{0[0]}-{0[1]}".format)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_planted_composite_member_reads_its_own_exponents(side, data):
+    # g^k times a relator conjugate, spliced in anywhere: the drawn maps
+    # pin k, and the expression is exactly the planted one
+    V, subgens, _, _ = _composite_side(*side)
+    ks, planted = _planted(data, subgens)
+    c = data.draw(_words(V.alphabet.generators, 3))
+    r = power(data.draw(st.sampled_from(V.relators)), data.draw(st.sampled_from((1, -1))))
+    cut = data.draw(st.integers(0, len(planted)))
+    w = reduce_word(planted[:cut] + c + r + invert(c) + planted[cut:])
+    res = subgroup_membership(V, subgens, w, 8)
+    assert res.status == MEMBER
+    assert res.expression == [(i, k) for i, k in enumerate(ks) if k]
+
+
+@pytest.mark.parametrize("side", COMPOSITE_SIDES, ids="{0[0]}-{0[1]}".format)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_no_composite_membership_verdict_contradicts_the_oracle(side, data):
+    # near-members: g^k with a short word spliced in, or a commutator
+    # [x, t^-1 u^e] for a block letter t below and its attaching word u,
+    # which the abelianization and every map t -> u^e send to 1 (the
+    # tower's free map has e = 1).  A word that some oracle map sends
+    # outside the image subgroup never reads member; a member's expression
+    # leaves a quotient that no oracle map sees; and a splice that cancels
+    # freely leaves a planted member, never a nonmember
+    V, subgens, homs, blocks = _composite_side(*side)
+    ks, planted = _planted(data, subgens)
+    gens = V.alphabet.generators
+    if data.draw(st.booleans()):
+        noise = data.draw(_words(gens, 4))
+    else:
+        t, u = data.draw(st.sampled_from(blocks))
+        x = data.draw(_words(gens, 3).filter(bool))
+        noise = commutator(x, letter(t, -1) + power(u, data.draw(st.sampled_from((1, -1, 2)))))
+    cut = data.draw(st.integers(0, len(planted)))
+    w = reduce_word(planted[:cut] + noise + planted[cut:])
+    res = subgroup_membership(V, subgens, w, 8)
+    if any(not orc.FreeSubgroup([orc.apply(h, g) for g in subgens]).contains(orc.apply(h, w))
+           for h in homs):
+        assert res.status != MEMBER
+    if res.status == MEMBER:
+        q = concat(w, invert(concat(*(power(subgens[i], k) for i, k in res.expression))))
+        assert not any(orc.apply(h, q) for h in homs)
+    if not reduce_word(noise):
+        assert res.status == MEMBER
+
+
+def test_composite_membership_asks_one_candidate(monkeypatch):
+    # at t2's composite vertex st1, ([a,b], t) is a rank-2 edge side whose
+    # abelianization pins no exponent of [a,b], and (12, 3) lies past what
+    # a search at budget 8 tries: each membership question there makes
+    # one triviality call, on the candidate, and no exponent tuple is built
+    stack: list = []
+    questions, candidates, shells = [0], [0], []
+    real_membership = graphgroups.subgroup_membership
+    real_triviality = graphgroups.VertexGroup.triviality
+
+    def membership(V, subgens, w, budget):
+        questions[0] += V.kind == "composite"
+        stack.append(V.kind)
+        try:
+            return real_membership(V, subgens, w, budget)
+        finally:
+            stack.pop()
+
+    def triviality(V, w, budget):
+        candidates[0] += stack[-1:] == ["composite"]
+        stack.append("triviality")
+        try:
+            return real_triviality(V, w, budget)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(graphgroups, "subgroup_membership", membership)
+    monkeypatch.setattr(graphgroups.VertexGroup, "triviality", triviality)
+    monkeypatch.setattr(graphgroups, "_exponent_shell", lambda k, r: shells.append(r) or iter(()))
+    code, out = run_command(["wp", str(CORPUS / "t2.twr"), "--word", "[[a,b]^12 t^3,u]"])
+    assert (code, out.splitlines()[-1]) == (0, "verdict: Trivial")
+    assert questions[0] and candidates == questions
+    assert shells == []
+
+
+@pytest.mark.parametrize("name", ["tall", "a2"])
+def test_power_commutators_at_a_composite_vertex_read_trivial(name):
+    # [[a,t]^n, s] is a product of n conjugates of the relator [[a,t],s],
+    # decided at budget 8 far past the exponents a search at that budget
+    # tries
+    T = build_tower(parse_tower_dsl((CORPUS / f"{name}.twr").read_text()))
+    for n in range(1, 201):
+        assert T.word_problem(parse_word(f"[[a,t]^{n},s]", T.alphabet())) == TRIVIAL
 
 
 def _pinch_graph(amalgam: bool) -> GraphOfGroups:
@@ -421,9 +565,10 @@ PLANNED = {
 def test_each_edge_side_is_factored_once(monkeypatch):
     # An abelian, surface or composite vertex factors an edge side's
     # lattice on its first question and solves every later one against
-    # it.  An elimination counts when subgroup_membership runs it itself,
-    # not under a triviality check (a composite vertex's strategy runs
-    # word problems of its own).
+    # it; a composite side that its maps to free groups pin factors once
+    # more per map drawn.  An elimination counts when subgroup_membership
+    # runs it itself, not under a triviality check (a composite vertex's
+    # strategy runs word problems of its own).
     towers = {name: build_tower(parse_tower_dsl((CORPUS / f"{name}.twr").read_text()))
               for name in PLANNED}
     stack: list[str] = []
@@ -463,7 +608,8 @@ def test_each_edge_side_is_factored_once(monkeypatch):
 
     first = verdicts()
     assert {V.kind for V, _ in asked} == {"abelian", "surface", "composite"}
-    assert 0 < eliminations[0] <= len(asked)
+    drawn = sum(len(V._plans[key][2]) for V, key in asked)
+    assert drawn and 0 < eliminations[0] <= len(asked) + drawn
     eliminations[0] = 0
     assert verdicts() == first
     assert eliminations[0] == 0

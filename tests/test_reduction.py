@@ -177,7 +177,11 @@ def test_reduce_word_calls_are_pinned(monkeypatch):
     # it now cuts u^N = c r^N c^-1 from u's cyclic core).  Applying a
     # hom reduces nothing (35 and 74 when each application reduced its
     # image again).  Relator conjugates such as [[a,b],t] need no Britton
-    # reduction (49 and 99 before that step).
+    # reduction (49 and 99 before that step).  On tall, [[b,s]^2,r] asks
+    # whether [b,s]^2 and its inverse lie in the edge group at stage 3's
+    # composite vertex, whose maps to free groups pin the one candidate
+    # exponent: one candidate word each (37 when an exponent search tried
+    # the exponents 0, -1, 1, -2, 2 in turn, reducing each quotient word).
     towers = {name: _build(name) for name in COUNTED}
     graphgroups._subgroup_graph.cache_clear()
     real = words.reduce_word
@@ -200,4 +204,4 @@ def test_reduce_word_calls_are_pinned(monkeypatch):
         for w in ws:
             T.word_problem(w, 8)
         counts[name] = calls[0]
-    assert counts == {"gamma": 23, "tall": 37}
+    assert counts == {"gamma": 23, "tall": 32}

@@ -197,7 +197,7 @@ ASSUMED_PP = PP.read_text().replace("letters=t;", "letters=t; assume=true;")
 
 def _reference_non_power_map(T: tw.Tower, w):
     """`Tower.non_power_map` as a loop that checks each of the first
-    `NON_POWER_MAPS` members of max-norm <= 2 against every relator on
+    `CHECKED_MAPS` members of max-norm <= 2 against every relator on
     every call."""
     family = T._witness_family
     if T.free_map is not None:
@@ -205,7 +205,7 @@ def _reference_non_power_map(T: tw.Tower, w):
         if u and is_proper_power(u) is None:
             return (1,) * family.dimension
     for params in itertools.islice(tw._parameter_shells(family.dimension, 2, 0),
-                                   tw.NON_POWER_MAPS):
+                                   tw.CHECKED_MAPS):
         hom = family.hom(params)
         if any(hom.apply(r) for r in T.presentation().relators):
             continue
@@ -227,7 +227,7 @@ def test_non_power_map_checks_the_relators_once_per_tower(monkeypatch):
     for _ in range(3):
         assert T.non_power_map(w) is None
     # the free map's member and all of the others kill the relators
-    assert applied == [w] * (3 * (1 + tw.NON_POWER_MAPS))
+    assert applied == [w] * (3 * (1 + tw.CHECKED_MAPS))
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES + ["pp"])
